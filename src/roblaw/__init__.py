@@ -44,7 +44,6 @@ from .kernels import (
     DotProductKernel,
     FeatureMap,
     HiddenWeights,
-    cross_gram,
     empirical_gram,
     features,
     gram_dot,

@@ -16,7 +16,6 @@ from .analyze import analyze_descent, analyze_law, asymptotics
 from .data import gen_dataset
 from .errors import InvalidArgument, IoError, NumericFailure, RoblawError, SingularKernel
 from .kernels import HiddenWeights
-from .sobolev import sobolev_monte_carlo
 from .spectral import c_sigma_cov, sym_eigs
 from .sphere import sample_sphere
 from .sweep import (
@@ -190,23 +189,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, out_default=None):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", default=out_default)
-        sp.add_argument("--workers", type=int, default=1)
-
     sp = sub.add_parser("gen-data", help="write a generic dataset as CSV")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--zeta", type=float, default=0.0)
-    common(sp, out_default="data.csv")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--out", default="data.csv")
     sp.set_defaults(func=cmd_gen_data)
 
     sp = sub.add_parser("eigs", help="spectrum of the activation covariance matrix")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--activation", default="relu")
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_eigs)
 
     def trial_args(sp):
@@ -218,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
         sp.add_argument("--zeta", type=float, default=0.0)
         sp.add_argument("--mc-samples", type=int, default=500)
-        common(sp)
+        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("fit", help="run a single trial and print the record")
     trial_args(sp)
@@ -231,27 +226,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="run an experiment grid to CSV")
     sp.add_argument("--preset", choices=PRESETS)
     sp.add_argument("--config")
-    common(sp, out_default="sweep.csv")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--out", default="sweep.csv")
+    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("analyze-law", help="robustness-law regression per group")
     sp.add_argument("--csv", required=True)
     sp.add_argument("--x-expr", default="sqrt_n", choices=("sqrt_n", "sqrt_n_over_k"))
     sp.add_argument("--group-by", default="")
-    common(sp)
     sp.set_defaults(func=cmd_analyze_law)
 
     sp = sub.add_parser("analyze-descent", help="interpolation-threshold peaks")
     sp.add_argument("--csv", required=True)
     sp.add_argument("--threshold", default="n_eq_k",
                     choices=("n_eq_k", "n_eq_d", "n_eq_kd"))
-    common(sp)
     sp.set_defaults(func=cmd_analyze_descent)
 
     sp = sub.add_parser("asymptotics", help="ridge(less) reference limits")
     sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--nlambda", type=float, default=0.0)
-    common(sp)
     sp.set_defaults(func=cmd_asymptotics)
     return p
 

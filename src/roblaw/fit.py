@@ -6,6 +6,11 @@ Solver policy: symmetric positive-definite factorization with jitter
 escalation 0 -> 1e-12*lmax -> 1e-10*lmax, then an eigendecomposition
 pseudo-inverse (threshold 1e-10*lmax). Fallbacks are recorded in the fit
 meta for reproducibility audits.
+
+A fitted model keeps, as `gram`, the PSD matrix its solve factored, without
+lambda: K(X,X), Z Z^T or X X^T for a dual solve, Z^T Z or X^T X for a primal
+one. Spectra and the RKHS norm read it instead of building it again; a
+hand-built model has gram None.
 """
 
 import math
@@ -21,7 +26,6 @@ from .kernels import (
     DotProductKernel,
     FeatureMap,
     HiddenWeights,
-    cross_gram,
     empirical_gram,
     features,
     gram_dot,
@@ -34,6 +38,7 @@ from .sphere import SphereSample
 class LinearModel:
     w: np.ndarray
     meta: dict = field(default_factory=dict)
+    gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def predict(self, x):
         return np.asarray(x, dtype=float) @ self.w
@@ -57,6 +62,7 @@ class KernelModel:
     anchors: SphereSample
     c: np.ndarray
     meta: dict = field(default_factory=dict)
+    gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def predict(self, x):
         x = np.asarray(x, dtype=float)
@@ -72,6 +78,7 @@ class FeatureModel:
     map: FeatureMap
     a: np.ndarray
     meta: dict = field(default_factory=dict)
+    gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def predict(self, x):
         x = np.asarray(x, dtype=float)
@@ -143,7 +150,7 @@ def fit_kernel(
     K = gram_dot(kernel, data.X, data.X)
     c, meta = solve_psd(K, data.y, lam_eff)
     meta = dict(meta, **{"lambda": lam, "lambda_eff": lam_eff})
-    return KernelModel(kernel=kernel, anchors=data.X, c=c, meta=meta)
+    return KernelModel(kernel=kernel, anchors=data.X, c=c, meta=meta, gram=K)
 
 
 def fit_features(fmap: FeatureMap, data: Dataset, lam: float = 0.0) -> FeatureModel:
@@ -170,9 +177,10 @@ def fit_features(fmap: FeatureMap, data: Dataset, lam: float = 0.0) -> FeatureMo
             a = ((S * alpha[:, None]).T @ data.X.points / math.sqrt(k)).reshape(-1)
     else:
         Z = features(fmap, data.X.points)
-        a, meta = solve_psd(Z.T @ Z, Z.T @ data.y, lam)
+        G = Z.T @ Z
+        a, meta = solve_psd(G, Z.T @ data.y, lam)
     meta = dict(meta, **{"lambda": lam, "lambda_eff": lam})
-    return FeatureModel(map=fmap, a=a, meta=meta)
+    return FeatureModel(map=fmap, a=a, meta=meta, gram=G)
 
 
 def fit_linear_minnorm(data: Dataset) -> LinearModel:
@@ -191,11 +199,13 @@ def fit_linear_ridge(data: Dataset, lam: float = 0.0) -> LinearModel:
     """Linear ridge / least squares for any n, d (dual when n <= d)."""
     X = data.X.points
     if data.n <= data.d:
-        c, meta = solve_psd(X @ X.T, data.y, lam)
+        G = X @ X.T
+        c, meta = solve_psd(G, data.y, lam)
         w = X.T @ c
     else:
-        w, meta = solve_psd(X.T @ X, X.T @ data.y, lam)
-    return LinearModel(w=w, meta=dict(meta, **{"lambda": lam}))
+        G = X.T @ X
+        w, meta = solve_psd(G, X.T @ data.y, lam)
+    return LinearModel(w=w, meta=dict(meta, **{"lambda": lam}), gram=G)
 
 
 def train_mse(model, data: Dataset) -> float:
@@ -207,8 +217,12 @@ def test_mse(model, test: Dataset) -> float:
     return train_mse(model, test)
 
 
-def rkhs_norm(model: KernelModel, gram=None) -> float:
-    K = gram if gram is not None else gram_dot(model.kernel, model.anchors, model.anchors)
+def rkhs_norm(model: KernelModel) -> float:
+    """sqrt(c^T K c), with K the fit's gram; a hand-built model's K is
+    built from its anchors."""
+    K = model.gram
+    if K is None:
+        K = gram_dot(model.kernel, model.anchors, model.anchors)
     q = float(model.c @ K @ model.c)
     return math.sqrt(max(q, 0.0))
 
@@ -233,13 +247,3 @@ def mse_limit(gamma: float, regime: str = "ridgeless") -> float:
         return 1.0
     raise InvalidArgument(f"unknown regime {regime}")
 
-
-def ridge_norm_closed_form(gamma: float, nlambda: float) -> float:
-    """The closed-form expression reported for |w_hat|^2/n at scaled ridge
-    n*lambda. Exposed verbatim for reference; at nlambda=0 it evaluates to 0,
-    which disagrees with the ridgeless 1/|1-gamma| limit -- prefer
-    ridgeless_norm_limit / mp_integral as ground truth (see README)."""
-    if gamma <= 0:
-        raise InvalidArgument("gamma must be positive")
-    a = gamma - nlambda + 1
-    return a / (2 * gamma * math.sqrt(a * a + 4 * nlambda)) - 1 / (2 * gamma)

@@ -9,7 +9,7 @@ active.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,8 +39,8 @@ class DotProductKernel:
     """A kernel K(x, x') = scale * profile(x.x') on the unit sphere.
 
     Names: linear, polynomial(c, p), gaussian(s), laplace(s),
-    exp_type(s, beta), arccos0, arccos1, rf_infinite(activation),
-    ntk_infinite(activation).
+    exp_type(s, beta), arccos0, arccos1 (the same kernel as
+    rf_infinite(relu)), rf_infinite(activation), ntk_infinite(activation).
     """
 
     name: str
@@ -63,10 +63,18 @@ class DotProductKernel:
                 )
 
 
+def _resolve(kernel: DotProductKernel):
+    """(name, activation) of the formula that computes the kernel; arccos1
+    is rf_infinite(relu) under another name."""
+    if kernel.name == "arccos1":
+        return "rf_infinite", ActivationKind.RELU
+    return kernel.name, kernel.activation
+
+
 def kernel_profile(kernel: DotProductKernel, t):
     """phi(t) * scale for the catalog entry."""
     t = _clip_t(t)
-    name = kernel.name
+    name, activation = _resolve(kernel)
     if name == "linear":
         out = t + 0.0
     elif name == "polynomial":
@@ -79,12 +87,10 @@ def kernel_profile(kernel: DotProductKernel, t):
         out = np.exp(-np.maximum(0.0, 2 - 2 * t) ** (kernel.beta / 2) / kernel.s)
     elif name == "arccos0":
         out = np.arccos(-t) / math.pi
-    elif name == "arccos1":
-        out = (t * np.arccos(-t) + np.sqrt(np.maximum(0.0, 1 - t * t))) / math.pi
     elif name == "rf_infinite":
-        out = 2.0 * np.asarray(phi_profile(kernel.activation, "value", t))
+        out = 2.0 * np.asarray(phi_profile(activation, "value", t))
     elif name == "ntk_infinite":
-        out = t * 2.0 * np.asarray(phi_profile(kernel.activation, "derivative", t))
+        out = t * 2.0 * np.asarray(phi_profile(activation, "derivative", t))
     else:
         raise InvalidArgument(f"unknown kernel {name}")
     out = np.asarray(out) * kernel.scale
@@ -95,7 +101,7 @@ def kernel_profile_deriv(kernel: DotProductKernel, t):
     """Analytic phi'(t) * scale. Profiles with an endpoint singularity
     (arccos0 at |t| = 1) return a signed infinity."""
     t = _clip_t(t)
-    name = kernel.name
+    name, activation = _resolve(kernel)
     with np.errstate(divide="ignore"):
         if name == "linear":
             out = np.ones_like(t)
@@ -116,21 +122,19 @@ def kernel_profile_deriv(kernel: DotProductKernel, t):
             )
         elif name == "arccos0":
             out = 1.0 / (math.pi * np.sqrt(np.maximum(0.0, 1 - t * t)))
-        elif name == "arccos1":
-            out = np.arccos(-t) / math.pi
         elif name == "rf_infinite":
             # d/dt of 2*phi_value = 2*phi_derivative for order-1 profiles
-            out = 2.0 * np.asarray(phi_profile(kernel.activation, "derivative", t))
+            out = 2.0 * np.asarray(phi_profile(activation, "derivative", t))
         elif name == "ntk_infinite":
-            phi0 = 2.0 * np.asarray(phi_profile(kernel.activation, "derivative", t))
-            if kernel.activation == ActivationKind.RELU:
+            phi0 = 2.0 * np.asarray(phi_profile(activation, "derivative", t))
+            if activation == ActivationKind.RELU:
                 dphi0 = 2.0 / (2 * math.pi * np.sqrt(np.maximum(0.0, 1 - t * t)))
-            elif kernel.activation == ActivationKind.ABS:
+            elif activation == ActivationKind.ABS:
                 dphi0 = 2.0 * (2 / math.pi) / np.sqrt(np.maximum(0.0, 1 - t * t))
-            elif kernel.activation == ActivationKind.IDENTITY:
+            elif activation == ActivationKind.IDENTITY:
                 dphi0 = np.zeros_like(np.asarray(t))
             else:
-                raise UnsupportedActivation(str(kernel.activation))
+                raise UnsupportedActivation(str(activation))
             out = phi0 + t * dphi0
         else:
             raise InvalidArgument(f"unknown kernel {name}")
@@ -235,15 +239,6 @@ def empirical_gram(fmap: FeatureMap, X: SphereSample) -> np.ndarray:
         S = np.asarray(act_deriv(fmap.activation, X.points @ fmap.weights.W.T))
         G = (X.points @ X.points.T) * (S @ S.T) / fmap.weights.k
     return (G + G.T) / 2
-
-
-def cross_gram(fmap: FeatureMap, A: SphereSample, B: SphereSample) -> np.ndarray:
-    """K(A, B) under the empirical feature kernel."""
-    if fmap.kind == "frozen_rf":
-        return rf_features(fmap, A.points) @ rf_features(fmap, B.points).T
-    SA = np.asarray(act_deriv(fmap.activation, A.points @ fmap.weights.W.T))
-    SB = np.asarray(act_deriv(fmap.activation, B.points @ fmap.weights.W.T))
-    return (A.points @ B.points.T) * (SA @ SB.T) / fmap.weights.k
 
 
 def model_gradient(model, x: np.ndarray) -> np.ndarray:

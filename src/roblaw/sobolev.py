@@ -110,13 +110,13 @@ class RobustnessProxies:
     w_norm: float | None = None
 
 
-def proxies(model, gram=None) -> RobustnessProxies:
+def proxies(model) -> RobustnessProxies:
     from .fit import rkhs_norm as _rkhs
 
     if isinstance(model, LinearModel):
         return RobustnessProxies(w_norm=float(np.linalg.norm(model.w)))
     if isinstance(model, KernelModel):
-        return RobustnessProxies(rkhs_norm=_rkhs(model, gram=gram))
+        return RobustnessProxies(rkhs_norm=_rkhs(model))
     view = _two_layer_view(model)
     if view is not None:
         return RobustnessProxies(eta=eta_proxy(model))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .activations import ActivationKind, act_eval, kappa_tilde, phi_profile
+from .activations import ActivationKind, kappa_tilde, phi_profile
 from .errors import InvalidArgument, ResourceLimit, SingularKernel
 from .kernels import DotProductKernel, FeatureMap, HiddenWeights, features, gram_dot
 from .sphere import SphereSample, sample_sphere
@@ -67,6 +67,13 @@ def c_sigma_cov(W: HiddenWeights, kind: ActivationKind, d: int) -> np.ndarray:
     return (C + C.T) / 2
 
 
+def _centered_cov(F: np.ndarray) -> np.ndarray:
+    """Covariance of the rows of F: the column means are subtracted and
+    the sum of outer products is divided by the number of rows."""
+    Fc = F - F.mean(axis=0)
+    return Fc.T @ Fc / F.shape[0]
+
+
 def c_phi_monte_carlo(fmap: FeatureMap, m: int, seed: int) -> np.ndarray:
     """Empirical covariance of sqrt(d) Phi(x) over m iid sphere samples:
     the sample mean is subtracted and the sum of outer products is divided
@@ -78,10 +85,7 @@ def c_phi_monte_carlo(fmap: FeatureMap, m: int, seed: int) -> np.ndarray:
     if fmap.out_dim * m > _MAX_COV_ELEMENTS:
         raise ResourceLimit(f"feature matrix {m} x {fmap.out_dim} too large")
     X = sample_sphere(d, m, seed)
-    Z = features(fmap, X.points) * math.sqrt(d)
-    mu = Z.mean(axis=0)
-    Zc = Z - mu
-    C = Zc.T @ Zc / m
+    C = _centered_cov(features(fmap, X.points) * math.sqrt(d))
     return (C + C.T) / 2
 
 
@@ -155,10 +159,7 @@ def condition_alpha_gram(
     lam_max = sym_eigs(G).lambda_max
     S = sample_sphere(X.dim, m, seed)
     F = np.asarray(gram_dot(kernel, S, X)) * math.sqrt(X.dim)  # (m, n)
-    mu = F.mean(axis=0)
-    Fc = F - mu
-    C = Fc.T @ Fc / m
-    lam_min = sym_eigs(C).lambda_min
+    lam_min = sym_eigs(_centered_cov(F)).lambda_min
     if lam_min <= 0:
         raise SingularKernel("lambda_min(C_K(X)) not positive")
     return lam_max / lam_min * float(np.mean(np.diag(G)))

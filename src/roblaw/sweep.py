@@ -10,9 +10,8 @@ and ridge values within a cell, matching the experimental protocol.
 import csv
 import io
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,17 +26,18 @@ from .fit import (
     fit_features,
     fit_kernel,
     fit_linear_ridge,
+    rkhs_norm,
     test_mse,
     train_mse,
 )
-from .kernels import (
-    DotProductKernel,
-    FeatureMap,
-    HiddenWeights,
-    empirical_gram,
-    gram_dot,
+from .kernels import DotProductKernel, FeatureMap, HiddenWeights
+from .sobolev import (
+    coef_norm,
+    eta_proxy,
+    sobolev_analytic,
+    sobolev_exact_linear,
+    sobolev_monte_carlo,
 )
-from .sobolev import coef_norm, eta_proxy, sobolev_analytic, sobolev_monte_carlo
 from .spectral import c_sigma_cov, sym_eigs
 from .sphere import sample_sphere
 
@@ -64,6 +64,16 @@ def splitmix64(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & 0x7FFFFFFFFFFFFFFF
 
 
+def _check_grid(regime: str, lambdas, zetas) -> None:
+    """The checks a sweep grid and a single trial share."""
+    if regime not in REGIMES:
+        raise InvalidArgument(f"unknown regime {regime}")
+    if any(z < 0 or z > 1 for z in zetas):
+        raise InvalidArgument("zeta values must lie in [0, 1]")
+    if any(l < 0 for l in lambdas):
+        raise InvalidArgument("lambda values must be nonnegative")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     regime: str
@@ -81,12 +91,7 @@ class SweepConfig:
     zero_signal: bool = False
 
     def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise InvalidArgument(f"unknown regime {self.regime}")
-        if any(z < 0 or z > 1 for z in self.zeta_grid):
-            raise InvalidArgument("zeta values must lie in [0, 1]")
-        if any(l < 0 for l in self.lambda_grid):
-            raise InvalidArgument("lambda values must be nonnegative")
+        _check_grid(self.regime, self.lambda_grid, self.zeta_grid)
         if self.datasets_per_cell < 1 or self.weight_draws_per_dataset < 1:
             raise InvalidArgument("repetition counts must be >= 1")
 
@@ -108,8 +113,7 @@ class TrialCell:
     zero_signal: bool = False
 
     def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise InvalidArgument(f"unknown regime {self.regime}")
+        _check_grid(self.regime, (self.lam,), (self.zeta,))
 
 
 @dataclass
@@ -181,41 +185,22 @@ def _fit_for_cell(cell: TrialCell, data: Dataset):
     return fit_kernel(kernel, data, cell.lam, "plain")
 
 
-def _spectra_for_cell(cell: TrialCell, data: Dataset, model, rec: TrialRecord):
-    kind = ActivationKind(cell.activation)
-    if isinstance(model, LinearModel):
-        X = data.X.points
-        G = X @ X.T if data.n <= data.d else X.T @ X
-        s = sym_eigs(G)
-        rec.lambda_min_C, rec.lambda_max_C = s.lambda_min, s.lambda_max
-        rec.gram_cond = s.cond
+def _spectra_for_cell(model: FeatureModel, rec: TrialRecord):
+    """Extremes of the C matrix of a finite-width model with an order-1
+    homogeneous activation: the activation covariance for random
+    features, phi'(W W^T)/k for NTK features."""
+    kind = model.map.activation
+    if HOMOGENEITY.get(kind) != 1.0:
         return
-    if isinstance(model, KernelModel):
-        s = sym_eigs(gram_dot(model.kernel, data.X, data.X))
-        rec.lambda_min_C, rec.lambda_max_C = s.lambda_min, s.lambda_max
-        rec.gram_cond = s.cond
-        return
-    # finite-width feature models
-    fmap = model.map
-    W = fmap.weights
-    if fmap.kind == "frozen_rf":
-        if HOMOGENEITY.get(kind) == 1.0:
-            s = sym_eigs(c_sigma_cov(W, kind, cell.d))
-            rec.lambda_min_C, rec.lambda_max_C = s.lambda_min, s.lambda_max
+    W = model.map.weights
+    if model.map.kind == "frozen_rf":
+        C = c_sigma_cov(W, kind, W.d)
     else:
-        if HOMOGENEITY.get(kind) == 1.0:
-            T = np.clip(W.W @ W.W.T, -1.0, 1.0)
-            C = np.asarray(phi_profile(kind, "derivative", T)) / W.k
-            s = sym_eigs((C + C.T) / 2)
-            rec.lambda_min_C, rec.lambda_max_C = s.lambda_min, s.lambda_max
-    if data.n <= fmap.out_dim:
-        s = sym_eigs(empirical_gram(fmap, data.X))
-    else:
-        from .kernels import features
-
-        Z = features(fmap, data.X.points)
-        s = sym_eigs(Z.T @ Z)
-    rec.gram_cond = s.cond
+        T = np.clip(W.W @ W.W.T, -1.0, 1.0)
+        C = np.asarray(phi_profile(kind, "derivative", T)) / W.k
+        C = (C + C.T) / 2
+    s = sym_eigs(C)
+    rec.lambda_min_C, rec.lambda_max_C = s.lambda_min, s.lambda_max
 
 
 def run_trial(cell: TrialCell) -> TrialRecord:
@@ -230,6 +215,16 @@ def run_trial(cell: TrialCell) -> TrialRecord:
                            zero_signal=cell.zero_signal)
         model = _fit_for_cell(cell, data)
         rec.solver_fallback = bool(model.meta.get("fallback", False))
+        s = sym_eigs(model.gram)
+        rec.gram_cond = s.cond
+        if isinstance(model, FeatureModel):
+            _spectra_for_cell(model, rec)
+        else:
+            rec.lambda_min_C, rec.lambda_max_C = s.lambda_min, s.lambda_max
+        if isinstance(model, KernelModel):
+            rec.rkhs_norm = rkhs_norm(model)
+        # Keeping the gram past this point raised rf-kernel's peak RSS by 5%.
+        model = replace(model, gram=None)
         rec.train_mse = train_mse(model, data)
         rec.test_mse = test_mse(model, gen_test_set(data))
         est = sobolev_monte_carlo(
@@ -237,21 +232,12 @@ def run_trial(cell: TrialCell) -> TrialRecord:
         )
         rec.sobolev_mc, rec.sobolev_mc_stderr = est.value, est.std_error
         rec.coef_norm = coef_norm(model)
-        kind = ActivationKind(cell.activation)
         if isinstance(model, FeatureModel) and model.map.kind == "frozen_rf":
-            if HOMOGENEITY.get(kind) == 1.0:
+            if HOMOGENEITY.get(model.map.activation) == 1.0:
                 rec.sobolev_analytic = sobolev_analytic(model).value
             rec.eta = eta_proxy(model)
         elif isinstance(model, LinearModel):
-            w = np.asarray(model.w)
-            rec.sobolev_analytic = float(
-                np.linalg.norm(w) * math.sqrt(1 - 1 / cell.d)
-            )
-        if isinstance(model, KernelModel):
-            from .fit import rkhs_norm
-
-            rec.rkhs_norm = rkhs_norm(model)
-        _spectra_for_cell(cell, data, model, rec)
+            rec.sobolev_analytic = sobolev_exact_linear(model).value
     except RoblawError as exc:
         rec.reason = f"{type(exc).__name__}: {exc}"
     except np.linalg.LinAlgError as exc:
@@ -313,14 +299,6 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> str:
 # ---------------------------------------------------------------------------
 # Presets
 # ---------------------------------------------------------------------------
-
-
-def _frange(start, stop, step):
-    out, v = [], start
-    while v <= stop + 1e-12:
-        out.append(round(v, 10))
-        v += step
-    return tuple(out)
 
 
 _FULL_LAMBDAS = (0.0, 1e-5, 1e-4, 1e-3)

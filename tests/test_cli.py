@@ -75,6 +75,25 @@ def test_invalid_regime_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", [("--zeta", "2"), ("--lambda", "-1")])
+def test_fit_out_of_range_exits_2(capsys, bad):
+    code, out, err = run_cli(capsys, "fit", "--regime", "linear", "--n", "10",
+                             "--d", "20", *bad)
+    assert code == 2 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("asymptotics", "--gamma", "2", "--workers", "2"),
+    ("eigs", "--d", "12", "--k", "8", "--out", "x"),
+    ("fit", "--regime", "linear", "--n", "10", "--d", "20", "--workers", "2"),
+    ("analyze-law", "--csv", "x.csv", "--seed", "1"),
+])
+def test_removed_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
 def test_sobolev_command(capsys):
     code, out, _ = run_cli(capsys, "sobolev", "--regime", "rf_finite",
                            "--n", "8", "--d", "10", "--k", "16",

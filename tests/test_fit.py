@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from roblaw import (
     test_mse as mse_on,
     train_mse,
 )
-from roblaw.fit import ridge_norm_closed_form, solve_psd
+from roblaw.fit import solve_psd
 
 
 def test_solve_psd_matches_direct_solve():
@@ -131,7 +132,9 @@ def test_rkhs_norm_quadratic_form():
     kernel = DotProductKernel(name="arccos1")
     model = fit_kernel(kernel, data, 0.0)
     K = gram_dot(kernel, data.X, data.X)
+    np.testing.assert_array_equal(model.gram, K)
     assert rkhs_norm(model) == pytest.approx(math.sqrt(model.c @ K @ model.c))
+    assert rkhs_norm(replace(model, gram=None)) == rkhs_norm(model)
 
 
 def test_reference_limits():
@@ -143,9 +146,3 @@ def test_reference_limits():
     assert mse_limit(0.7, "large_ridge") == 1.0
     with pytest.raises(InvalidArgument):
         mse_limit(2.0, "other")
-
-
-def test_ridge_norm_closed_form_finite():
-    # reference expression only; see its docstring for the zero-ridge caveat
-    assert ridge_norm_closed_form(0.5, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert math.isfinite(ridge_norm_closed_form(2.0, 3.0))

@@ -1,0 +1,82 @@
+"""Golden SHA-256 hashes of small sweep CSVs, one grid per regime, and a
+count of the gram builds in one trial.
+
+Together the grids run the dual (n <= feature dim) and primal (n > feature
+dim) solves of `linear`, `rf_finite` and `ntk_finite` and the kernel solve
+of `rf_infinite` and `ntk_infinite`, each at lambda 0 and 1e-3. A change
+that alters any number a sweep writes, down to the last bit, changes a hash.
+
+The hashes were recorded with Python 3.11.7, numpy 2.4.6 (scipy-openblas64
+0.3.31.188.0) and scipy 1.17.1 (OpenBLAS 0.3.30), DYNAMIC_ARCH on an x86-64
+Haswell kernel. Another BLAS build or CPU kernel may round differently and
+change the hashes without any change to the program.
+"""
+
+import csv
+import hashlib
+import io
+import sys
+
+import pytest
+
+import roblaw
+from roblaw import ActivationKind, SweepConfig, TrialCell
+from roblaw.sweep import run_sweep, run_trial
+
+GRIDS = {
+    "linear": dict(n_grid=(6, 20), d_grid=(10,), k_grid=(0,)),
+    "rf_finite": dict(n_grid=(8, 30), d_grid=(6,), k_grid=(16,)),
+    "ntk_finite": dict(n_grid=(10, 30), d_grid=(4,), k_grid=(5,)),
+    "rf_infinite": dict(n_grid=(12,), d_grid=(6,), k_grid=(0,)),
+    "ntk_infinite": dict(n_grid=(12,), d_grid=(6,), k_grid=(0,)),
+}
+
+GOLDEN = {
+    "linear": "06bc76717192076a8b4284964bd7a34cf9ec30cab22885fe379b65b6e9c656f5",
+    "rf_finite": "8969f7e93883baadb9a8909376c46b7b4b16955ce14cb1cec6687921f9ec0b3a",
+    "ntk_finite": "65deb11f2485faaf82907e6bc29e3cc2497b530639e3540d90c5880a14112daf",
+    "rf_infinite": "c05a75e9ca4a5478ff6cfb42c8461c7a407c5f431d6fffd19b19a95b0eface9c",
+    "ntk_infinite": "dbd00933e6193d018d9ca5977587da3e2b19b95c921cc8bbb713f8e08cb524d3",
+}
+
+
+@pytest.mark.parametrize("regime", sorted(GRIDS))
+def test_sweep_csv_matches_golden_hash(regime, tmp_path):
+    cfg = SweepConfig(
+        regime=regime, activation=ActivationKind.RELU, lambda_grid=(0.0, 1e-3),
+        zeta_grid=(0.5,), mc_samples=200, base_seed=3,
+        output_path=str(tmp_path / f"{regime}.csv"), **GRIDS[regime],
+    )
+    with open(run_sweep(cfg), "rb") as fh:
+        data = fh.read()
+    assert all(row["reason"] == "" for row in csv.DictReader(io.StringIO(data.decode())))
+    assert hashlib.sha256(data).hexdigest() == GOLDEN[regime]
+
+
+def _count_calls(monkeypatch, name) -> list:
+    """Wrap roblaw.kernels.<name> wherever a roblaw module bound it; each
+    call appends to the returned list."""
+    original = getattr(roblaw.kernels, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("roblaw") and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("regime, n, d, k, name", [
+    ("rf_infinite", 12, 6, 0, "gram_dot"),
+    ("ntk_finite", 10, 4, 5, "empirical_gram"),
+])
+def test_one_gram_per_trial(monkeypatch, regime, n, d, k, name):
+    calls = _count_calls(monkeypatch, name)
+    rec = run_trial(TrialCell(regime=regime, activation=ActivationKind.RELU,
+                              n=n, d=d, k=k, lam=0.0, zeta=0.5,
+                              dataset_seed=5, weight_seed=6, mc_samples=200))
+    assert rec.reason == ""
+    assert len(calls) == 1

@@ -10,7 +10,6 @@ from roblaw import (
     HiddenWeights,
     InvalidArgument,
     UnsupportedActivation,
-    cross_gram,
     empirical_gram,
     features,
     fit_kernel,
@@ -130,15 +129,6 @@ def test_empirical_gram_matches_materialized_features():
         fmap = FeatureMap(kind=kind, weights=W, activation=ActivationKind.RELU)
         Z = features(fmap, X.points)
         np.testing.assert_allclose(empirical_gram(fmap, X), Z @ Z.T, atol=1e-12)
-
-
-def test_cross_gram_consistency():
-    A = sample_sphere(5, 8, 5)
-    B = sample_sphere(5, 13, 6)
-    W = HiddenWeights(sample_sphere(5, 6, 7).points)
-    fmap = FeatureMap(kind="ntk", weights=W, activation=ActivationKind.RELU)
-    ZA, ZB = features(fmap, A.points), features(fmap, B.points)
-    np.testing.assert_allclose(cross_gram(fmap, A, B), ZA @ ZB.T, atol=1e-12)
 
 
 def _numeric_gradient(predict, x, h=1e-6):

@@ -44,6 +44,12 @@ def test_config_validation():
         SweepConfig(regime="linear", activation=ActivationKind.RELU,
                     n_grid=(5,), d_grid=(4,), k_grid=(3,),
                     lambda_grid=(0.0,), zeta_grid=(1.5,))
+    for bad in (dict(regime="bogus"), dict(zeta=2.0), dict(zeta=-0.1),
+                dict(lam=-1.0)):
+        fields = dict(regime="linear", activation=ActivationKind.RELU, n=10,
+                      d=20, k=0, lam=0.0, zeta=0.5, dataset_seed=1, weight_seed=2)
+        with pytest.raises(InvalidArgument):
+            TrialCell(**dict(fields, **bad))
 
 
 def test_dataset_generation_contract():
