@@ -5,9 +5,11 @@ Exit codes: 0 success, 2 invalid config/arguments, 3 I/O error,
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
+import typing
 
 import numpy as np
 
@@ -20,40 +22,37 @@ from .spectral import c_sigma_cov, sym_eigs
 from .sphere import sample_sphere
 from .sweep import (
     CSV_COLUMNS,
+    PRESETS,
     SweepConfig,
     TrialCell,
+    blank_record,
+    fill_record,
     preset,
     run_sweep,
-    run_trial,
 )
 
-PRESETS = ("exp1", "exp2", "exp3", "exp1-mini", "exp2-mini", "exp3-mini")
-
-_CONFIG_FIELDS = {
-    "regime": str,
-    "activation": str,
-    "n_grid": "int_list",
-    "d_grid": "int_list",
-    "k_grid": "int_list",
-    "lambda_grid": "float_list",
-    "zeta_grid": "float_list",
-    "datasets_per_cell": int,
-    "weight_draws_per_dataset": int,
-    "mc_samples": int,
-    "base_seed": int,
-    "output_path": str,
-    "zero_signal": "bool",
-}
+def _parse_value(kind, text: str):
+    """`text` as a value of the annotated SweepConfig field type `kind`."""
+    if kind is bool:
+        if text.lower() not in ("true", "false"):
+            raise ValueError("expected true/false")
+        return text.lower() == "true"
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return tuple(item(v) for v in text.split(",") if v.strip())
+    return kind(text)
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key=value config; '#' starts a comment; lists are
-    comma-separated. Unknown keys are errors."""
+    """Flat key=value config; the keys and their types are the SweepConfig
+    fields. '#' starts a comment; lists are comma-separated. Unknown keys
+    and malformed values are errors."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
+    kinds = {f.name: f.type for f in dataclasses.fields(SweepConfig)}
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -63,21 +62,12 @@ def parse_config_file(path: str) -> dict:
             raise InvalidArgument(f"{path}:{lineno}: expected key=value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_FIELDS:
+        if key not in kinds:
             raise InvalidArgument(f"{path}:{lineno}: unknown key {key!r}")
-        kind = _CONFIG_FIELDS[key]
-        if kind is str:
-            out[key] = val
-        elif kind is int:
-            out[key] = int(val)
-        elif kind == "bool":
-            if val.lower() not in ("true", "false"):
-                raise InvalidArgument(f"{path}:{lineno}: expected true/false")
-            out[key] = val.lower() == "true"
-        elif kind == "int_list":
-            out[key] = tuple(int(v) for v in val.split(",") if v.strip())
-        elif kind == "float_list":
-            out[key] = tuple(float(v) for v in val.split(",") if v.strip())
+        try:
+            out[key] = _parse_value(kinds[key], val)
+        except ValueError as exc:
+            raise InvalidArgument(f"{path}:{lineno}: {key}: {exc}") from exc
     return out
 
 
@@ -121,24 +111,17 @@ def _cell_from_args(args) -> TrialCell:
     )
 
 
-def _record_json(rec) -> dict:
-    out = {}
-    for col, val in zip(CSV_COLUMNS, rec.csv_row()):
-        out[col] = val
-    return out
+def _trial_from_args(args):
+    cell = _cell_from_args(args)
+    return fill_record(blank_record(cell), cell)
 
 
 def cmd_fit(args):
-    rec = run_trial(_cell_from_args(args))
-    if rec.reason:
-        raise NumericFailure(rec.reason)
-    _json_print(_record_json(rec))
+    _json_print(dict(zip(CSV_COLUMNS, _trial_from_args(args).csv_row())))
 
 
 def cmd_sobolev(args):
-    rec = run_trial(_cell_from_args(args))
-    if rec.reason:
-        raise NumericFailure(rec.reason)
+    rec = _trial_from_args(args)
     _json_print({
         "sobolev_mc": rec.sobolev_mc,
         "sobolev_mc_stderr": rec.sobolev_mc_stderr,
@@ -148,21 +131,19 @@ def cmd_sobolev(args):
 
 
 def cmd_sweep(args):
+    """An explicit --seed or --out overrides the config file, which
+    overrides the SweepConfig defaults."""
     if args.preset:
-        cfg = preset(args.preset, base_seed=args.seed, output_path=args.out)
+        cfg = preset(args.preset)
     elif args.config:
-        fields = parse_config_file(args.config)
-        if args.out:
-            fields["output_path"] = args.out
-        fields.setdefault("base_seed", args.seed)
-        if "activation" in fields:
-            fields["activation"] = ActivationKind(fields["activation"])
         try:
-            cfg = SweepConfig(**fields)
+            cfg = SweepConfig(**parse_config_file(args.config))
         except TypeError as exc:
             raise InvalidArgument(f"bad config: {exc}") from exc
     else:
         raise InvalidArgument("sweep needs --preset or --config")
+    flags = {"base_seed": args.seed, "output_path": args.out}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     path = run_sweep(cfg, workers=args.workers)
     print(f"wrote {path}")
 
@@ -188,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "in RF/NTK regimes.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    activations = [a.value for a in ActivationKind]
 
     sp = sub.add_parser("gen-data", help="write a generic dataset as CSV")
     sp.add_argument("--n", type=int, required=True)
@@ -200,13 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eigs", help="spectrum of the activation covariance matrix")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--activation", default="relu")
+    sp.add_argument("--activation", default="relu", choices=activations)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_eigs)
 
     def trial_args(sp):
         sp.add_argument("--regime", required=True)
-        sp.add_argument("--activation", default="relu")
+        sp.add_argument("--activation", default="relu", choices=activations)
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--d", type=int, required=True)
         sp.add_argument("--k", type=int, default=0)
@@ -226,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="run an experiment grid to CSV")
     sp.add_argument("--preset", choices=PRESETS)
     sp.add_argument("--config")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default="sweep.csv")
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--out")
     sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_sweep)
 
@@ -258,7 +240,7 @@ def main(argv=None) -> int:
     except IoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (NumericFailure, SingularKernel) as exc:
+    except (NumericFailure, SingularKernel, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except RoblawError as exc:

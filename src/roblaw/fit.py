@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .activations import ActivationKind, act_eval
+from .activations import ActivationKind, act_deriv, act_eval
 from .data import Dataset
 from .errors import InvalidArgument, InvalidRegime, SingularKernel
 from .kernels import (
@@ -153,6 +153,18 @@ def fit_kernel(
     return KernelModel(kernel=kernel, anchors=data.X, c=c, meta=meta, gram=K)
 
 
+def _ridge(Z: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, dict, np.ndarray]:
+    """Ridge on the rows of Z: dual (Z Z^T, coef Z^T c) when Z has no more
+    rows than columns, else primal (Z^T Z). Returns (coef, meta, gram)."""
+    if Z.shape[0] <= Z.shape[1]:
+        G = Z @ Z.T
+        c, meta = solve_psd(G, y, lam)
+        return Z.T @ c, meta, G
+    G = Z.T @ Z
+    coef, meta = solve_psd(G, Z.T @ y, lam)
+    return coef, meta, G
+
+
 def fit_features(fmap: FeatureMap, data: Dataset, lam: float = 0.0) -> FeatureModel:
     """Feature-space ridge. Dual solve when n <= feature dim (NTK feature
     vectors are recovered blockwise, never materialized), else primal
@@ -161,24 +173,16 @@ def fit_features(fmap: FeatureMap, data: Dataset, lam: float = 0.0) -> FeatureMo
         raise InvalidArgument("lambda must be nonnegative")
     if not np.all(np.isfinite(data.y)):
         raise InvalidArgument("NaN targets")
-    n, m = data.n, fmap.out_dim
-    if n <= m:
+    if data.d != fmap.weights.d:
+        raise InvalidArgument("sample dimension does not match weights")
+    if fmap.kind == "ntk" and data.n <= fmap.out_dim:
         G = empirical_gram(fmap, data.X)
         alpha, meta = solve_psd(G, data.y, lam)
-        if fmap.kind == "frozen_rf":
-            Z = features(fmap, data.X.points)
-            a = Z.T @ alpha
-        else:
-            from .activations import act_deriv
-
-            W = fmap.weights.W
-            k = W.shape[0]
-            S = np.asarray(act_deriv(fmap.activation, data.X.points @ W.T))
-            a = ((S * alpha[:, None]).T @ data.X.points / math.sqrt(k)).reshape(-1)
+        W = fmap.weights.W
+        S = np.asarray(act_deriv(fmap.activation, data.X.points @ W.T))
+        a = ((S * alpha[:, None]).T @ data.X.points / math.sqrt(W.shape[0])).reshape(-1)
     else:
-        Z = features(fmap, data.X.points)
-        G = Z.T @ Z
-        a, meta = solve_psd(G, Z.T @ data.y, lam)
+        a, meta, G = _ridge(features(fmap, data.X.points), data.y, lam)
     meta = dict(meta, **{"lambda": lam, "lambda_eff": lam})
     return FeatureModel(map=fmap, a=a, meta=meta, gram=G)
 
@@ -197,14 +201,7 @@ def fit_linear_minnorm(data: Dataset) -> LinearModel:
 
 def fit_linear_ridge(data: Dataset, lam: float = 0.0) -> LinearModel:
     """Linear ridge / least squares for any n, d (dual when n <= d)."""
-    X = data.X.points
-    if data.n <= data.d:
-        G = X @ X.T
-        c, meta = solve_psd(G, data.y, lam)
-        w = X.T @ c
-    else:
-        G = X.T @ X
-        w, meta = solve_psd(G, X.T @ data.y, lam)
+    w, meta, G = _ridge(data.X.points, data.y, lam)
     return LinearModel(w=w, meta=dict(meta, **{"lambda": lam}), gram=G)
 
 

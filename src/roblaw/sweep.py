@@ -8,10 +8,9 @@ and ridge values within a cell, matching the experimental protocol.
 """
 
 import csv
-import io
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -43,15 +42,6 @@ from .sphere import sample_sphere
 
 REGIMES = ("linear", "rf_finite", "ntk_finite", "rf_infinite", "ntk_infinite")
 
-#: exact CSV column order; schema changes are breaking
-CSV_COLUMNS = [
-    "regime", "activation", "n", "d", "k", "lambda", "zeta",
-    "dataset_seed", "weight_seed", "train_mse", "test_mse",
-    "sobolev_mc", "sobolev_mc_stderr", "sobolev_analytic", "coef_norm",
-    "eta", "rkhs_norm", "lambda_min_C", "lambda_max_C", "gram_cond",
-    "solver_fallback", "reason",
-]
-
 TEST_SET_SIZE = 500
 TEST_SEED_OFFSET = 77003
 
@@ -78,11 +68,11 @@ def _check_grid(regime: str, lambdas, zetas) -> None:
 class SweepConfig:
     regime: str
     activation: ActivationKind
-    n_grid: tuple
-    d_grid: tuple
-    k_grid: tuple
-    lambda_grid: tuple
-    zeta_grid: tuple
+    n_grid: tuple[int, ...]
+    d_grid: tuple[int, ...]
+    k_grid: tuple[int, ...]
+    lambda_grid: tuple[float, ...]
+    zeta_grid: tuple[float, ...]
     datasets_per_cell: int = 1
     weight_draws_per_dataset: int = 1
     mc_samples: int = 500
@@ -116,8 +106,20 @@ class TrialCell:
         _check_grid(self.regime, (self.lam,), (self.zeta,))
 
 
+#: how csv_row writes a TrialRecord field of each declared type
+_CSV_FORMAT = {
+    str: lambda v: v.replace(",", ";"),
+    int: str,
+    float: lambda v: "%.17g" % v,
+    bool: lambda v: "true" if v else "false",
+}
+
+
 @dataclass
 class TrialRecord:
+    """One CSV row: the fields in order are the columns, `lam` written as
+    `lambda`; schema changes are breaking."""
+
     regime: str
     activation: str
     n: int
@@ -142,20 +144,10 @@ class TrialRecord:
     reason: str = ""
 
     def csv_row(self) -> list:
-        def num(x):
-            return "%.17g" % x
+        return [_CSV_FORMAT[f.type](getattr(self, f.name)) for f in fields(self)]
 
-        return [
-            self.regime, self.activation, str(self.n), str(self.d),
-            str(self.k), num(self.lam), num(self.zeta),
-            str(self.dataset_seed), str(self.weight_seed),
-            num(self.train_mse), num(self.test_mse), num(self.sobolev_mc),
-            num(self.sobolev_mc_stderr), num(self.sobolev_analytic),
-            num(self.coef_norm), num(self.eta), num(self.rkhs_norm),
-            num(self.lambda_min_C), num(self.lambda_max_C),
-            num(self.gram_cond), "true" if self.solver_fallback else "false",
-            self.reason.replace(",", ";"),
-        ]
+
+CSV_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(TrialRecord)]
 
 
 def gen_test_set(data: Dataset, size: int = TEST_SET_SIZE) -> Dataset:
@@ -203,41 +195,53 @@ def _spectra_for_cell(model: FeatureModel, rec: TrialRecord):
     rec.lambda_min_C, rec.lambda_max_C = s.lambda_min, s.lambda_max
 
 
-def run_trial(cell: TrialCell) -> TrialRecord:
-    """Execute one trial; failures come back as tagged rows, never raise."""
-    rec = TrialRecord(
+def blank_record(cell: TrialCell) -> TrialRecord:
+    """The record of `cell` before any metric is computed."""
+    return TrialRecord(
         regime=cell.regime, activation=ActivationKind(cell.activation).value,
         n=cell.n, d=cell.d, k=cell.k, lam=cell.lam, zeta=cell.zeta,
         dataset_seed=cell.dataset_seed, weight_seed=cell.weight_seed,
     )
+
+
+def fill_record(rec: TrialRecord, cell: TrialCell) -> TrialRecord:
+    """Compute the metrics of `cell` into `rec` and return it. Raises on
+    failure, leaving in `rec` the metrics computed before it."""
+    data = gen_dataset(cell.n, cell.d, cell.zeta, cell.dataset_seed,
+                       zero_signal=cell.zero_signal)
+    model = _fit_for_cell(cell, data)
+    rec.solver_fallback = bool(model.meta.get("fallback", False))
+    s = sym_eigs(model.gram)
+    rec.gram_cond = s.cond
+    if isinstance(model, FeatureModel):
+        _spectra_for_cell(model, rec)
+    else:
+        rec.lambda_min_C, rec.lambda_max_C = s.lambda_min, s.lambda_max
+    if isinstance(model, KernelModel):
+        rec.rkhs_norm = rkhs_norm(model)
+    # Keeping the gram past this point raised rf-kernel's peak RSS by 5%.
+    model = replace(model, gram=None)
+    rec.train_mse = train_mse(model, data)
+    rec.test_mse = test_mse(model, gen_test_set(data))
+    est = sobolev_monte_carlo(
+        model, cell.d, cell.mc_samples, splitmix64(cell.weight_seed, 3)
+    )
+    rec.sobolev_mc, rec.sobolev_mc_stderr = est.value, est.std_error
+    rec.coef_norm = coef_norm(model)
+    if isinstance(model, FeatureModel) and model.map.kind == "frozen_rf":
+        if HOMOGENEITY.get(model.map.activation) == 1.0:
+            rec.sobolev_analytic = sobolev_analytic(model).value
+        rec.eta = eta_proxy(model)
+    elif isinstance(model, LinearModel):
+        rec.sobolev_analytic = sobolev_exact_linear(model).value
+    return rec
+
+
+def run_trial(cell: TrialCell) -> TrialRecord:
+    """Execute one trial; failures come back as tagged rows, never raise."""
+    rec = blank_record(cell)
     try:
-        data = gen_dataset(cell.n, cell.d, cell.zeta, cell.dataset_seed,
-                           zero_signal=cell.zero_signal)
-        model = _fit_for_cell(cell, data)
-        rec.solver_fallback = bool(model.meta.get("fallback", False))
-        s = sym_eigs(model.gram)
-        rec.gram_cond = s.cond
-        if isinstance(model, FeatureModel):
-            _spectra_for_cell(model, rec)
-        else:
-            rec.lambda_min_C, rec.lambda_max_C = s.lambda_min, s.lambda_max
-        if isinstance(model, KernelModel):
-            rec.rkhs_norm = rkhs_norm(model)
-        # Keeping the gram past this point raised rf-kernel's peak RSS by 5%.
-        model = replace(model, gram=None)
-        rec.train_mse = train_mse(model, data)
-        rec.test_mse = test_mse(model, gen_test_set(data))
-        est = sobolev_monte_carlo(
-            model, cell.d, cell.mc_samples, splitmix64(cell.weight_seed, 3)
-        )
-        rec.sobolev_mc, rec.sobolev_mc_stderr = est.value, est.std_error
-        rec.coef_norm = coef_norm(model)
-        if isinstance(model, FeatureModel) and model.map.kind == "frozen_rf":
-            if HOMOGENEITY.get(model.map.activation) == 1.0:
-                rec.sobolev_analytic = sobolev_analytic(model).value
-            rec.eta = eta_proxy(model)
-        elif isinstance(model, LinearModel):
-            rec.sobolev_analytic = sobolev_exact_linear(model).value
+        fill_record(rec, cell)
     except RoblawError as exc:
         rec.reason = f"{type(exc).__name__}: {exc}"
     except np.linalg.LinAlgError as exc:
@@ -276,21 +280,19 @@ def iter_cells(config: SweepConfig):
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> str:
-    """Run the full grid and write the CSV; returns the output path."""
+    """Run the full grid and write the CSV; returns the output path. The
+    output is opened before the first trial, so a bad path costs no compute."""
     cells = list(iter_cells(config))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_trial, cells))
-    else:
-        records = [run_trial(c) for c in cells]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        writer.writerow(rec.csv_row())
     try:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+            if workers > 1:
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    records = list(pool.map(run_trial, cells))
+            else:
+                records = [run_trial(c) for c in cells]
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows(rec.csv_row() for rec in records)
     except OSError as exc:
         raise IoError(f"cannot write {config.output_path}: {exc}") from exc
     return config.output_path
@@ -303,56 +305,48 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> str:
 
 _FULL_LAMBDAS = (0.0, 1e-5, 1e-4, 1e-3)
 _FULL_ZETAS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+_RELU = ActivationKind.RELU
+
+#: named experiment grids; the -mini variants are desk-scale versions with
+#: ~1/10 of the grid density and at most 5 repetitions per cell
+PRESETS = {
+    "exp1": SweepConfig(
+        regime="ntk_finite", activation=_RELU, n_grid=tuple(range(20, 3021, 100)),
+        d_grid=(50,), k_grid=(40,), lambda_grid=_FULL_LAMBDAS,
+        zeta_grid=_FULL_ZETAS, datasets_per_cell=10, weight_draws_per_dataset=15,
+    ),
+    "exp1-mini": SweepConfig(
+        regime="ntk_finite", activation=_RELU, n_grid=(20, 1020, 2020, 3020),
+        d_grid=(50,), k_grid=(40,), lambda_grid=(0.0, 1e-3),
+        zeta_grid=(0.0, 0.5, 1.0), datasets_per_cell=3, weight_draws_per_dataset=2,
+    ),
+    "exp2": SweepConfig(
+        regime="rf_finite", activation=_RELU, n_grid=tuple(range(200, 1001, 100)),
+        d_grid=(300,), k_grid=tuple(range(100, 1001, 50)),
+        lambda_grid=_FULL_LAMBDAS, zeta_grid=_FULL_ZETAS,
+        datasets_per_cell=10, weight_draws_per_dataset=15,
+    ),
+    "exp2-mini": SweepConfig(
+        regime="rf_finite", activation=_RELU, n_grid=(200, 400, 800),
+        d_grid=(300,), k_grid=(400,), lambda_grid=(0.0, 1e-3),
+        zeta_grid=(1.0,), datasets_per_cell=3, weight_draws_per_dataset=3,
+    ),
+    "exp3": SweepConfig(
+        regime="rf_infinite", activation=_RELU, n_grid=tuple(range(100, 1001, 100)),
+        d_grid=(500,), k_grid=(0,), lambda_grid=(0.0,),
+        zeta_grid=_FULL_ZETAS, datasets_per_cell=10,
+    ),
+    "exp3-mini": SweepConfig(
+        regime="rf_infinite", activation=_RELU, n_grid=(100, 400, 700, 1000),
+        d_grid=(500,), k_grid=(0,), lambda_grid=(0.0,),
+        zeta_grid=(0.2, 0.6, 1.0), datasets_per_cell=3,
+    ),
+}
 
 
 def preset(name: str, base_seed: int = 0, output_path: str | None = None) -> SweepConfig:
-    """Named experiment grids; the -mini variants are desk-scale versions
-    with ~1/10 of the grid density and at most 5 repetitions per cell."""
-    common = dict(activation=ActivationKind.RELU, base_seed=base_seed)
-    if name == "exp1":
-        cfg = SweepConfig(
-            regime="ntk_finite", n_grid=tuple(range(20, 3021, 100)),
-            d_grid=(50,), k_grid=(40,), lambda_grid=_FULL_LAMBDAS,
-            zeta_grid=_FULL_ZETAS, datasets_per_cell=10,
-            weight_draws_per_dataset=15, **common,
-        )
-    elif name == "exp1-mini":
-        cfg = SweepConfig(
-            regime="ntk_finite", n_grid=(20, 1020, 2020, 3020),
-            d_grid=(50,), k_grid=(40,), lambda_grid=(0.0, 1e-3),
-            zeta_grid=(0.0, 0.5, 1.0), datasets_per_cell=3,
-            weight_draws_per_dataset=2, **common,
-        )
-    elif name == "exp2":
-        cfg = SweepConfig(
-            regime="rf_finite", n_grid=tuple(range(200, 1001, 100)),
-            d_grid=(300,), k_grid=tuple(range(100, 1001, 50)),
-            lambda_grid=_FULL_LAMBDAS, zeta_grid=_FULL_ZETAS,
-            datasets_per_cell=10, weight_draws_per_dataset=15, **common,
-        )
-    elif name == "exp2-mini":
-        cfg = SweepConfig(
-            regime="rf_finite", n_grid=(200, 400, 800),
-            d_grid=(300,), k_grid=(400,), lambda_grid=(0.0, 1e-3),
-            zeta_grid=(1.0,), datasets_per_cell=3,
-            weight_draws_per_dataset=3, **common,
-        )
-    elif name == "exp3":
-        cfg = SweepConfig(
-            regime="rf_infinite", n_grid=tuple(range(100, 1001, 100)),
-            d_grid=(500,), k_grid=(0,), lambda_grid=(0.0,),
-            zeta_grid=_FULL_ZETAS, datasets_per_cell=10,
-            weight_draws_per_dataset=1, **common,
-        )
-    elif name == "exp3-mini":
-        cfg = SweepConfig(
-            regime="rf_infinite", n_grid=(100, 400, 700, 1000),
-            d_grid=(500,), k_grid=(0,), lambda_grid=(0.0,),
-            zeta_grid=(0.2, 0.6, 1.0), datasets_per_cell=3,
-            weight_draws_per_dataset=1, **common,
-        )
-    else:
+    """A copy of PRESETS[name] with the given seed and, if given, output path."""
+    if name not in PRESETS:
         raise InvalidArgument(f"unknown preset {name}")
-    if output_path is not None:
-        cfg = replace(cfg, output_path=output_path)
-    return cfg
+    cfg = replace(PRESETS[name], base_seed=base_seed)
+    return cfg if output_path is None else replace(cfg, output_path=output_path)

@@ -1,13 +1,17 @@
 import csv
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import roblaw.fit
+import roblaw.sweep
+from roblaw import ActivationKind, SweepConfig
 from roblaw.cli import main, parse_config_file
-from roblaw.errors import InvalidArgument
-from roblaw.sweep import CSV_COLUMNS
+from roblaw.errors import InvalidArgument, SingularKernel
+from roblaw.sweep import CSV_COLUMNS, splitmix64
 
 
 def run_cli(capsys, *argv):
@@ -62,11 +66,27 @@ def test_fit_prints_full_record(capsys):
     assert float(obj["train_mse"]) < 1e-10
 
 
-def test_fit_numeric_failure_exits_4(capsys):
+@pytest.mark.parametrize("bad", [
+    ("--regime", "linear", "--mc-samples", "10"),
+    ("--regime", "rf_finite", "--k", "0"),
     # tanh has no infinite-width kernel profile
-    code, _, err = run_cli(capsys, "fit", "--regime", "rf_infinite",
-                           "--activation", "tanh", "--n", "5", "--d", "6")
-    assert code == 4 and "error" in err
+    ("--regime", "rf_infinite", "--activation", "tanh"),
+])
+@pytest.mark.parametrize("command", ["fit", "sobolev"])
+def test_unsupported_trial_arguments_exit_2(capsys, command, bad):
+    code, out, err = run_cli(capsys, command, "--n", "5", "--d", "6", *bad)
+    assert code == 2 and out == "" and "error" in err
+
+
+def test_fit_numeric_failure_exits_4(capsys, monkeypatch):
+    for exc in (SingularKernel("forced"), np.linalg.LinAlgError("forced")):
+        def failing_solve(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(roblaw.fit, "solve_psd", failing_solve)
+        code, out, err = run_cli(capsys, "fit", "--regime", "linear", "--n", "10",
+                                 "--d", "20")
+        assert code == 4 and out == "" and "forced" in err
 
 
 def test_invalid_regime_exits_2(capsys):
@@ -140,6 +160,89 @@ def test_sweep_with_config_file(tmp_path, capsys):
     assert code == 0
     rows = list(csv.reader(out_path.read_text().splitlines()))
     assert rows[0] == CSV_COLUMNS and len(rows) == 2
+
+
+def test_config_file_round_trip(tmp_path):
+    cfg = SweepConfig(
+        regime="ntk_finite", activation=ActivationKind.ERF, n_grid=(8, 16),
+        d_grid=(3,), k_grid=(4, 5, 6), lambda_grid=(0.0, 1e-3, 0.25),
+        zeta_grid=(0.1, 1.0), datasets_per_cell=2, weight_draws_per_dataset=3,
+        mc_samples=1234, base_seed=42, output_path=str(tmp_path / "o.csv"),
+        zero_signal=True,
+    )
+
+    def text(v):
+        if isinstance(v, tuple):
+            return ", ".join(map(repr, v))
+        if isinstance(v, bool):
+            return str(v).lower()
+        return v.value if isinstance(v, ActivationKind) else str(v)
+
+    assert all(getattr(cfg, f.name) != f.default for f in fields(cfg))
+    path = tmp_path / "cfg.txt"
+    path.write_text("".join(f"{f.name} = {text(getattr(cfg, f.name))}\n"
+                            for f in fields(cfg)))
+    assert SweepConfig(**parse_config_file(str(path))) == cfg
+
+
+@pytest.mark.parametrize("argv, config, bad", [
+    (("fit", "--regime", "linear", "--n", "5", "--d", "6", "--activation", "bogus"),
+     None, "bogus"),
+    (("eigs", "--d", "6", "--k", "4", "--activation", "bogus"), None, "bogus"),
+    (("sweep",), "activation = bogus\n", "cfg.txt:2: activation:"),
+    (("sweep",), "n_grid = ten\n", "cfg.txt:2: n_grid:"),
+])
+def test_bad_activation_or_config_value_exits_2(tmp_path, capsys, argv, config, bad):
+    if config is not None:
+        path = tmp_path / "cfg.txt"
+        path.write_text("regime = linear\n" + config)
+        argv = (*argv, "--config", str(path), "--out", str(tmp_path / "o.csv"))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects a value outside its choices
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and bad in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def _sweep_config_file(tmp_path, extra=""):
+    path = tmp_path / "cfg.txt"
+    path.write_text(
+        "regime = linear\nactivation = relu\nn_grid = 6\nd_grid = 8\n"
+        "k_grid = 0\nlambda_grid = 0\nzeta_grid = 0.5\nmc_samples = 200\n" + extra
+    )
+    return str(path)
+
+
+def _dataset_seed(csv_path):
+    (row,) = csv.DictReader(csv_path.read_text().splitlines())
+    return int(row["dataset_seed"])
+
+
+def test_sweep_config_file_overrides_defaults(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "from_file.csv"
+    cfg = _sweep_config_file(tmp_path, f"base_seed = 9\noutput_path = {out}\n")
+    code, _, _ = run_cli(capsys, "sweep", "--config", cfg)
+    assert code == 0 and not (tmp_path / "sweep.csv").exists()
+    assert _dataset_seed(out) == splitmix64(9, 0)
+
+
+def test_sweep_flags_override_config_file(tmp_path, capsys):
+    cfg = _sweep_config_file(tmp_path, f"base_seed = 9\noutput_path = {tmp_path / 'x.csv'}\n")
+    out = tmp_path / "from_flag.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--config", cfg, "--seed", "4", "--out", str(out))
+    assert code == 0 and not (tmp_path / "x.csv").exists()
+    assert _dataset_seed(out) == splitmix64(4, 0)
+
+
+def test_sweep_unwritable_out_exits_3_before_compute(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(roblaw.sweep, "run_trial", calls.append)
+    code, _, err = run_cli(capsys, "sweep", "--config", _sweep_config_file(tmp_path),
+                           "--out", str(tmp_path / "no" / "such" / "dir.csv"))
+    assert code == 3 and "error" in err and calls == []
 
 
 def test_sweep_unknown_config_key_exits_2(tmp_path, capsys):

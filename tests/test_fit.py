@@ -25,6 +25,7 @@ from roblaw import (
     test_mse as mse_on,
     train_mse,
 )
+import roblaw.kernels
 from roblaw.fit import solve_psd
 
 
@@ -85,6 +86,24 @@ def test_feature_fit_dual_primal_agree():
         Z = features(fmap, data.X.points)
         a_ref = np.linalg.solve(Z.T @ Z + lam * np.eye(k), Z.T @ data.y)
         np.testing.assert_allclose(model.a, a_ref, atol=1e-8)
+
+
+def test_dual_rf_fit_builds_features_once(monkeypatch):
+    d, k = 20, 12
+    fmap = FeatureMap(kind="frozen_rf", weights=HiddenWeights(sample_sphere(d, k, 3).points))
+    data = gen_dataset(8, d, 0.2, 4)  # n < k: dual path
+    calls = []
+    original = roblaw.kernels.rf_features
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(roblaw.kernels, "rf_features", counted)
+    model = fit_features(fmap, data, 0.0)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(model.gram, model.gram.T)
+    assert train_mse(model, data) < 1e-12
 
 
 def test_ntk_feature_fit_interpolates():

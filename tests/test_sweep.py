@@ -8,6 +8,9 @@ import pytest
 from roblaw import ActivationKind, InvalidArgument, SweepConfig, TrialCell, gen_dataset
 from roblaw.sweep import (
     CSV_COLUMNS,
+    PRESETS,
+    blank_record,
+    fill_record,
     gen_test_set,
     iter_cells,
     preset,
@@ -115,6 +118,20 @@ def test_run_trial_failure_is_tagged_not_raised():
     assert math.isnan(rec.train_mse)
 
 
+def test_failure_row_keeps_spectra_computed_before_it():
+    # mc_samples below the estimator's minimum fails after the fit
+    cell = TrialCell(regime="rf_infinite", activation=ActivationKind.RELU,
+                     n=8, d=6, k=0, lam=0.0, zeta=0.1,
+                     dataset_seed=1, weight_seed=2, mc_samples=50)
+    with pytest.raises(InvalidArgument):
+        fill_record(blank_record(cell), cell)
+    rec = run_trial(cell)
+    assert rec.reason.startswith("InvalidArgument")
+    assert all(math.isfinite(getattr(rec, name)) for name in
+               ("gram_cond", "lambda_min_C", "lambda_max_C", "rkhs_norm"))
+    assert math.isnan(rec.sobolev_mc)
+
+
 def test_run_trial_linear_and_infinite_regimes():
     lin = run_trial(TrialCell(regime="linear", activation=ActivationKind.RELU,
                               n=10, d=20, k=0, lam=0.0, zeta=0.2,
@@ -150,6 +167,18 @@ def test_sweep_workers_same_output(tmp_path):
         assert fh.read() == a
 
 
+def test_csv_row_formats_fields_by_type():
+    cell = TrialCell(regime="linear", activation=ActivationKind.RELU, n=3, d=4,
+                     k=0, lam=1e-3, zeta=0.5, dataset_seed=5, weight_seed=6)
+    rec = blank_record(cell)
+    rec.train_mse, rec.solver_fallback, rec.reason = 0.1, True, "a, b"
+    row = dict(zip(CSV_COLUMNS, rec.csv_row()))
+    assert CSV_COLUMNS[5] == "lambda" and len(row) == 22
+    assert (row["n"], row["lambda"], row["train_mse"], row["test_mse"]) == (
+        "3", "0.001", "0.10000000000000001", "nan")
+    assert (row["solver_fallback"], row["reason"]) == ("true", "a; b")
+
+
 def test_empty_grid_writes_header_only(tmp_path):
     cfg = small_config(tmp_path, n_grid=())
     path = run_sweep(cfg)
@@ -171,3 +200,6 @@ def test_presets_shapes():
         assert cfg.datasets_per_cell <= 5 and cfg.weight_draws_per_dataset <= 5
     with pytest.raises(InvalidArgument):
         preset("exp9")
+    cfg = preset("exp2-mini", base_seed=3, output_path="x.csv")
+    assert (cfg.base_seed, cfg.output_path) == (3, "x.csv")
+    assert preset("exp2-mini") == PRESETS["exp2-mini"]
