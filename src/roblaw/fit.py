@@ -7,14 +7,17 @@ escalation 0 -> 1e-12*lmax -> 1e-10*lmax, then an eigendecomposition
 pseudo-inverse (threshold 1e-10*lmax). Fallbacks are recorded in the fit
 meta for reproducibility audits.
 
-A fitted model keeps, as `gram`, the PSD matrix its solve factored, without
-lambda: K(X,X), Z Z^T or X X^T for a dual solve, Z^T Z or X^T X for a primal
-one. Spectra and the RKHS norm read it instead of building it again; a
-hand-built model has gram None.
+A `RidgePath` holds what a fit does not owe to lambda: the PSD matrix its
+solves factor (K(X,X), Z Z^T or X X^T for a dual solve, Z^T Z or X^T X for a
+primal one), the right-hand side and the map from a solution to a model, so
+one gram serves every lambda of a dataset. A fitted model keeps that matrix
+as `gram`; spectra and the RKHS norm read it instead of building it again,
+and a hand-built model has gram None.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -133,6 +136,76 @@ def effective_lambda(lam: float, convention: str, k: int = 0, d: int = 0) -> flo
     raise InvalidArgument(f"unknown lambda convention {convention}")
 
 
+@dataclass(frozen=True)
+class RidgePath:
+    """The part of a ridge fit that does not depend on lambda: the PSD
+    matrix every solve factors (the models' `gram`), the right-hand side,
+    and the map from a solution to a model. `fit(lam)` costs one
+    `solve_psd`, so the fits of one dataset over many lambdas share the
+    gram; dropping the path and its models releases it."""
+
+    gram: np.ndarray = field(repr=False)
+    rhs: np.ndarray = field(repr=False)
+    #: (solution, meta, gram) -> fitted model
+    make_model: Callable = field(repr=False)
+
+    def fit(self, lam: float):
+        if lam < 0:
+            raise InvalidArgument("lambda must be nonnegative")
+        x, meta = solve_psd(self.gram, self.rhs, lam)
+        return self.make_model(x, dict(meta, **{"lambda": lam}), self.gram)
+
+
+def kernel_path(kernel: DotProductKernel, data: Dataset) -> RidgePath:
+    """Ridge(less) fits in the representer subspace:
+    c = (K(X,X) + lam I)^-1 y."""
+    if not np.all(np.isfinite(data.y)):
+        raise InvalidArgument("NaN targets")
+    return RidgePath(
+        gram_dot(kernel, data.X, data.X), data.y,
+        lambda c, meta, K: KernelModel(kernel=kernel, anchors=data.X, c=c, meta=meta, gram=K),
+    )
+
+
+def _ridge_path(Z: np.ndarray, y: np.ndarray, model: Callable) -> RidgePath:
+    """Ridge on the rows of Z: dual (Z Z^T, coef Z^T c) when Z has no more
+    rows than columns, else primal (Z^T Z); `model(coef, meta, gram)`."""
+    if Z.shape[0] <= Z.shape[1]:
+        return RidgePath(Z @ Z.T, y, lambda c, meta, G: model(Z.T @ c, meta, G))
+    return RidgePath(Z.T @ Z, Z.T @ y, model)
+
+
+def feature_path(fmap: FeatureMap, data: Dataset) -> RidgePath:
+    """Feature-space ridge. Dual solve when n <= feature dim (NTK feature
+    vectors are recovered blockwise, never materialized), else primal
+    normal equations."""
+    if not np.all(np.isfinite(data.y)):
+        raise InvalidArgument("NaN targets")
+    if data.d != fmap.weights.d:
+        raise InvalidArgument("sample dimension does not match weights")
+
+    def model(a, meta, G):
+        return FeatureModel(map=fmap, a=a, meta=meta, gram=G)
+
+    if fmap.kind == "ntk" and data.n <= fmap.out_dim:
+        X = data.X.points
+        W = fmap.weights.W
+        S = np.asarray(act_deriv(fmap.activation, X @ W.T))
+
+        def recover(alpha, meta, G):
+            a = ((S * alpha[:, None]).T @ X / math.sqrt(W.shape[0])).reshape(-1)
+            return model(a, meta, G)
+
+        return RidgePath(empirical_gram(fmap, data.X), data.y, recover)
+    return _ridge_path(features(fmap, data.X.points), data.y, model)
+
+
+def linear_path(data: Dataset) -> RidgePath:
+    """Linear ridge / least squares for any n, d (dual when n <= d)."""
+    return _ridge_path(data.X.points, data.y,
+                       lambda w, meta, G: LinearModel(w=w, meta=meta, gram=G))
+
+
 def fit_kernel(
     kernel: DotProductKernel,
     data: Dataset,
@@ -140,51 +213,13 @@ def fit_kernel(
     lambda_convention: str = "plain",
     k: int = 0,
 ) -> KernelModel:
-    """Ridge(less) fit in the representer subspace:
-    c = (K(X,X) + lam_eff I)^-1 y."""
-    if lam < 0:
-        raise InvalidArgument("lambda must be nonnegative")
-    if not np.all(np.isfinite(data.y)):
-        raise InvalidArgument("NaN targets")
-    lam_eff = effective_lambda(lam, lambda_convention, k=k, d=data.d)
-    K = gram_dot(kernel, data.X, data.X)
-    c, meta = solve_psd(K, data.y, lam_eff)
-    meta = dict(meta, **{"lambda": lam, "lambda_eff": lam_eff})
-    return KernelModel(kernel=kernel, anchors=data.X, c=c, meta=meta, gram=K)
-
-
-def _ridge(Z: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, dict, np.ndarray]:
-    """Ridge on the rows of Z: dual (Z Z^T, coef Z^T c) when Z has no more
-    rows than columns, else primal (Z^T Z). Returns (coef, meta, gram)."""
-    if Z.shape[0] <= Z.shape[1]:
-        G = Z @ Z.T
-        c, meta = solve_psd(G, y, lam)
-        return Z.T @ c, meta, G
-    G = Z.T @ Z
-    coef, meta = solve_psd(G, Z.T @ y, lam)
-    return coef, meta, G
+    """One fit of `kernel_path`, at lambda under the given convention."""
+    return kernel_path(kernel, data).fit(effective_lambda(lam, lambda_convention, k=k, d=data.d))
 
 
 def fit_features(fmap: FeatureMap, data: Dataset, lam: float = 0.0) -> FeatureModel:
-    """Feature-space ridge. Dual solve when n <= feature dim (NTK feature
-    vectors are recovered blockwise, never materialized), else primal
-    normal equations."""
-    if lam < 0:
-        raise InvalidArgument("lambda must be nonnegative")
-    if not np.all(np.isfinite(data.y)):
-        raise InvalidArgument("NaN targets")
-    if data.d != fmap.weights.d:
-        raise InvalidArgument("sample dimension does not match weights")
-    if fmap.kind == "ntk" and data.n <= fmap.out_dim:
-        G = empirical_gram(fmap, data.X)
-        alpha, meta = solve_psd(G, data.y, lam)
-        W = fmap.weights.W
-        S = np.asarray(act_deriv(fmap.activation, data.X.points @ W.T))
-        a = ((S * alpha[:, None]).T @ data.X.points / math.sqrt(W.shape[0])).reshape(-1)
-    else:
-        a, meta, G = _ridge(features(fmap, data.X.points), data.y, lam)
-    meta = dict(meta, **{"lambda": lam, "lambda_eff": lam})
-    return FeatureModel(map=fmap, a=a, meta=meta, gram=G)
+    """One fit of `feature_path`."""
+    return feature_path(fmap, data).fit(lam)
 
 
 def fit_linear_minnorm(data: Dataset) -> LinearModel:
@@ -200,9 +235,8 @@ def fit_linear_minnorm(data: Dataset) -> LinearModel:
 
 
 def fit_linear_ridge(data: Dataset, lam: float = 0.0) -> LinearModel:
-    """Linear ridge / least squares for any n, d (dual when n <= d)."""
-    w, meta, G = _ridge(data.X.points, data.y, lam)
-    return LinearModel(w=w, meta=dict(meta, **{"lambda": lam}), gram=G)
+    """One fit of `linear_path`."""
+    return linear_path(data).fit(lam)
 
 
 def train_mse(model, data: Dataset) -> float:

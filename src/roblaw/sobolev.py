@@ -9,11 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import HOMOGENEITY, ActivationKind
-from .errors import InvalidArgument, NumericFailure, UnsupportedActivation
+from .errors import InvalidArgument, NumericFailure, ResourceLimit, UnsupportedActivation
 from .fit import FeatureModel, KernelModel, LinearModel, TwoLayerModel
 from .kernels import model_gradient
-from .sphere import sample_sphere
-from .spectral import c_sigma_sobolev
+from .sphere import SphereSample, sample_sphere
+from .spectral import _MAX_COV_ELEMENTS, c_sigma_sobolev
 
 
 @dataclass(frozen=True)
@@ -60,16 +60,25 @@ def sobolev_exact_linear(model: LinearModel) -> SobolevEstimate:
     return SobolevEstimate(value=val, method="exact")
 
 
-def sobolev_monte_carlo(model, d: int, m: int, seed: int) -> SobolevEstimate:
-    """Mean squared tangential gradient norm over m sphere samples,
-    reported as a square root with the delta-method standard error."""
+def sobolev_monte_carlo(models, d: int, m: int, seed: int) -> list[SobolevEstimate]:
+    """Mean squared tangential gradient norm of each model over one draw of
+    m sphere samples, reported as a square root with the delta-method
+    standard error. A model whose gradient fails on that draw is estimated
+    on its own second draw, with seed + 1."""
     if m < 100:
         raise InvalidArgument("m must be >= 100")
+    if m * d > _MAX_COV_ELEMENTS:
+        raise ResourceLimit(f"sphere sample {m} x {d} too large")
     X = sample_sphere(d, m, seed)
+    return [_mc_estimate(model, X, seed) for model in models]
+
+
+def _mc_estimate(model, X: SphereSample, seed: int) -> SobolevEstimate:
+    m = X.count
     try:
         G = model_gradient(model, X.points)
     except NumericFailure:
-        X = sample_sphere(d, m, seed + 1)
+        X = sample_sphere(X.dim, m, seed + 1)
         G = model_gradient(model, X.points)
     # project out the radial component
     radial = np.sum(G * X.points, axis=1)

@@ -3,8 +3,14 @@ deterministic CSV output.
 
 Seeding: per-trial seeds derive from (base_seed, flattened grid index) via
 splitmix64, so reruns of the same config are byte-identical and any cell
-can be recomputed in isolation. Datasets are shared across weight draws
-and ridge values within a cell, matching the experimental protocol.
+can be recomputed in isolation. Dataset seeds are shared across weight
+draws and ridge values within a cell, matching the experimental protocol.
+
+The unit of work is a lambda path: the cells that differ only in lambda. Its
+dataset, hidden weights, gram and its spectra, test set and Monte-Carlo
+sample are built once and shared by all its ridge values, each of which
+pays only for its own solve, predictions and seminorm. Every row still
+equals the row of its cell run alone, byte for byte.
 """
 
 import csv
@@ -18,13 +24,11 @@ from .activations import HOMOGENEITY, ActivationKind, phi_profile
 from .data import Dataset, gen_dataset
 from .errors import InvalidArgument, IoError, RoblawError
 from .fit import (
-    FeatureModel,
-    KernelModel,
-    LinearModel,
+    RidgePath,
     effective_lambda,
-    fit_features,
-    fit_kernel,
-    fit_linear_ridge,
+    feature_path,
+    kernel_path,
+    linear_path,
     rkhs_norm,
     test_mse,
     train_mse,
@@ -159,40 +163,46 @@ def gen_test_set(data: Dataset, size: int = TEST_SET_SIZE) -> Dataset:
     return Dataset(X=X, y=y, w0=data.w0, zeta=data.zeta, seed=seed)
 
 
-def _fit_for_cell(cell: TrialCell, data: Dataset):
-    kind = ActivationKind(cell.activation)
+def _feature_map(cell: TrialCell) -> FeatureMap | None:
+    """The hidden layer of a finite-width cell; None for other regimes."""
+    if cell.regime not in ("rf_finite", "ntk_finite"):
+        return None
+    W = HiddenWeights(sample_sphere(cell.d, cell.k, cell.weight_seed).points)
+    kind = "frozen_rf" if cell.regime == "rf_finite" else "ntk"
+    return FeatureMap(kind=kind, weights=W, activation=ActivationKind(cell.activation))
+
+
+def _path_for_cell(cell: TrialCell, data: Dataset, fmap: FeatureMap | None) -> RidgePath:
+    if fmap is not None:
+        return feature_path(fmap, data)
     if cell.regime == "linear":
-        return fit_linear_ridge(data, cell.lam)
-    if cell.regime in ("rf_finite", "ntk_finite"):
-        W = HiddenWeights(sample_sphere(cell.d, cell.k, cell.weight_seed).points)
-        if cell.regime == "rf_finite":
-            fmap = FeatureMap(kind="frozen_rf", weights=W, activation=kind)
-            lam_eff = effective_lambda(cell.lam, "rf_scaled", k=cell.k, d=cell.d)
-        else:
-            fmap = FeatureMap(kind="ntk", weights=W, activation=kind)
-            lam_eff = cell.lam
-        return fit_features(fmap, data, lam_eff)
-    name = "rf_infinite" if cell.regime == "rf_infinite" else "ntk_infinite"
-    kernel = DotProductKernel(name=name, activation=kind)
-    return fit_kernel(kernel, data, cell.lam, "plain")
+        return linear_path(data)
+    kernel = DotProductKernel(name=cell.regime, activation=ActivationKind(cell.activation))
+    return kernel_path(kernel, data)
 
 
-def _spectra_for_cell(model: FeatureModel, rec: TrialRecord):
-    """Extremes of the C matrix of a finite-width model with an order-1
+def _solve_lambda(cell: TrialCell) -> float:
+    """The ridge value the solve of `cell` adds to its gram."""
+    if cell.regime == "rf_finite":
+        return effective_lambda(cell.lam, "rf_scaled", k=cell.k, d=cell.d)
+    return cell.lam
+
+
+def _c_spectrum(fmap: FeatureMap):
+    """Spectrum of the C matrix of a finite-width map with an order-1
     homogeneous activation: the activation covariance for random
-    features, phi'(W W^T)/k for NTK features."""
-    kind = model.map.activation
+    features, phi'(W W^T)/k for NTK features; None for other activations."""
+    kind = fmap.activation
     if HOMOGENEITY.get(kind) != 1.0:
-        return
-    W = model.map.weights
-    if model.map.kind == "frozen_rf":
+        return None
+    W = fmap.weights
+    if fmap.kind == "frozen_rf":
         C = c_sigma_cov(W, kind, W.d)
     else:
         T = np.clip(W.W @ W.W.T, -1.0, 1.0)
         C = np.asarray(phi_profile(kind, "derivative", T)) / W.k
         C = (C + C.T) / 2
-    s = sym_eigs(C)
-    rec.lambda_min_C, rec.lambda_max_C = s.lambda_min, s.lambda_max
+    return sym_eigs(C)
 
 
 def blank_record(cell: TrialCell) -> TrialRecord:
@@ -204,55 +214,134 @@ def blank_record(cell: TrialCell) -> TrialRecord:
     )
 
 
+def _path_key(cell: TrialCell) -> TrialCell:
+    """Cells with one key differ only in lambda: they form one lambda path."""
+    return replace(cell, lam=0.0)
+
+
+class _PathRows:
+    """The records of one lambda path as they go through a trial's stages: a
+    row whose stage raises keeps that exception and skips later stages."""
+
+    ERRORS = (RoblawError, np.linalg.LinAlgError)
+
+    def __init__(self, recs: list):
+        self.recs = recs
+        self.errors = [None] * len(recs)
+        self.live = list(range(len(recs)))
+
+    def each(self, step) -> None:
+        """step(i) for every live row i."""
+        kept = []
+        for i in self.live:
+            try:
+                step(i)
+            except self.ERRORS as exc:
+                self.errors[i] = exc
+            else:
+                kept.append(i)
+        self.live = kept
+
+    def fill(self, name: str, value) -> None:
+        """Set field `name` of every live row i to value(i)."""
+        self.each(lambda i: setattr(self.recs[i], name, value(i)))
+
+    def shared(self, compute):
+        """compute() once for all live rows, or None if there are none; if
+        it raises, every live row stops with its exception."""
+        if not self.live:
+            return None
+        try:
+            return compute()
+        except self.ERRORS as exc:
+            for i in self.live:
+                self.errors[i] = exc
+            self.live = []
+            return None
+
+
+def _fill_path(recs: list, cells: list) -> list:
+    """Compute the metrics of a lambda path's cells into their records and
+    return for each row the exception that stopped it, or None.
+
+    The dataset, hidden weights, gram, spectra, test set and Monte-Carlo
+    sample do not depend on lambda and are built once; each lambda pays for
+    its solve, predictions and seminorm. The gram is released before
+    prediction. Every row passes the stages of a lone trial in the same
+    order and sees the same values, so it ends with the metrics and the
+    failure its cell would give if run alone."""
+    rows = _PathRows(recs)
+    cell = cells[0]
+    data = rows.shared(lambda: gen_dataset(cell.n, cell.d, cell.zeta, cell.dataset_seed,
+                                           zero_signal=cell.zero_signal))
+    fmap = rows.shared(lambda: _feature_map(cell))
+    path = rows.shared(lambda: _path_for_cell(cell, data, fmap))
+    models = {}
+
+    def fit(i):
+        models[i] = path.fit(_solve_lambda(cells[i]))
+        return bool(models[i].meta.get("fallback", False))
+
+    rows.fill("solver_fallback", fit)
+    s = rows.shared(lambda: sym_eigs(path.gram))
+    rows.fill("gram_cond", lambda i: s.cond)
+    c_spec = rows.shared(lambda: _c_spectrum(fmap)) if fmap is not None else s
+    if c_spec is not None:
+        rows.fill("lambda_min_C", lambda i: c_spec.lambda_min)
+        rows.fill("lambda_max_C", lambda i: c_spec.lambda_max)
+    if cell.regime in ("rf_infinite", "ntk_infinite"):
+        rows.fill("rkhs_norm", lambda i: rkhs_norm(models[i]))
+    # Keeping the gram past this point raised rf-kernel's peak RSS by 5%.
+    del path
+    models = {i: replace(model, gram=None) for i, model in models.items()}
+    rows.fill("train_mse", lambda i: train_mse(models[i], data))
+    test = rows.shared(lambda: gen_test_set(data))
+    rows.fill("test_mse", lambda i: test_mse(models[i], test))
+    mc = rows.shared(lambda: dict(zip(rows.live, sobolev_monte_carlo(
+        [models[i] for i in rows.live], cell.d, cell.mc_samples,
+        splitmix64(cell.weight_seed, 3)))))
+    rows.fill("sobolev_mc", lambda i: mc[i].value)
+    rows.fill("sobolev_mc_stderr", lambda i: mc[i].std_error)
+    rows.fill("coef_norm", lambda i: coef_norm(models[i]))
+    if cell.regime == "rf_finite":
+        if HOMOGENEITY.get(ActivationKind(cell.activation)) == 1.0:
+            rows.fill("sobolev_analytic", lambda i: sobolev_analytic(models[i]).value)
+        rows.fill("eta", lambda i: eta_proxy(models[i]))
+    elif cell.regime == "linear":
+        rows.fill("sobolev_analytic", lambda i: sobolev_exact_linear(models[i]).value)
+    return rows.errors
+
+
 def fill_record(rec: TrialRecord, cell: TrialCell) -> TrialRecord:
     """Compute the metrics of `cell` into `rec` and return it. Raises on
     failure, leaving in `rec` the metrics computed before it."""
-    data = gen_dataset(cell.n, cell.d, cell.zeta, cell.dataset_seed,
-                       zero_signal=cell.zero_signal)
-    model = _fit_for_cell(cell, data)
-    rec.solver_fallback = bool(model.meta.get("fallback", False))
-    s = sym_eigs(model.gram)
-    rec.gram_cond = s.cond
-    if isinstance(model, FeatureModel):
-        _spectra_for_cell(model, rec)
-    else:
-        rec.lambda_min_C, rec.lambda_max_C = s.lambda_min, s.lambda_max
-    if isinstance(model, KernelModel):
-        rec.rkhs_norm = rkhs_norm(model)
-    # Keeping the gram past this point raised rf-kernel's peak RSS by 5%.
-    model = replace(model, gram=None)
-    rec.train_mse = train_mse(model, data)
-    rec.test_mse = test_mse(model, gen_test_set(data))
-    est = sobolev_monte_carlo(
-        model, cell.d, cell.mc_samples, splitmix64(cell.weight_seed, 3)
-    )
-    rec.sobolev_mc, rec.sobolev_mc_stderr = est.value, est.std_error
-    rec.coef_norm = coef_norm(model)
-    if isinstance(model, FeatureModel) and model.map.kind == "frozen_rf":
-        if HOMOGENEITY.get(model.map.activation) == 1.0:
-            rec.sobolev_analytic = sobolev_analytic(model).value
-        rec.eta = eta_proxy(model)
-    elif isinstance(model, LinearModel):
-        rec.sobolev_analytic = sobolev_exact_linear(model).value
+    [exc] = _fill_path([rec], [cell])
+    if exc is not None:
+        raise exc
     return rec
 
 
-def run_trial(cell: TrialCell) -> TrialRecord:
-    """Execute one trial; failures come back as tagged rows, never raise."""
-    rec = blank_record(cell)
-    try:
-        fill_record(rec, cell)
-    except RoblawError as exc:
-        rec.reason = f"{type(exc).__name__}: {exc}"
-    except np.linalg.LinAlgError as exc:
-        rec.reason = f"LinAlgError: {exc}"
-    return rec
+def run_trial(cells: list[TrialCell]) -> list[TrialRecord]:
+    """Execute one lambda path, cells that differ only in lambda, and return
+    their records in order. A failure while computing comes back as a
+    tagged row, never as an exception; a failure in a stage the cells
+    share tags every row it stops."""
+    if len({_path_key(c) for c in cells}) != 1:
+        raise InvalidArgument("a lambda path needs cells that differ only in lambda")
+    recs = [blank_record(c) for c in cells]
+    for rec, exc in zip(recs, _fill_path(recs, cells)):
+        if isinstance(exc, RoblawError):
+            rec.reason = f"{type(exc).__name__}: {exc}"
+        elif exc is not None:
+            rec.reason = f"LinAlgError: {exc}"
+    return recs
 
 
 def iter_cells(config: SweepConfig):
     """Cells in deterministic cell-major order (n, d, k, lambda, zeta,
-    dataset, weight draw). Dataset seeds do not depend on lambda or the
-    weight draw, so those loops reuse data."""
+    dataset, weight draw). Dataset and weight seeds do not depend on
+    lambda, so the cells that differ only in lambda form a lambda path that
+    `run_sweep` computes as one unit on one dataset, weight draw and gram."""
     data_axes = (
         len(config.n_grid), len(config.d_grid), len(config.k_grid),
         len(config.zeta_grid), config.datasets_per_cell,
@@ -280,16 +369,27 @@ def iter_cells(config: SweepConfig):
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> str:
-    """Run the full grid and write the CSV; returns the output path. The
-    output is opened before the first trial, so a bad path costs no compute."""
+    """Run the full grid, one `run_trial` per lambda path, and write the CSV
+    rows in `iter_cells` order; returns the output path. The output is
+    opened before the first trial, so a bad path costs no compute."""
+    if workers < 1:
+        raise InvalidArgument(f"workers must be >= 1, got {workers}")
     cells = list(iter_cells(config))
+    paths: dict = {}
+    for i, cell in enumerate(cells):
+        paths.setdefault(_path_key(cell), []).append(i)
+    units = [[cells[i] for i in rows] for rows in paths.values()]
     try:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
             if workers > 1:
                 with ThreadPoolExecutor(max_workers=workers) as pool:
-                    records = list(pool.map(run_trial, cells))
+                    results = list(pool.map(run_trial, units))
             else:
-                records = [run_trial(c) for c in cells]
+                results = [run_trial(u) for u in units]
+            records = [None] * len(cells)
+            for rows, recs in zip(paths.values(), results):
+                for i, rec in zip(rows, recs):
+                    records[i] = rec
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
             writer.writerows(rec.csv_row() for rec in records)

@@ -140,7 +140,7 @@ def test_criterion_04_analytic_vs_monte_carlo_sobolev():
         v = rng.standard_normal(k) / math.sqrt(k)
         model = TwoLayerModel(W=W, v=v, activation=ActivationKind.RELU)
         exact = sobolev_analytic(model).value
-        mc = sobolev_monte_carlo(model, d, 2 * 10**4, seed=77 + i).value
+        mc = sobolev_monte_carlo([model], d, 2 * 10**4, seed=77 + i)[0].value
         if abs(mc - exact) <= 0.05 * exact:
             hits += 1
     report(4, "analytic vs MC seminorm, 18/20 within 5%", hits >= 18)
@@ -152,7 +152,7 @@ def test_criterion_05_linear_seminorm_exactness():
     w = rng.standard_normal(d)
     model = LinearModel(w=w)
     exact = sobolev_exact_linear(model)
-    est = sobolev_monte_carlo(model, d, 10**5, seed=5)
+    [est] = sobolev_monte_carlo([model], d, 10**5, seed=5)
     ok = (
         abs(est.value - exact.value) <= 3 * est.std_error
         and abs(exact.value - np.linalg.norm(w) * math.sqrt(1 - 1 / d)) < 1e-12
@@ -292,7 +292,7 @@ def test_criterion_13_poincare_ordering():
     ok = True
     for i, (model, d) in enumerate(_random_models()):
         lower = poincare_lower_bound(model, d, 10**6, seed=500 + i)
-        est = sobolev_monte_carlo(model, d, 4000, seed=600 + i)
+        [est] = sobolev_monte_carlo([model], d, 4000, seed=600 + i)
         if lower > est.value**2 * (1 + 5 * est.std_error):
             ok = False
     report(13, "Poincare lower bound below the seminorm", ok)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import roblaw.fit
+import roblaw.sobolev
 import roblaw.sweep
 from roblaw import ActivationKind, SweepConfig
 from roblaw.cli import main, parse_config_file
@@ -87,6 +88,21 @@ def test_fit_numeric_failure_exits_4(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "fit", "--regime", "linear", "--n", "10",
                                  "--d", "20")
         assert code == 4 and out == "" and "forced" in err
+
+
+@pytest.mark.parametrize("command", ["fit", "sobolev"])
+def test_oversized_monte_carlo_sample_exits_2_before_it_is_drawn(capsys, monkeypatch, command):
+    original = roblaw.sobolev.sample_sphere
+
+    def small_only(d, n, seed):
+        if n * d > 10**6:
+            raise AssertionError(f"drew a {n} x {d} sample")
+        return original(d, n, seed)
+
+    monkeypatch.setattr(roblaw.sobolev, "sample_sphere", small_only)
+    code, out, err = run_cli(capsys, command, "--regime", "linear", "--n", "5",
+                             "--d", "5", "--mc-samples", "100000000")
+    assert code == 2 and out == "" and "too large" in err
 
 
 def test_invalid_regime_exits_2(capsys):
@@ -243,6 +259,16 @@ def test_sweep_unwritable_out_exits_3_before_compute(tmp_path, capsys, monkeypat
     code, _, err = run_cli(capsys, "sweep", "--config", _sweep_config_file(tmp_path),
                            "--out", str(tmp_path / "no" / "such" / "dir.csv"))
     assert code == 3 and "error" in err and calls == []
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_fewer_than_one_worker_exits_2(tmp_path, capsys, monkeypatch, workers):
+    calls = []
+    monkeypatch.setattr(roblaw.sweep, "run_trial", calls.append)
+    out = tmp_path / "w.csv"
+    code, _, err = run_cli(capsys, "sweep", "--config", _sweep_config_file(tmp_path),
+                           "--out", str(out), "--workers", workers)
+    assert code == 2 and "workers" in err and calls == [] and not out.exists()
 
 
 def test_sweep_unknown_config_key_exits_2(tmp_path, capsys):

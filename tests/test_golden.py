@@ -1,5 +1,6 @@
-"""Golden SHA-256 hashes of small sweep CSVs, one grid per regime, and a
-count of the gram builds in one trial.
+"""Golden SHA-256 hashes of small sweep CSVs, one grid per regime, and
+counts of the work a trial does: one gram per trial, and one gram, one
+Monte-Carlo sample and one solve per lambda for each lambda path of a sweep.
 
 Together the grids run the dual (n <= feature dim) and primal (n > feature
 dim) solves of `linear`, `rf_finite` and `ntk_finite` and the kernel solve
@@ -20,6 +21,8 @@ import sys
 import pytest
 
 import roblaw
+import roblaw.fit
+import roblaw.sphere
 from roblaw import ActivationKind, SweepConfig, TrialCell
 from roblaw.sweep import run_sweep, run_trial
 
@@ -53,14 +56,14 @@ def test_sweep_csv_matches_golden_hash(regime, tmp_path):
     assert hashlib.sha256(data).hexdigest() == GOLDEN[regime]
 
 
-def _count_calls(monkeypatch, name) -> list:
-    """Wrap roblaw.kernels.<name> wherever a roblaw module bound it; each
-    call appends to the returned list."""
-    original = getattr(roblaw.kernels, name)
+def _count_calls(monkeypatch, name, module=roblaw.kernels) -> list:
+    """Wrap <module>.<name> wherever a roblaw module bound it; each call
+    appends its positional arguments to the returned list."""
+    original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
@@ -75,8 +78,37 @@ def _count_calls(monkeypatch, name) -> list:
 ])
 def test_one_gram_per_trial(monkeypatch, regime, n, d, k, name):
     calls = _count_calls(monkeypatch, name)
-    rec = run_trial(TrialCell(regime=regime, activation=ActivationKind.RELU,
-                              n=n, d=d, k=k, lam=0.0, zeta=0.5,
-                              dataset_seed=5, weight_seed=6, mc_samples=200))
+    [rec] = run_trial([TrialCell(regime=regime, activation=ActivationKind.RELU,
+                                 n=n, d=d, k=k, lam=0.0, zeta=0.5,
+                                 dataset_seed=5, weight_seed=6, mc_samples=200)])
     assert rec.reason == ""
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("regime, n_grid, d, k", [
+    ("ntk_finite", (10, 30), 4, 5),  # n=10 <= kd: empirical_gram; n=30: Z^T Z
+    ("rf_finite", (8,), 6, 16),      # Z Z^T
+])
+def test_sweep_builds_one_gram_and_one_sample_per_lambda_path(
+        monkeypatch, tmp_path, regime, n_grid, d, k):
+    lams, mc = (0.0, 1e-4, 1e-3), 200
+    cfg = SweepConfig(
+        regime=regime, activation=ActivationKind.RELU, n_grid=n_grid, d_grid=(d,),
+        k_grid=(k,), lambda_grid=lams, zeta_grid=(0.5,), mc_samples=mc,
+        base_seed=3, output_path=str(tmp_path / "path.csv"),
+    )
+    grams = _count_calls(monkeypatch, "empirical_gram")
+    feats = _count_calls(monkeypatch, "features")
+    solves = _count_calls(monkeypatch, "solve_psd", roblaw.fit)
+    samples = _count_calls(monkeypatch, "sample_sphere", roblaw.sphere)
+    run_sweep(cfg)
+    ntk_dual = [n for n in n_grid if regime == "ntk_finite" and n <= k * d]
+    assert len(grams) == len(ntk_dual)
+    for n in n_grid:
+        # features of the training points: one for a gram built from them,
+        # and one per lambda for the training predictions
+        on_train = sum(len(args[1]) == n for args in feats)
+        assert on_train == (n not in ntk_dual) + len(lams)
+    assert len(solves) == len(n_grid) * len(lams)
+    assert len({id(args[0]) for args in solves}) == len(n_grid)
+    assert sum(args[1] == mc for args in samples) == len(n_grid)

@@ -79,22 +79,23 @@ def test_exact_linear_values():
 def test_monte_carlo_matches_exact_linear():
     m = LinearModel(w=np.random.default_rng(4).normal(size=20))
     exact = sobolev_exact_linear(m).value
-    est = sobolev_monte_carlo(m, 20, 100000, 5)
+    [est] = sobolev_monte_carlo([m], 20, 100000, 5)
     assert abs(est.value - exact) < 3 * max(est.std_error, 1e-12)
 
 
 def test_monte_carlo_matches_analytic_two_layer():
     m = _relu_two_layer(30, 25, 6)
     ref = sobolev_analytic(m).value
-    est = sobolev_monte_carlo(m, 30, 20000, 7)
+    [est] = sobolev_monte_carlo([m], 30, 20000, 7)
     assert est.value == pytest.approx(ref, rel=0.05)
     assert est.method == "monte_carlo" and est.samples == 20000
 
 
 def test_monte_carlo_stderr_shrinks_with_samples():
     m = _relu_two_layer(10, 6, 8)
-    se1 = sobolev_monte_carlo(m, 10, 2000, 9).std_error
-    se2 = sobolev_monte_carlo(m, 10, 8000, 9).std_error
+    [e1] = sobolev_monte_carlo([m], 10, 2000, 9)
+    [e2] = sobolev_monte_carlo([m], 10, 8000, 9)
+    se1, se2 = e1.std_error, e2.std_error
     assert se2 < se1
     assert se1 / se2 == pytest.approx(2.0, rel=0.3)
 
@@ -105,12 +106,12 @@ def test_monte_carlo_constant_model_is_zero():
         kernel=DotProductKernel(name="gaussian", s=1.0),
         anchors=data.X, c=np.zeros(5),
     )
-    assert sobolev_monte_carlo(model, 8, 1000, 11).value == 0.0
+    assert sobolev_monte_carlo([model], 8, 1000, 11)[0].value == 0.0
 
 
 def test_monte_carlo_minimum_samples():
     with pytest.raises(InvalidArgument):
-        sobolev_monte_carlo(LinearModel(w=np.ones(4)), 4, 50, 0)
+        sobolev_monte_carlo([LinearModel(w=np.ones(4))], 4, 50, 0)
 
 
 def test_poincare_equality_for_linear():
@@ -125,7 +126,7 @@ def test_poincare_equality_for_linear():
 def test_poincare_below_seminorm_two_layer():
     m = _relu_two_layer(15, 10, 14)
     bound = poincare_lower_bound(m, 15, 50000, 15)
-    est = sobolev_monte_carlo(m, 15, 50000, 16)
+    [est] = sobolev_monte_carlo([m], 15, 50000, 16)
     assert bound <= est.value**2 * 1.1
 
 

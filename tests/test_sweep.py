@@ -5,7 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roblaw import ActivationKind, InvalidArgument, SweepConfig, TrialCell, gen_dataset
+import roblaw.fit
+import roblaw.sweep
+from roblaw import (
+    ActivationKind,
+    InvalidArgument,
+    NumericFailure,
+    SingularKernel,
+    SweepConfig,
+    TrialCell,
+    gen_dataset,
+)
 from roblaw.sweep import (
     CSV_COLUMNS,
     PRESETS,
@@ -97,7 +107,7 @@ def test_run_trial_populates_metrics():
     cell = TrialCell(regime="rf_finite", activation=ActivationKind.RELU,
                      n=8, d=12, k=20, lam=0.0, zeta=0.4,
                      dataset_seed=11, weight_seed=12, mc_samples=200)
-    rec = run_trial(cell)
+    [rec] = run_trial([cell])
     assert rec.reason == ""
     assert rec.train_mse < 1e-10  # interpolation below width
     assert math.isfinite(rec.test_mse)
@@ -113,7 +123,7 @@ def test_run_trial_failure_is_tagged_not_raised():
     cell = TrialCell(regime="rf_infinite", activation=ActivationKind.TANH,
                      n=5, d=6, k=0, lam=0.0, zeta=0.1,
                      dataset_seed=1, weight_seed=2, mc_samples=200)
-    rec = run_trial(cell)
+    [rec] = run_trial([cell])
     assert rec.reason != ""
     assert math.isnan(rec.train_mse)
 
@@ -125,7 +135,7 @@ def test_failure_row_keeps_spectra_computed_before_it():
                      dataset_seed=1, weight_seed=2, mc_samples=50)
     with pytest.raises(InvalidArgument):
         fill_record(blank_record(cell), cell)
-    rec = run_trial(cell)
+    [rec] = run_trial([cell])
     assert rec.reason.startswith("InvalidArgument")
     assert all(math.isfinite(getattr(rec, name)) for name in
                ("gram_cond", "lambda_min_C", "lambda_max_C", "rkhs_norm"))
@@ -133,13 +143,13 @@ def test_failure_row_keeps_spectra_computed_before_it():
 
 
 def test_run_trial_linear_and_infinite_regimes():
-    lin = run_trial(TrialCell(regime="linear", activation=ActivationKind.RELU,
-                              n=10, d=20, k=0, lam=0.0, zeta=0.2,
-                              dataset_seed=3, weight_seed=4, mc_samples=200))
+    [lin] = run_trial([TrialCell(regime="linear", activation=ActivationKind.RELU,
+                                 n=10, d=20, k=0, lam=0.0, zeta=0.2,
+                                 dataset_seed=3, weight_seed=4, mc_samples=200)])
     assert lin.reason == "" and lin.train_mse < 1e-10
-    inf = run_trial(TrialCell(regime="ntk_infinite", activation=ActivationKind.RELU,
-                              n=10, d=20, k=0, lam=0.0, zeta=0.2,
-                              dataset_seed=3, weight_seed=4, mc_samples=200))
+    [inf] = run_trial([TrialCell(regime="ntk_infinite", activation=ActivationKind.RELU,
+                                 n=10, d=20, k=0, lam=0.0, zeta=0.2,
+                                 dataset_seed=3, weight_seed=4, mc_samples=200)])
     assert inf.reason == "" and inf.train_mse < 1e-10
     assert inf.rkhs_norm > 0
 
@@ -203,3 +213,73 @@ def test_presets_shapes():
     cfg = preset("exp2-mini", base_seed=3, output_path="x.csv")
     assert (cfg.base_seed, cfg.output_path) == (3, "x.csv")
     assert preset("exp2-mini") == PRESETS["exp2-mini"]
+
+
+def _path_config(tmp_path, name):
+    return small_config(tmp_path, regime="ntk_finite", n_grid=(10, 30), d_grid=(4,),
+                        k_grid=(5,), lambda_grid=(0.0, 1e-4, 1e-3),
+                        zeta_grid=(0.2, 0.6), weight_draws_per_dataset=2,
+                        output_path=str(tmp_path / name))
+
+
+def _csv_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def _alone(cfg):
+    """The CSV rows of cfg's cells, each run as a lambda path of its own."""
+    return [run_trial([c])[0].csv_row() for c in iter_cells(cfg)]
+
+
+def test_solve_failure_at_one_lambda_stays_in_its_row(tmp_path, monkeypatch):
+    clean = _csv_rows(run_sweep(_path_config(tmp_path, "clean.csv")))
+    original = roblaw.fit.solve_psd
+
+    def singular_at_zero(K, y, lam):
+        if lam == 0:
+            raise SingularKernel("planted")
+        return original(K, y, lam)
+
+    monkeypatch.setattr(roblaw.fit, "solve_psd", singular_at_zero)
+    cfg = _path_config(tmp_path, "planted.csv")
+    rows = _csv_rows(run_sweep(cfg))
+    alone = _alone(cfg)
+    lam = CSV_COLUMNS.index("lambda")
+    assert len(rows) == len(clean) == 24
+    for row, ref, single in zip(rows, clean, alone):
+        if float(row[lam]) == 0:
+            assert row[-1] == "SingularKernel: planted"
+            assert row == single
+        else:
+            assert row == ref
+
+
+def test_shared_stage_failure_tags_every_row_of_the_path(tmp_path, monkeypatch):
+    def no_test_set(data):
+        raise NumericFailure("planted")
+
+    monkeypatch.setattr(roblaw.sweep, "gen_test_set", no_test_set)
+    cfg = _path_config(tmp_path, "planted.csv")
+    rows = _csv_rows(run_sweep(cfg))
+    assert rows == _alone(cfg)
+    train, test = CSV_COLUMNS.index("train_mse"), CSV_COLUMNS.index("test_mse")
+    for row in rows:
+        assert row[-1] == "NumericFailure: planted"
+        assert math.isfinite(float(row[train])) and math.isnan(float(row[test]))
+
+
+def test_run_trial_rejects_cells_of_two_paths():
+    cells = [TrialCell(regime="linear", activation=ActivationKind.RELU, n=n, d=4,
+                       k=0, lam=0.0, zeta=0.5, dataset_seed=5, weight_seed=6)
+             for n in (3, 4)]
+    with pytest.raises(InvalidArgument):
+        run_trial(cells)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_sweep_rejects_fewer_than_one_worker(tmp_path, workers):
+    cfg = small_config(tmp_path)
+    with pytest.raises(InvalidArgument):
+        run_sweep(cfg, workers=workers)
+    assert not (tmp_path / "out.csv").exists()
