@@ -5,7 +5,9 @@ Marchenko-Pastur reference limits for ridge(less) regression.
 Solver policy: symmetric positive-definite factorization with jitter
 escalation 0 -> 1e-12*lmax -> 1e-10*lmax, then an eigendecomposition
 pseudo-inverse (threshold 1e-10*lmax). Fallbacks are recorded in the fit
-meta for reproducibility audits.
+meta for reproducibility audits. The factorization and its solves run on
+one thread of scipy's OpenBLAS (see `_ScipyBlasPin`), so their bits do not
+depend on that library's thread count.
 
 A `RidgePath` holds what a fit does not owe to lambda: the PSD matrix its
 solves factor (K(X,X), Z Z^T or X X^T for a dual solve, Z^T Z or X^T X for a
@@ -15,11 +17,16 @@ as `gram`; spectra and the RKHS norm read it instead of building it again,
 and a hand-built model has gram None.
 """
 
+import ctypes
 import math
+import os
+import threading
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy
 import scipy.linalg
 
 from .activations import ActivationKind, act_deriv, act_eval
@@ -91,6 +98,78 @@ class FeatureModel:
         return float(out[0]) if single else out
 
 
+def _scipy_blas_threads() -> tuple:
+    """(get, set) for the thread count of the OpenBLAS that scipy bundles
+    in its own package directory, found among the libraries mapped into
+    this process. Raises LookupError when there is no such library (scipy
+    then shares numpy's BLAS or uses another one) or it has no entry
+    points for the count."""
+    root = os.path.dirname(os.path.realpath(scipy.__file__))
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError as exc:
+        raise LookupError(f"cannot list the loaded libraries: {exc}") from exc
+    own = [p for p in paths if p.startswith((root + os.sep, root + ".libs" + os.sep))]
+    for path in own:
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    if own:
+        raise LookupError(f"no thread-count entry points in {', '.join(own)}")
+    raise LookupError(f"scipy loads no OpenBLAS of its own under {root}")
+
+
+class _ScipyBlasPin:
+    """Context manager that runs scipy's BLAS and LAPACK calls on one
+    thread of scipy's own OpenBLAS; numpy's OpenBLAS keeps its threads.
+
+    numpy and scipy wheels each bundle an OpenBLAS with its own thread
+    pool. On a small machine a factorization run on scipy's pool competes
+    with numpy's still-spinning threads and takes over ten times as long
+    as on one thread. The thread count belongs to the process, so one
+    instance serves every thread: the first holder to enter sets it to 1,
+    and the last to leave restores the count it found. When the count
+    cannot be set, the block runs unpinned and the reason is warned once."""
+
+    def __init__(self, lookup: Callable = _scipy_blas_threads):
+        self._lookup = lookup
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 0
+        self._calls = None  # (get, set); () when unavailable
+
+    def __enter__(self):
+        with self._lock:
+            if self._calls is None:
+                try:
+                    self._calls = self._lookup()
+                except LookupError as exc:
+                    self._calls = ()
+                    warnings.warn(f"ridge solves run on scipy's default BLAS threads: {exc}",
+                                  RuntimeWarning, stacklevel=2)
+            if self._calls and self._depth == 0:
+                get, put = self._calls
+                self._saved = get()
+                put(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._calls and self._depth == 0:
+                self._calls[1](self._saved)
+
+
+_ONE_SCIPY_THREAD = _ScipyBlasPin()
+
+
 def solve_psd(K: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, dict]:
     """Solve (K + lam*I) c = y for symmetric PSD K, with jitter escalation
     and a pseudo-inverse fallback. Returns (c, meta)."""
@@ -105,10 +184,11 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, dic
     A = K + lam * np.eye(n) if lam > 0 else K
     for jitter in (0.0, 1e-12 * lmax, 1e-10 * lmax):
         try:
-            cf = scipy.linalg.cho_factor(
-                A + jitter * np.eye(n) if jitter else A, lower=True
-            )
-            c = scipy.linalg.cho_solve(cf, y)
+            with _ONE_SCIPY_THREAD:
+                cf = scipy.linalg.cho_factor(
+                    A + jitter * np.eye(n) if jitter else A, lower=True
+                )
+                c = scipy.linalg.cho_solve(cf, y)
             return c, {"solver": "cholesky", "jitter": jitter, "fallback": jitter > 0}
         except np.linalg.LinAlgError:
             continue

@@ -34,21 +34,26 @@ def _two_layer_view(model):
     return None
 
 
-def sobolev_analytic(model) -> SobolevEstimate:
-    """sqrt(v^T C v) with C the kappa-tilde matrix; valid for two-layer
-    networks with order-1 positively homogeneous activations."""
-    view = _two_layer_view(model)
-    if view is None:
-        raise InvalidArgument("analytic seminorm needs a two-layer model")
-    W, v, kind = view
+def sobolev_analytic(models) -> list[SobolevEstimate]:
+    """sqrt(v^T C v) for each model, with C the kappa-tilde matrix of their
+    common hidden layer, built once; valid for two-layer networks with
+    order-1 positively homogeneous activations."""
+    views = [_two_layer_view(model) for model in models]
+    if not views or None in views:
+        raise InvalidArgument("analytic seminorm needs two-layer models")
+    W, _, kind = views[0]
+    if any(k != kind or not np.array_equal(w.W, W.W) for w, _, k in views):
+        raise InvalidArgument("analytic seminorms share one hidden layer")
     if HOMOGENEITY.get(ActivationKind(kind)) != 1.0:
         raise UnsupportedActivation(f"no closed form for {kind}")
-    d = W.d
-    C = c_sigma_sobolev(W, kind, d)
-    q = float(v @ C @ v)
-    if q < -1e-10:
-        raise NumericFailure(f"negative quadratic form {q:.3g}")
-    return SobolevEstimate(value=math.sqrt(max(q, 0.0)), method="analytic")
+    C = c_sigma_sobolev(W, kind, W.d)
+    out = []
+    for _, v, _ in views:
+        q = float(v @ C @ v)
+        if q < -1e-10:
+            raise NumericFailure(f"negative quadratic form {q:.3g}")
+        out.append(SobolevEstimate(value=math.sqrt(max(q, 0.0)), method="analytic"))
+    return out
 
 
 def sobolev_exact_linear(model: LinearModel) -> SobolevEstimate:
@@ -95,6 +100,8 @@ def poincare_lower_bound(model, d: int, m: int, seed: int) -> float:
     """(d-1) Var f, the spherical-Poincare lower bound on S(f)^2."""
     if m < 10**3:
         raise InvalidArgument("m must be >= 1000")
+    if m * d > _MAX_COV_ELEMENTS:
+        raise ResourceLimit(f"sphere sample {m} x {d} too large")
     X = sample_sphere(d, m, seed)
     fvals = np.asarray(model.predict(X.points), dtype=float)
     return (d - 1) * float(np.var(fvals))

@@ -27,16 +27,20 @@ class SpectrumSummary:
 
 
 def sym_eigs(A: np.ndarray) -> SpectrumSummary:
-    """Full spectrum of a symmetric matrix (symmetrized as (A + A^T)/2)."""
+    """Full spectrum of a symmetric matrix (symmetrized as (A + A^T)/2).
+    An exactly symmetric A, as every gram is, goes to `eigvalsh` as it is:
+    (a + a)/2 == a, so the input bits are the same."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidArgument("A must be square")
     if not np.all(np.isfinite(A)):
         raise InvalidArgument("non-finite entries")
-    scale = np.max(np.abs(A))
-    if scale > 0 and np.max(np.abs(A - A.T)) > 1e-10 * scale * A.shape[0]:
-        raise InvalidArgument("matrix is not symmetric")
-    evals = np.linalg.eigvalsh((A + A.T) / 2)[::-1]
+    if not np.array_equal(A, A.T):
+        scale = np.max(np.abs(A))
+        if scale > 0 and np.max(np.abs(A - A.T)) > 1e-10 * scale * A.shape[0]:
+            raise InvalidArgument("matrix is not symmetric")
+        A = (A + A.T) / 2
+    evals = np.linalg.eigvalsh(A)[::-1]
     lmin, lmax = float(evals[-1]), float(evals[0])
     cond = lmax / lmin if lmin > 0 else math.inf
     return SpectrumSummary(eigenvalues=evals, lambda_min=lmin, lambda_max=lmax, cond=cond)

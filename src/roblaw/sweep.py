@@ -214,6 +214,14 @@ def blank_record(cell: TrialCell) -> TrialRecord:
     )
 
 
+def _gram_side(cell: TrialCell) -> int:
+    """Side of the gram the lambda path of `cell` builds, factors and
+    decomposes: n for a kernel, else the smaller of n and the feature
+    dimension, as `fit._ridge_path` chooses the dual or primal solve."""
+    width = {"linear": cell.d, "rf_finite": cell.k, "ntk_finite": cell.k * cell.d}
+    return min(cell.n, width.get(cell.regime, cell.n))
+
+
 def _path_key(cell: TrialCell) -> TrialCell:
     """Cells with one key differ only in lambda: they form one lambda path."""
     return replace(cell, lam=0.0)
@@ -305,7 +313,9 @@ def _fill_path(recs: list, cells: list) -> list:
     rows.fill("coef_norm", lambda i: coef_norm(models[i]))
     if cell.regime == "rf_finite":
         if HOMOGENEITY.get(ActivationKind(cell.activation)) == 1.0:
-            rows.fill("sobolev_analytic", lambda i: sobolev_analytic(models[i]).value)
+            exact = rows.shared(lambda: dict(zip(rows.live, sobolev_analytic(
+                [models[i] for i in rows.live]))))
+            rows.fill("sobolev_analytic", lambda i: exact[i].value)
         rows.fill("eta", lambda i: eta_proxy(models[i]))
     elif cell.regime == "linear":
         rows.fill("sobolev_analytic", lambda i: sobolev_exact_linear(models[i]).value)
@@ -371,14 +381,18 @@ def iter_cells(config: SweepConfig):
 def run_sweep(config: SweepConfig, workers: int = 1) -> str:
     """Run the full grid, one `run_trial` per lambda path, and write the CSV
     rows in `iter_cells` order; returns the output path. The output is
-    opened before the first trial, so a bad path costs no compute."""
+    opened before the first trial, so a bad path costs no compute. A path
+    costs about the cube of its gram side, so paths start largest gram
+    first, the longest-processing-time order (Graham 1969): a pool then
+    does not end on one long path while a worker idles."""
     if workers < 1:
         raise InvalidArgument(f"workers must be >= 1, got {workers}")
     cells = list(iter_cells(config))
     paths: dict = {}
     for i, cell in enumerate(cells):
         paths.setdefault(_path_key(cell), []).append(i)
-    units = [[cells[i] for i in rows] for rows in paths.values()]
+    order = sorted(paths.values(), key=lambda rows: -_gram_side(cells[rows[0]]))
+    units = [[cells[i] for i in rows] for rows in order]
     try:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
             if workers > 1:
@@ -387,7 +401,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> str:
             else:
                 results = [run_trial(u) for u in units]
             records = [None] * len(cells)
-            for rows, recs in zip(paths.values(), results):
+            for rows, recs in zip(order, results):
                 for i, rec in zip(rows, recs):
                     records[i] = rec
             writer = csv.writer(fh, lineterminator="\n")

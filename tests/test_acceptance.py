@@ -139,7 +139,7 @@ def test_criterion_04_analytic_vs_monte_carlo_sobolev():
         W = HiddenWeights(sample_sphere(d, k, 900 + i).points)
         v = rng.standard_normal(k) / math.sqrt(k)
         model = TwoLayerModel(W=W, v=v, activation=ActivationKind.RELU)
-        exact = sobolev_analytic(model).value
+        exact = sobolev_analytic([model])[0].value
         mc = sobolev_monte_carlo([model], d, 2 * 10**4, seed=77 + i)[0].value
         if abs(mc - exact) <= 0.05 * exact:
             hits += 1

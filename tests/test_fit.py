@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -25,8 +27,10 @@ from roblaw import (
     test_mse as mse_on,
     train_mse,
 )
+import roblaw.fit
 import roblaw.kernels
-from roblaw.fit import solve_psd
+import scipy.linalg
+from roblaw.fit import _ScipyBlasPin, solve_psd
 
 
 def test_solve_psd_matches_direct_solve():
@@ -45,6 +49,78 @@ def test_solve_psd_singular_falls_back():
     c, meta = solve_psd(K, y, 0.0)
     assert meta["fallback"]
     np.testing.assert_allclose(K @ c, y, atol=1e-8)
+
+
+def _spd(n, seed):
+    A = np.random.default_rng(seed).normal(size=(n, n))
+    return A @ A.T + n * np.eye(n), np.ones(n)
+
+
+def _record_threads(monkeypatch, get, fail=False):
+    """Wrap scipy's cho_factor to record the scipy BLAS thread count each
+    call sees; with fail, each call raises after recording."""
+    seen, original = [], scipy.linalg.cho_factor
+
+    def recorded(*args, **kwargs):
+        seen.append(get())
+        if fail:
+            raise ValueError("planted failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("found", [2, 1])
+def test_solve_psd_factors_on_one_scipy_thread_and_restores_count(
+        monkeypatch, scipy_blas_threads, found):
+    get, put = scipy_blas_threads
+    put(found)
+    K, y = _spd(150, 1)
+    seen = _record_threads(monkeypatch, get)
+    c, _ = solve_psd(K, y, 0.0)
+    np.testing.assert_allclose(K @ c, y, rtol=1e-10)
+    assert seen == [1] and get() == found
+    seen = _record_threads(monkeypatch, get, fail=True)
+    with pytest.raises(ValueError, match="planted"):
+        solve_psd(K, y, 0.0)
+    assert seen == [1] and get() == found
+
+
+def test_scipy_thread_pin_holds_across_threads(monkeypatch, scipy_blas_threads):
+    # more threads than CPUs and a short switch interval: a holder that
+    # restored the count while another still solves would show a 2
+    get, put = scipy_blas_threads
+    put(2)
+    seen = _record_threads(monkeypatch, get)
+    K, y = _spd(120, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda: [solve_psd(K, y, 1e-3) for _ in range(30)])
+                   for _ in range(6)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert len(seen) == 180 and set(seen) == {1}
+    assert get() == 2
+
+
+def test_solve_psd_without_setter_runs_unpinned_and_warns_once(monkeypatch):
+    def no_setter():
+        raise LookupError("no setter")
+
+    monkeypatch.setattr(roblaw.fit, "_ONE_SCIPY_THREAD", _ScipyBlasPin(no_setter))
+    K, y = _spd(20, 3)
+    with pytest.warns(RuntimeWarning, match="no setter") as caught:
+        for lam in (0.0, 0.5):
+            c, _ = solve_psd(K, y, lam)
+            np.testing.assert_allclose(c, np.linalg.solve(K + lam * np.eye(20), y))
+    assert len(caught) == 1
 
 
 def test_effective_lambda_conventions():

@@ -1,6 +1,7 @@
 """Golden SHA-256 hashes of small sweep CSVs, one grid per regime, and
 counts of the work a trial does: one gram per trial, and one gram, one
-Monte-Carlo sample and one solve per lambda for each lambda path of a sweep.
+Monte-Carlo sample, one Sobolev matrix and one solve per lambda for each
+lambda path of a sweep.
 
 Together the grids run the dual (n <= feature dim) and primal (n > feature
 dim) solves of `linear`, `rf_finite` and `ntk_finite` and the kernel solve
@@ -22,6 +23,7 @@ import pytest
 
 import roblaw
 import roblaw.fit
+import roblaw.spectral
 import roblaw.sphere
 from roblaw import ActivationKind, SweepConfig, TrialCell
 from roblaw.sweep import run_sweep, run_trial
@@ -101,6 +103,7 @@ def test_sweep_builds_one_gram_and_one_sample_per_lambda_path(
     feats = _count_calls(monkeypatch, "features")
     solves = _count_calls(monkeypatch, "solve_psd", roblaw.fit)
     samples = _count_calls(monkeypatch, "sample_sphere", roblaw.sphere)
+    sobolev_mats = _count_calls(monkeypatch, "c_sigma_sobolev", roblaw.spectral)
     run_sweep(cfg)
     ntk_dual = [n for n in n_grid if regime == "ntk_finite" and n <= k * d]
     assert len(grams) == len(ntk_dual)
@@ -112,3 +115,4 @@ def test_sweep_builds_one_gram_and_one_sample_per_lambda_path(
     assert len(solves) == len(n_grid) * len(lams)
     assert len({id(args[0]) for args in solves}) == len(n_grid)
     assert sum(args[1] == mc for args in samples) == len(n_grid)
+    assert len(sobolev_mats) == (len(n_grid) if regime == "rf_finite" else 0)

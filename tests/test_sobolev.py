@@ -1,15 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import roblaw.sobolev
 from roblaw import (
     ActivationKind,
     DotProductKernel,
     FeatureMap,
     HiddenWeights,
     InvalidArgument,
+    ResourceLimit,
     UnsupportedActivation,
+    c_sigma_sobolev,
     coef_norm,
     eta_proxy,
     fit_features,
@@ -22,7 +26,7 @@ from roblaw import (
     sobolev_exact_linear,
     sobolev_monte_carlo,
 )
-from roblaw.fit import KernelModel, LinearModel, TwoLayerModel
+from roblaw.fit import FeatureModel, KernelModel, LinearModel, TwoLayerModel
 
 
 def _relu_two_layer(d, k, seed):
@@ -34,13 +38,13 @@ def _relu_two_layer(d, k, seed):
 def test_analytic_single_neuron():
     W = HiddenWeights(sample_sphere(10, 1, 0).points)
     m = TwoLayerModel(W=W, v=np.array([1.0]), activation=ActivationKind.RELU)
-    assert sobolev_analytic(m).value == pytest.approx(math.sqrt(0.45), abs=1e-12)
+    assert sobolev_analytic([m])[0].value == pytest.approx(math.sqrt(0.45), abs=1e-12)
 
 
 def test_analytic_zero_output_weights():
     W = HiddenWeights(sample_sphere(6, 4, 1).points)
     m = TwoLayerModel(W=W, v=np.zeros(4), activation=ActivationKind.RELU)
-    assert sobolev_analytic(m).value == 0.0
+    assert sobolev_analytic([m])[0].value == 0.0
 
 
 def test_analytic_orthonormal_pair():
@@ -50,21 +54,51 @@ def test_analytic_orthonormal_pair():
     )
     # diagonal terms 1/2 - 1/4 each, cross terms -phi(0)/d each
     ref = math.sqrt(2 * 0.25 + 2 * (-1 / (4 * math.pi)))
-    assert sobolev_analytic(m).value == pytest.approx(ref, abs=1e-12)
+    assert sobolev_analytic([m])[0].value == pytest.approx(ref, abs=1e-12)
 
 
 def test_analytic_rejects_nonhomogeneous():
     W = HiddenWeights(sample_sphere(5, 2, 2).points)
     m = TwoLayerModel(W=W, v=np.ones(2), activation=ActivationKind.TANH)
     with pytest.raises(UnsupportedActivation):
-        sobolev_analytic(m)
+        sobolev_analytic([m])
 
 
 def test_analytic_scale_equivariance():
     m = _relu_two_layer(12, 7, 3)
-    base = sobolev_analytic(m).value
+    base = sobolev_analytic([m])[0].value
     scaled = TwoLayerModel(W=m.W, v=3.5 * m.v, activation=m.activation)
-    assert sobolev_analytic(scaled).value == pytest.approx(3.5 * base, rel=1e-12)
+    assert sobolev_analytic([scaled])[0].value == pytest.approx(3.5 * base, rel=1e-12)
+
+
+def test_analytic_models_of_one_layer_share_its_matrix_bitwise():
+    m = _relu_two_layer(12, 9, 21)
+    models = [replace(m, v=m.v * s) for s in (1.0, -0.3, 2.5)]
+    models.append(FeatureModel(
+        map=FeatureMap(kind="frozen_rf", weights=m.W, activation=ActivationKind.RELU),
+        a=m.v * 3.0))
+    C = c_sigma_sobolev(m.W, ActivationKind.RELU, 12)
+    together = [e.value for e in sobolev_analytic(models)]
+    alone = [sobolev_analytic([model])[0].value for model in models]
+    reference = [math.sqrt(max(float(v @ C @ v), 0.0))
+                 for v in [x.v for x in models[:3]] + [models[3].a / 3.0]]
+    assert together == alone == reference
+
+
+def test_analytic_rejects_models_of_different_layers():
+    with pytest.raises(InvalidArgument):
+        sobolev_analytic([_relu_two_layer(8, 5, 1), _relu_two_layer(8, 5, 2)])
+    with pytest.raises(InvalidArgument):
+        sobolev_analytic([])
+
+
+def test_poincare_refuses_oversized_sample_before_drawing(monkeypatch):
+    def no_draw(d, n, seed):
+        raise AssertionError(f"drew a {n} x {d} sample")
+
+    monkeypatch.setattr(roblaw.sobolev, "sample_sphere", no_draw)
+    with pytest.raises(ResourceLimit, match="too large"):
+        poincare_lower_bound(LinearModel(w=np.ones(1000)), 1000, 10**6, 0)
 
 
 def test_exact_linear_values():
@@ -85,7 +119,7 @@ def test_monte_carlo_matches_exact_linear():
 
 def test_monte_carlo_matches_analytic_two_layer():
     m = _relu_two_layer(30, 25, 6)
-    ref = sobolev_analytic(m).value
+    ref = sobolev_analytic([m])[0].value
     [est] = sobolev_monte_carlo([m], 30, 20000, 7)
     assert est.value == pytest.approx(ref, rel=0.05)
     assert est.method == "monte_carlo" and est.samples == 20000
@@ -175,5 +209,5 @@ def test_analytic_over_v_norm_band_at_proportional_width():
     # seminorm and output-weight norm are equivalent at k ~ d
     for seed in range(20):
         m = _relu_two_layer(40, 40, 100 + seed)
-        ratio = sobolev_analytic(m).value / np.linalg.norm(m.v)
+        ratio = sobolev_analytic([m])[0].value / np.linalg.norm(m.v)
         assert 0.2 <= ratio <= 3.0

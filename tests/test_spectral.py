@@ -54,6 +54,18 @@ def test_sym_eigs_trace_preserved():
     assert s.cond == pytest.approx(np.linalg.cond(A), rel=1e-8)
 
 
+@pytest.mark.parametrize("skew", [0.0, 1e-13])
+def test_sym_eigs_takes_the_symmetric_part_bitwise(skew):
+    # an exactly symmetric input skips the symmetrization, whose result
+    # would have the same bits; a slightly asymmetric one is symmetrized
+    rng = np.random.default_rng(3)
+    B = rng.normal(size=(30, 30))
+    A = B @ B.T + skew * np.triu(B)
+    assert np.array_equal(A, A.T) == (skew == 0.0)
+    ref = np.linalg.eigvalsh((A + A.T) / 2)[::-1]
+    assert np.array_equal(sym_eigs(A).eigenvalues, ref)
+
+
 def test_sym_eigs_rejects_bad_input():
     with pytest.raises(InvalidArgument):
         sym_eigs(np.ones((2, 3)))

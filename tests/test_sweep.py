@@ -177,6 +177,33 @@ def test_sweep_workers_same_output(tmp_path):
         assert fh.read() == a
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_bytes_do_not_depend_on_scipy_blas_threads(tmp_path, scipy_blas_threads, workers):
+    # without the one-thread pin this grid's solves round differently on
+    # one and on two scipy OpenBLAS threads
+    get, put = scipy_blas_threads
+    cfg = small_config(tmp_path, regime="rf_infinite", n_grid=(150, 300), d_grid=(10,),
+                       k_grid=(0,))
+    out = []
+    for count in (2, 1):
+        put(count)
+        out.append(Path(run_sweep(cfg, workers=workers)).read_bytes())
+        assert get() == count
+    assert out[0] == out[1]
+
+
+def test_sweep_starts_largest_gram_first(tmp_path, monkeypatch):
+    started, original = [], roblaw.sweep.run_trial
+
+    def recorded(cells):
+        started.append(cells[0].n)
+        return original(cells)
+
+    monkeypatch.setattr(roblaw.sweep, "run_trial", recorded)
+    run_sweep(small_config(tmp_path, n_grid=(6, 12, 40), k_grid=(16,)))
+    assert started == [40, 12, 6]  # gram sides 16, 12, 6
+
+
 def test_csv_row_formats_fields_by_type():
     cell = TrialCell(regime="linear", activation=ActivationKind.RELU, n=3, d=4,
                      k=0, lam=1e-3, zeta=0.5, dataset_seed=5, weight_seed=6)
