@@ -9,14 +9,12 @@ from .activations import (
     curvature_coeffs,
     induced_kappa_quadrature,
     kappa_tilde,
-    maclaurin_at_zero,
     phi_profile,
 )
 from .analyze import analyze_descent, analyze_law, asymptotics
 from .data import Dataset, gen_dataset
 from .errors import (
     InvalidArgument,
-    InvalidRegime,
     IoError,
     NumericFailure,
     ResourceLimit,
@@ -29,10 +27,8 @@ from .fit import (
     KernelModel,
     LinearModel,
     TwoLayerModel,
-    effective_lambda,
     fit_features,
     fit_kernel,
-    fit_linear_minnorm,
     fit_linear_ridge,
     mse_limit,
     ridgeless_norm_limit,
@@ -54,12 +50,10 @@ from .kernels import (
     rf_features,
 )
 from .sobolev import (
-    RobustnessProxies,
     SobolevEstimate,
     coef_norm,
     eta_proxy,
     poincare_lower_bound,
-    proxies,
     sobolev_analytic,
     sobolev_exact_linear,
     sobolev_monte_carlo,
@@ -70,9 +64,6 @@ from .spectral import (
     c_phi_monte_carlo,
     c_sigma_cov,
     c_sigma_sobolev,
-    condition_alpha_gram,
-    condition_alpha_phi,
-    condition_alpha_sigma,
     linearized_c,
     mp_atom,
     mp_cdf,
@@ -83,13 +74,7 @@ from .spectral import (
     relu_cov_linearization,
     sym_eigs,
 )
-from .sphere import (
-    SphereSample,
-    log_gamma,
-    moment_cpq,
-    project_tangent,
-    sample_sphere,
-)
+from .sphere import SphereSample, moment_cpq, sample_sphere
 from .sweep import SweepConfig, TrialCell, TrialRecord, preset, run_sweep, run_trial
 
 __version__ = "0.1.0"

@@ -9,14 +9,13 @@ Conventions pinned here:
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import erf
 
 from .errors import InvalidArgument, NumericFailure, UnsupportedActivation
-from .sphere import log_gamma
 
 
 class ActivationKind(str, Enum):
@@ -78,16 +77,14 @@ class CurvatureCoeffs:
     beta_star: float
 
 
-def curvature_coeffs(kind: ActivationKind, quad_order: int = 80) -> CurvatureCoeffs:
+def curvature_coeffs(kind: ActivationKind) -> CurvatureCoeffs:
     """Curvature coefficients by adaptive quadrature against N(0,1); the
     integration range is split at zero so kinked activations converge."""
-    if quad_order < 40:
-        raise InvalidArgument("quad_order must be >= 40")
 
     def gauss_mean(f):
         pdf = lambda z: math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
-        neg, _ = quad(lambda z: f(z) * pdf(z), -12.0, 0.0, limit=quad_order)
-        pos, _ = quad(lambda z: f(z) * pdf(z), 0.0, 12.0, limit=quad_order)
+        neg, _ = quad(lambda z: f(z) * pdf(z), -12.0, 0.0, limit=80)
+        pos, _ = quad(lambda z: f(z) * pdf(z), 0.0, 12.0, limit=80)
         return neg + pos
 
     s = lambda z: float(act_eval(kind, z))
@@ -104,12 +101,12 @@ def _log_cdp(d: int, p: float) -> float:
     return (
         (p / 2 - 1) * math.log(2)
         + math.log(d)
-        + log_gamma((d + p) / 2)
-        - log_gamma((d + 2) / 2)
+        + math.lgamma((d + p) / 2)
+        - math.lgamma((d + 2) / 2)
     )
 
 
-def catalan_integral(h: Callable, t: float, tol: float = 1e-9) -> float:
+def catalan_integral(h: Callable, t: float) -> float:
     """phi_h(t) = (1/2pi) int_0^{2pi} h(cos u) h(cos(u - arccos t)) du.
 
     Adaptive quadrature with the interval split at the zeros of both
@@ -117,6 +114,7 @@ def catalan_integral(h: Callable, t: float, tol: float = 1e-9) -> float:
     where its argument vanishes, so the integrand is smooth between the
     breakpoints and kinked activations converge at machine precision.
     """
+    tol = 1e-9
     theta = math.acos(min(1.0, max(-1.0, t)))
     two_pi = 2 * math.pi
     breaks = sorted(
@@ -142,6 +140,8 @@ def induced_kappa_quadrature(h: Callable, p: float, d: int, t: float) -> float:
 
     with phi_h the circle integral above and C_{d,p} the Gamma prefactor.
     """
+    if d < 2 or p <= 0:
+        raise InvalidArgument(f"needs d >= 2 and p > 0, got d={d}, p={p}")
     if abs(t) > 1 + 1e-12:
         raise InvalidArgument(f"|t| must be <= 1, got {t}")
     pref = math.exp(_log_cdp(2, 2 * p) - _log_cdp(d, 2 * p))
@@ -180,52 +180,12 @@ def phi_profile(kind: ActivationKind, which: str, t):
     return out if out.ndim else float(out)
 
 
-def kappa_tilde(kind: ActivationKind, d: Optional[int], t):
-    """The Sobolev kernel profile t*kappa_{s'}(t) - p*kappa_s(t) of an
-    order-1 homogeneous (or tabulated) activation. ``d=None`` drops the
-    finite-dimension term (infinite-d limit)."""
+def kappa_tilde(kind: ActivationKind, d: int, t):
+    """The Sobolev kernel profile t*phi'(t) - phi(t)/d of an order-1
+    homogeneous activation; `phi_profile` rejects any other."""
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1 + 1e-9):
         raise InvalidArgument("|t| must be <= 1")
     t = np.clip(t, -1.0, 1.0)
-    if kind in (ActivationKind.RELU, ActivationKind.ABS, ActivationKind.IDENTITY):
-        lead = t * phi_profile(kind, "derivative", t)
-        corr = 0.0 if d is None else phi_profile(kind, "value", t) / d
-        out = np.asarray(lead - corr)
-    elif kind == ActivationKind.ERF:
-        lead = 4 * t / (math.pi * np.sqrt(9 - 4 * t * t))
-        corr = 0.0 if d is None else 2 / (math.pi * d) * np.arcsin(2 * t / 3)
-        out = np.asarray(lead - corr)
-    else:
-        raise UnsupportedActivation(f"{kind}: no homogeneity or tabulated profile")
+    out = np.asarray(t * phi_profile(kind, "derivative", t) - phi_profile(kind, "value", t) / d)
     return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class MaclaurinCoeffs:
-    a0: float
-    a1: float
-    a2: float
-    a3: float
-
-
-def maclaurin_at_zero(profile: Callable, h: float = 2e-2) -> MaclaurinCoeffs:
-    """First four Taylor coefficients at 0 by Richardson-extrapolated
-    central differences (profile must be finite on [-2h, 2h])."""
-
-    def stencil(step):
-        vals = np.array([profile(x) for x in (-2 * step, -step, 0.0, step, 2 * step)], dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NumericFailure("non-finite value in difference stencil")
-        fm2, fm1, f0, fp1, fp2 = vals
-        d1 = (fp1 - fm1) / (2 * step)
-        d2 = (fp1 - 2 * f0 + fm1) / step**2
-        d3 = (fp2 - 2 * fp1 + 2 * fm1 - fm2) / (2 * step**3)
-        return f0, d1, d2, d3
-
-    f0, d1a, d2a, d3a = stencil(h)
-    _, d1b, d2b, d3b = stencil(h / 2)
-    d1 = (4 * d1b - d1a) / 3
-    d2 = (4 * d2b - d2a) / 3
-    d3 = (4 * d3b - d3a) / 3
-    return MaclaurinCoeffs(f0, d1, d2 / 2, d3 / 6)

@@ -15,24 +15,39 @@ X_EXPRS = ("sqrt_n", "sqrt_n_over_k")
 THRESHOLD_EXPRS = ("n_eq_k", "n_eq_d", "n_eq_kd")
 
 
-def read_sweep_csv(path: str) -> list[dict]:
+def read_sweep_csv(path: str, columns) -> list[dict]:
+    """The rows of a sweep CSV, whose header must name every one of `columns`."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = list(reader)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise InvalidArgument(f"{path}: no column {', '.join(missing)}")
+    return rows
 
 
-def _xfactor(row: dict, x_expr: str) -> float:
-    n = float(row["n"])
+def _floats(path: str, line: int, row: dict, columns) -> dict:
+    """The cells `columns` of the row on CSV line `line` as floats."""
+    out = {}
+    for c in columns:
+        try:
+            out[c] = float(row[c])
+        except (TypeError, ValueError):
+            raise InvalidArgument(f"{path}:{line}: {c}: not a number: {row[c]!r}") from None
+    return out
+
+
+def _xfactor(v: dict, x_expr: str) -> float:
+    n = v["n"]
     if x_expr == "sqrt_n":
         return math.sqrt(n)
-    if x_expr == "sqrt_n_over_k":
-        k = float(row["k"])
-        if k <= 0:
-            return math.nan
-        return math.sqrt(n / k)
-    raise InvalidArgument(f"unknown x_expr {x_expr}")
+    k = v["k"]
+    if k <= 0:
+        return math.nan
+    return math.sqrt(n / k)
 
 
 def analyze_law(
@@ -45,12 +60,16 @@ def analyze_law(
     than 3 finite points are skipped."""
     if x_expr not in X_EXPRS:
         raise InvalidArgument(f"x_expr must be one of {X_EXPRS}")
-    rows = read_sweep_csv(csv_path)
+    columns = ("n", "zeta", "train_mse", "sobolev_mc")
+    if x_expr == "sqrt_n_over_k":
+        columns += ("k",)
+    rows = read_sweep_csv(csv_path, (*group_by, *columns))
     groups: dict[str, list] = {}
-    for row in rows:
+    for line, row in enumerate(rows, 2):
+        v = _floats(csv_path, line, row, columns)
         key = "|".join(f"{g}={row[g]}" for g in group_by)
-        x = (float(row["zeta"]) ** 2 - float(row["train_mse"])) * _xfactor(row, x_expr)
-        y = float(row["sobolev_mc"])
+        x = (v["zeta"] ** 2 - v["train_mse"]) * _xfactor(v, x_expr)
+        y = v["sobolev_mc"]
         if math.isfinite(x) and math.isfinite(y):
             groups.setdefault(key, []).append((x, y))
     out = {"x_expr": x_expr, "group_by": list(group_by), "groups": {}, "skipped": []}
@@ -74,15 +93,13 @@ def analyze_law(
     return out
 
 
-def _ratio_coord(row: dict, threshold_expr: str) -> float:
-    n, d, k = float(row["n"]), float(row["d"]), float(row["k"])
+def _ratio_coord(v: dict, threshold_expr: str) -> float:
+    n, d, k = v["n"], v["d"], v["k"]
     if threshold_expr == "n_eq_k":
         return n / k if k > 0 else math.nan
     if threshold_expr == "n_eq_d":
         return n / d
-    if threshold_expr == "n_eq_kd":
-        return n / (k * d) if k > 0 else math.nan
-    raise InvalidArgument(f"unknown threshold_expr {threshold_expr}")
+    return n / (k * d) if k > 0 else math.nan
 
 
 def analyze_descent(csv_path: str, threshold_expr: str = "n_eq_k") -> dict:
@@ -92,11 +109,13 @@ def analyze_descent(csv_path: str, threshold_expr: str = "n_eq_k") -> dict:
     Reported separately per ridge value."""
     if threshold_expr not in THRESHOLD_EXPRS:
         raise InvalidArgument(f"threshold_expr must be one of {THRESHOLD_EXPRS}")
-    rows = read_sweep_csv(csv_path)
+    columns = ("n", "d", "k", "lambda", "sobolev_mc")
+    rows = read_sweep_csv(csv_path, columns)
     by_lambda: dict[str, dict[float, list]] = {}
-    for row in rows:
-        r = _ratio_coord(row, threshold_expr)
-        y = float(row["sobolev_mc"])
+    for line, row in enumerate(rows, 2):
+        v = _floats(csv_path, line, row, columns)
+        r = _ratio_coord(v, threshold_expr)
+        y = v["sobolev_mc"]
         if not (math.isfinite(r) and math.isfinite(y)):
             continue
         by_lambda.setdefault(row["lambda"], {}).setdefault(r, []).append(y)
@@ -132,21 +151,22 @@ def analyze_descent(csv_path: str, threshold_expr: str = "n_eq_k") -> dict:
 def asymptotics(gamma: float, nlambda: float = 0.0) -> dict:
     """Reference limits for the ridge(less) norm and training error, with
     the matching Marchenko-Pastur resolvent integral."""
-    if gamma <= 0:
-        raise InvalidArgument("gamma must be positive")
-    if nlambda < 0:
-        raise InvalidArgument("nlambda must be nonnegative")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise InvalidArgument(f"gamma must be positive and finite, got {gamma}")
+    if not (math.isfinite(nlambda) and nlambda >= 0):
+        raise InvalidArgument(f"nlambda must be nonnegative and finite, got {nlambda}")
+    mp_norm = mp_integral(gamma, nlambda, "norm")
     if nlambda == 0:
         norm = ridgeless_norm_limit(gamma)
-        mse = mse_limit(gamma, "ridgeless")
+        mse = mse_limit(gamma)
     else:
-        norm = mp_integral(gamma, nlambda, "norm")
+        norm = mp_norm
         mse = mp_integral(gamma, nlambda, "mse")
     return {
         "gamma": gamma,
         "nlambda": nlambda,
         "norm_limit": norm,
         "mse_limit": mse,
-        "mp_norm_integral": mp_integral(gamma, nlambda, "norm"),
+        "mp_norm_integral": mp_norm,
         "diverges": not math.isfinite(norm),
     }

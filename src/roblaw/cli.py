@@ -71,13 +71,20 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def _json_print(obj):
-    def default(x):
-        if isinstance(x, float) and not math.isfinite(x):
-            return str(x)
-        raise TypeError
+def _finite_json(obj):
+    """`obj` with each non-finite float written as the CSV writes it:
+    "inf", "-inf" or "nan", which strict JSON parsers accept."""
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_json(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "%.17g" % obj
+    return obj
 
-    print(json.dumps(obj, indent=2, default=default))
+
+def _json_print(obj):
+    print(json.dumps(_finite_json(obj), indent=2, allow_nan=False))
 
 
 def cmd_gen_data(args):

@@ -9,10 +9,6 @@ class InvalidArgument(RoblawError, ValueError):
     pass
 
 
-class InvalidRegime(RoblawError, ValueError):
-    pass
-
-
 class NumericFailure(RoblawError, ArithmeticError):
     pass
 

@@ -1,6 +1,6 @@
-"""Fitting in the representer subspace: min-norm / ridged kernel
-interpolation, feature-space ridge, linear least squares, and the
-Marchenko-Pastur reference limits for ridge(less) regression.
+"""Fitting in the representer subspace: ridge(less) kernel interpolation,
+feature-space ridge, linear least squares, and the Marchenko-Pastur
+reference limits for ridgeless regression.
 
 Solver policy: symmetric positive-definite factorization with jitter
 escalation 0 -> 1e-12*lmax -> 1e-10*lmax, then an eigendecomposition
@@ -31,7 +31,7 @@ import scipy.linalg
 
 from .activations import ActivationKind, act_deriv, act_eval
 from .data import Dataset
-from .errors import InvalidArgument, InvalidRegime, SingularKernel
+from .errors import InvalidArgument, SingularKernel
 from .kernels import (
     DotProductKernel,
     FeatureMap,
@@ -190,9 +190,7 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, dic
                 )
                 c = scipy.linalg.cho_solve(cf, y)
             return c, {"solver": "cholesky", "jitter": jitter, "fallback": jitter > 0}
-        except np.linalg.LinAlgError:
-            continue
-        except scipy.linalg.LinAlgError:
+        except np.linalg.LinAlgError:  # scipy.linalg raises this same class
             continue
     # eigendecomposition pseudo-inverse
     evals, evecs = np.linalg.eigh((A + A.T) / 2)
@@ -203,17 +201,6 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, dic
     c = evecs[:, keep] @ ((evecs[:, keep].T @ y) / evals[keep])
     return c, {"solver": "pinv", "jitter": 0.0, "fallback": True,
                "rank": int(keep.sum())}
-
-
-def effective_lambda(lam: float, convention: str, k: int = 0, d: int = 0) -> float:
-    """plain: lam; rf_scaled: k*lam/d (the RF ridge convention)."""
-    if convention == "plain":
-        return lam
-    if convention == "rf_scaled":
-        if k <= 0 or d <= 0:
-            raise InvalidArgument("rf_scaled needs positive k and d")
-        return k * lam / d
-    raise InvalidArgument(f"unknown lambda convention {convention}")
 
 
 @dataclass(frozen=True)
@@ -286,32 +273,14 @@ def linear_path(data: Dataset) -> RidgePath:
                        lambda w, meta, G: LinearModel(w=w, meta=meta, gram=G))
 
 
-def fit_kernel(
-    kernel: DotProductKernel,
-    data: Dataset,
-    lam: float = 0.0,
-    lambda_convention: str = "plain",
-    k: int = 0,
-) -> KernelModel:
-    """One fit of `kernel_path`, at lambda under the given convention."""
-    return kernel_path(kernel, data).fit(effective_lambda(lam, lambda_convention, k=k, d=data.d))
+def fit_kernel(kernel: DotProductKernel, data: Dataset, lam: float = 0.0) -> KernelModel:
+    """One fit of `kernel_path`."""
+    return kernel_path(kernel, data).fit(lam)
 
 
 def fit_features(fmap: FeatureMap, data: Dataset, lam: float = 0.0) -> FeatureModel:
     """One fit of `feature_path`."""
     return feature_path(fmap, data).fit(lam)
-
-
-def fit_linear_minnorm(data: Dataset) -> LinearModel:
-    """Minimum-norm interpolant w = X^T (X X^T)^-1 y, n <= d."""
-    if data.n > data.d:
-        raise InvalidRegime(f"min-norm interpolation needs n <= d, got {data.n} > {data.d}")
-    G = data.X.points @ data.X.points.T
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularKernel(f"X X^T is numerically singular (cond={cond:.3g})")
-    c = np.linalg.solve(G, data.y)
-    return LinearModel(w=data.X.points.T @ c, meta={"solver": "gram", "fallback": False})
 
 
 def fit_linear_ridge(data: Dataset, lam: float = 0.0) -> LinearModel:
@@ -348,13 +317,9 @@ def ridgeless_norm_limit(gamma: float) -> float:
     return 1.0 / abs(1.0 - gamma)
 
 
-def mse_limit(gamma: float, regime: str = "ridgeless") -> float:
-    """Asymptotic training MSE: ridgeless (1 - 1/gamma)_+, large ridge 1."""
+def mse_limit(gamma: float) -> float:
+    """Asymptotic training MSE of the ridgeless regressor: (1 - 1/gamma)_+."""
     if gamma <= 0:
         raise InvalidArgument("gamma must be positive")
-    if regime == "ridgeless":
-        return max(0.0, 1.0 - 1.0 / gamma)
-    if regime == "large_ridge":
-        return 1.0
-    raise InvalidArgument(f"unknown regime {regime}")
+    return max(0.0, 1.0 - 1.0 / gamma)
 

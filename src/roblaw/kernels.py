@@ -1,16 +1,13 @@
-"""Dot-product kernel catalog, finite RF/NTK feature maps, gram matrices,
-and gradients of every fitted-model family.
+"""The infinite-width RF and NTK kernels, finite RF/NTK feature maps, gram
+matrices, and gradients of every fitted-model family.
 
 Normalization convention: the infinite-width RF/NTK kernels use the
 unnormalized arc-cosine-style profiles (1/pi scale), i.e. twice the
-dimension-free activation profile. Min-norm interpolation is invariant to
-this global scale; the ``scale`` field aligns conventions when a ridge is
-active.
+dimension-free activation profile.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,7 +18,7 @@ from .activations import (
     act_eval,
     phi_profile,
 )
-from .errors import InvalidArgument, NumericFailure, UnsupportedActivation
+from .errors import InvalidArgument, UnsupportedActivation
 from .sphere import SphereSample
 
 _CLAMP_SLACK = 1e-9
@@ -34,116 +31,62 @@ def _clip_t(t):
     return np.clip(t, -1.0, 1.0)
 
 
+KERNEL_NAMES = ("rf_infinite", "ntk_infinite")
+
+
 @dataclass(frozen=True)
 class DotProductKernel:
-    """A kernel K(x, x') = scale * profile(x.x') on the unit sphere.
-
-    Names: linear, polynomial(c, p), gaussian(s), laplace(s),
-    exp_type(s, beta), arccos0, arccos1 (the same kernel as
-    rf_infinite(relu)), rf_infinite(activation), ntk_infinite(activation).
-    """
+    """The width limit K(x, x') = profile(x.x') on the unit sphere of a
+    two-layer network with an order-1 homogeneous activation: the random
+    features kernel (name rf_infinite) or the neural tangent kernel
+    (ntk_infinite)."""
 
     name: str
-    c: float = 0.0
-    p: int = 1
-    s: float = 1.0
-    beta: float = 1.0
-    activation: Optional[ActivationKind] = None
-    scale: float = 1.0
+    activation: ActivationKind
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise InvalidArgument("scale must be positive")
-        if self.name in ("rf_infinite", "ntk_infinite"):
-            if self.activation is None:
-                raise InvalidArgument(f"{self.name} requires an activation")
-            if HOMOGENEITY.get(self.activation) != 1.0:
-                raise UnsupportedActivation(
-                    f"{self.name} supports order-1 homogeneous activations only"
-                )
-
-
-def _resolve(kernel: DotProductKernel):
-    """(name, activation) of the formula that computes the kernel; arccos1
-    is rf_infinite(relu) under another name."""
-    if kernel.name == "arccos1":
-        return "rf_infinite", ActivationKind.RELU
-    return kernel.name, kernel.activation
+        if self.name not in KERNEL_NAMES:
+            raise InvalidArgument(f"unknown kernel {self.name}; expected one of {KERNEL_NAMES}")
+        if HOMOGENEITY.get(self.activation) != 1.0:
+            raise UnsupportedActivation(
+                f"{self.name} supports order-1 homogeneous activations only"
+            )
 
 
 def kernel_profile(kernel: DotProductKernel, t):
-    """phi(t) * scale for the catalog entry."""
+    """phi(t): 2 phi_value(t) for rf_infinite, 2 t phi_derivative(t) for
+    ntk_infinite."""
     t = _clip_t(t)
-    name, activation = _resolve(kernel)
-    if name == "linear":
-        out = t + 0.0
-    elif name == "polynomial":
-        out = (t + kernel.c) ** kernel.p
-    elif name == "gaussian":
-        out = np.exp(-(2 - 2 * t) / kernel.s**2)
-    elif name == "laplace":
-        out = np.exp(-np.sqrt(np.maximum(0.0, 2 - 2 * t)) / kernel.s)
-    elif name == "exp_type":
-        out = np.exp(-np.maximum(0.0, 2 - 2 * t) ** (kernel.beta / 2) / kernel.s)
-    elif name == "arccos0":
-        out = np.arccos(-t) / math.pi
-    elif name == "rf_infinite":
-        out = 2.0 * np.asarray(phi_profile(activation, "value", t))
-    elif name == "ntk_infinite":
-        out = t * 2.0 * np.asarray(phi_profile(activation, "derivative", t))
+    if kernel.name == "rf_infinite":
+        out = 2.0 * np.asarray(phi_profile(kernel.activation, "value", t))
     else:
-        raise InvalidArgument(f"unknown kernel {name}")
-    out = np.asarray(out) * kernel.scale
+        out = t * 2.0 * np.asarray(phi_profile(kernel.activation, "derivative", t))
     return out if out.ndim else float(out)
 
 
 def kernel_profile_deriv(kernel: DotProductKernel, t):
-    """Analytic phi'(t) * scale. Profiles with an endpoint singularity
-    (arccos0 at |t| = 1) return a signed infinity."""
+    """Analytic phi'(t). For ntk_infinite with relu or abs it diverges at
+    |t| = 1, where it returns a signed infinity."""
     t = _clip_t(t)
-    name, activation = _resolve(kernel)
-    with np.errstate(divide="ignore"):
-        if name == "linear":
-            out = np.ones_like(t)
-        elif name == "polynomial":
-            out = kernel.p * (t + kernel.c) ** (kernel.p - 1)
-        elif name == "gaussian":
-            out = 2 / kernel.s**2 * np.exp(-(2 - 2 * t) / kernel.s**2)
-        elif name == "laplace":
-            r = np.sqrt(np.maximum(0.0, 2 - 2 * t))
-            out = np.exp(-r / kernel.s) / (kernel.s * r)
-        elif name == "exp_type":
-            r = np.maximum(0.0, 2 - 2 * t)
-            out = (
-                kernel.beta
-                / kernel.s
-                * r ** (kernel.beta / 2 - 1)
-                * np.exp(-(r ** (kernel.beta / 2)) / kernel.s)
-            )
-        elif name == "arccos0":
-            out = 1.0 / (math.pi * np.sqrt(np.maximum(0.0, 1 - t * t)))
-        elif name == "rf_infinite":
-            # d/dt of 2*phi_value = 2*phi_derivative for order-1 profiles
-            out = 2.0 * np.asarray(phi_profile(activation, "derivative", t))
-        elif name == "ntk_infinite":
-            phi0 = 2.0 * np.asarray(phi_profile(activation, "derivative", t))
+    activation = kernel.activation
+    # d/dt of 2*phi_value = 2*phi_derivative for order-1 profiles
+    phi0 = 2.0 * np.asarray(phi_profile(activation, "derivative", t))
+    if kernel.name == "rf_infinite":
+        out = phi0
+    else:
+        with np.errstate(divide="ignore"):
             if activation == ActivationKind.RELU:
                 dphi0 = 2.0 / (2 * math.pi * np.sqrt(np.maximum(0.0, 1 - t * t)))
             elif activation == ActivationKind.ABS:
                 dphi0 = 2.0 * (2 / math.pi) / np.sqrt(np.maximum(0.0, 1 - t * t))
-            elif activation == ActivationKind.IDENTITY:
-                dphi0 = np.zeros_like(np.asarray(t))
             else:
-                raise UnsupportedActivation(str(activation))
-            out = phi0 + t * dphi0
-        else:
-            raise InvalidArgument(f"unknown kernel {name}")
-    out = np.asarray(out) * kernel.scale
+                dphi0 = np.zeros_like(np.asarray(t))
+        out = phi0 + t * dphi0
     return out if out.ndim else float(out)
 
 
 def gram_dot(kernel: DotProductKernel, A: SphereSample, B: SphereSample) -> np.ndarray:
-    """G[i, j] = scale * phi(a_i . b_j)."""
+    """G[i, j] = phi(a_i . b_j)."""
     if A.dim != B.dim:
         raise InvalidArgument(f"dimension mismatch: {A.dim} vs {B.dim}")
     T = np.clip(A.points @ B.points.T, -1.0, 1.0)
@@ -244,9 +187,10 @@ def empirical_gram(fmap: FeatureMap, X: SphereSample) -> np.ndarray:
 def model_gradient(model, x: np.ndarray) -> np.ndarray:
     """Euclidean gradient of a fitted model at x (single point or batch).
 
-    Kernel-representer gradients near |t| = 1 clamp t to 1 - 1e-9 where the
-    profile derivative diverges (arccos0); NTK feature Jacobians drop the
-    distributional sigma'' term (a.e. correct for piecewise-linear sigma').
+    Kernel-representer gradients clamp t to |t| <= 1 - 1e-9, where the NTK
+    profile derivative of relu and abs is still finite; NTK feature
+    Jacobians drop the distributional sigma'' term (a.e. correct for
+    piecewise-linear sigma').
     """
     from .fit import FeatureModel, KernelModel, LinearModel, TwoLayerModel
 
@@ -263,9 +207,6 @@ def model_gradient(model, x: np.ndarray) -> np.ndarray:
     elif isinstance(model, KernelModel):
         T = np.clip(X @ model.anchors.points.T, -(1 - 1e-9), 1 - 1e-9)
         D = np.asarray(kernel_profile_deriv(model.kernel, T))  # (m, n)
-        if not np.all(np.isfinite(D)):
-            bad = T.flat[np.argmax(~np.isfinite(D))]
-            raise NumericFailure(f"kernel profile not differentiable at t={bad}")
         G = (D * model.c) @ model.anchors.points
     elif isinstance(model, FeatureModel):
         W = model.map.weights.W

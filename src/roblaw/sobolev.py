@@ -1,7 +1,7 @@
 """Tangential-gradient (Sobolev) seminorm of fitted models: closed form
 for two-layer networks with positively homogeneous activations, a
 Monte-Carlo estimator for everything else, the Poincare lower bound, and
-cheap norm proxies."""
+the path-norm proxy."""
 
 import math
 from dataclasses import dataclass
@@ -68,23 +68,18 @@ def sobolev_exact_linear(model: LinearModel) -> SobolevEstimate:
 def sobolev_monte_carlo(models, d: int, m: int, seed: int) -> list[SobolevEstimate]:
     """Mean squared tangential gradient norm of each model over one draw of
     m sphere samples, reported as a square root with the delta-method
-    standard error. A model whose gradient fails on that draw is estimated
-    on its own second draw, with seed + 1."""
+    standard error."""
     if m < 100:
         raise InvalidArgument("m must be >= 100")
     if m * d > _MAX_COV_ELEMENTS:
         raise ResourceLimit(f"sphere sample {m} x {d} too large")
     X = sample_sphere(d, m, seed)
-    return [_mc_estimate(model, X, seed) for model in models]
+    return [_mc_estimate(model, X) for model in models]
 
 
-def _mc_estimate(model, X: SphereSample, seed: int) -> SobolevEstimate:
+def _mc_estimate(model, X: SphereSample) -> SobolevEstimate:
     m = X.count
-    try:
-        G = model_gradient(model, X.points)
-    except NumericFailure:
-        X = sample_sphere(X.dim, m, seed + 1)
-        G = model_gradient(model, X.points)
+    G = model_gradient(model, X.points)
     # project out the radial component
     radial = np.sum(G * X.points, axis=1)
     T = G - radial[:, None] * X.points
@@ -114,31 +109,6 @@ def eta_proxy(model) -> float:
         raise InvalidArgument("eta proxy needs a two-layer model")
     W, v, _ = view
     return float(np.sum(np.abs(v) * np.linalg.norm(W.W, axis=1)))
-
-
-@dataclass(frozen=True)
-class RobustnessProxies:
-    """Cheap norm surrogates; fields are None when the model family does
-    not support them."""
-
-    eta: float | None = None
-    rkhs_norm: float | None = None
-    w_norm: float | None = None
-
-
-def proxies(model) -> RobustnessProxies:
-    from .fit import rkhs_norm as _rkhs
-
-    if isinstance(model, LinearModel):
-        return RobustnessProxies(w_norm=float(np.linalg.norm(model.w)))
-    if isinstance(model, KernelModel):
-        return RobustnessProxies(rkhs_norm=_rkhs(model))
-    view = _two_layer_view(model)
-    if view is not None:
-        return RobustnessProxies(eta=eta_proxy(model))
-    if isinstance(model, FeatureModel):
-        return RobustnessProxies()
-    raise InvalidArgument(f"unknown model type {type(model).__name__}")
 
 
 def coef_norm(model) -> float:

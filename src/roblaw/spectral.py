@@ -1,6 +1,6 @@
 """Spectra of the feature-covariance random matrices, their linearized
-(constant + linear + diagonal) surrogates, condition numbers, and the
-Marchenko-Pastur density and its ridge integrals."""
+(constant + linear + diagonal) surrogates, and the Marchenko-Pastur
+density and its ridge integrals."""
 
 import math
 from dataclasses import dataclass
@@ -9,9 +9,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from .activations import ActivationKind, kappa_tilde, phi_profile
-from .errors import InvalidArgument, ResourceLimit, SingularKernel
-from .kernels import DotProductKernel, FeatureMap, HiddenWeights, features, gram_dot
-from .sphere import SphereSample, sample_sphere
+from .errors import InvalidArgument, ResourceLimit
+from .kernels import FeatureMap, HiddenWeights, features
+from .sphere import sample_sphere
 
 _MAX_COV_ELEMENTS = 2 * 10**8
 
@@ -71,13 +71,6 @@ def c_sigma_cov(W: HiddenWeights, kind: ActivationKind, d: int) -> np.ndarray:
     return (C + C.T) / 2
 
 
-def _centered_cov(F: np.ndarray) -> np.ndarray:
-    """Covariance of the rows of F: the column means are subtracted and
-    the sum of outer products is divided by the number of rows."""
-    Fc = F - F.mean(axis=0)
-    return Fc.T @ Fc / F.shape[0]
-
-
 def c_phi_monte_carlo(fmap: FeatureMap, m: int, seed: int) -> np.ndarray:
     """Empirical covariance of sqrt(d) Phi(x) over m iid sphere samples:
     the sample mean is subtracted and the sum of outer products is divided
@@ -89,7 +82,9 @@ def c_phi_monte_carlo(fmap: FeatureMap, m: int, seed: int) -> np.ndarray:
     if fmap.out_dim * m > _MAX_COV_ELEMENTS:
         raise ResourceLimit(f"feature matrix {m} x {fmap.out_dim} too large")
     X = sample_sphere(d, m, seed)
-    C = _centered_cov(features(fmap, X.points) * math.sqrt(d))
+    F = features(fmap, X.points) * math.sqrt(d)
+    F -= F.mean(axis=0)
+    C = F.T @ F / m
     return (C + C.T) / 2
 
 
@@ -97,7 +92,7 @@ def c_phi_monte_carlo(fmap: FeatureMap, m: int, seed: int) -> np.ndarray:
 class LinearizationCoeffs:
     """Coefficients of the constant + linear + diagonal surrogate of a
     dot-product kernel random matrix, plus the rank-one phi''(0)/(2d)
-    adjustment (kept separate so it can be toggled)."""
+    adjustment."""
 
     beta1_const: float
     beta2_lin: float
@@ -115,58 +110,16 @@ def linearized_c(W: HiddenWeights, coeffs: LinearizationCoeffs) -> np.ndarray:
     )
 
 
-def relu_cov_linearization(d: int, include_correction: bool = True) -> LinearizationCoeffs:
+def relu_cov_linearization(d: int) -> LinearizationCoeffs:
     """Linearization of the centered ReLU covariance phi(t) - phi(0):
     constant 0, linear phi'(0) = 1/4, diagonal
     phi(1) - phi(0) - phi'(0) = (pi-2)/(4pi), correction phi''(0)/(2d)."""
-    corr = 1.0 / (2 * math.pi) / (2 * d) if include_correction else 0.0
     return LinearizationCoeffs(
         beta1_const=0.0,
         beta2_lin=0.25,
         beta3_diag=(math.pi - 2) / (4 * math.pi),
-        correction=corr,
+        correction=1.0 / (2 * math.pi) / (2 * d),
     )
-
-
-def condition_alpha_sigma(W: HiddenWeights, kind: ActivationKind, d: int) -> float:
-    """lambda_max(W W^T) / lambda_min(C_sigma(W)), the condition number of
-    W with respect to the activation (ordinary cond(W)^2 for identity)."""
-    lam_max_w = sym_eigs(W.W @ W.W.T).lambda_max
-    lam_min_c = sym_eigs(c_sigma_cov(W, kind, d)).lambda_min
-    if lam_min_c <= 1e-12:
-        raise SingularKernel(f"lambda_min(C) = {lam_min_c:.3g} not positive")
-    return lam_max_w / lam_min_c
-
-
-def condition_alpha_phi(fmap: FeatureMap, m: int, seed: int) -> float:
-    """Monte-Carlo ||Phi||^2_{L2(tau_d)} / lambda_min(C_Phi)."""
-    if m < 10**3:
-        raise InvalidArgument("m must be >= 1000")
-    d = fmap.weights.d
-    X = sample_sphere(d, m, seed)
-    Z = features(fmap, X.points)
-    energy = float(np.mean(np.sum(Z * Z, axis=1)))
-    lam_min = sym_eigs(c_phi_monte_carlo(fmap, m, seed)).lambda_min
-    if lam_min <= 0:
-        raise SingularKernel("lambda_min(C_Phi) not positive")
-    return energy / lam_min
-
-
-def condition_alpha_gram(
-    kernel: DotProductKernel, X: SphereSample, m: int, seed: int
-) -> float:
-    """lambda_max(K(X,X)) / lambda_min(C_K(X)) * mean_i K(x_i, x_i), with
-    C_K(X) the Monte-Carlo covariance of sqrt(d) K(X, x) over x ~ tau_d."""
-    if m < 10**3:
-        raise InvalidArgument("m must be >= 1000")
-    G = gram_dot(kernel, X, X)
-    lam_max = sym_eigs(G).lambda_max
-    S = sample_sphere(X.dim, m, seed)
-    F = np.asarray(gram_dot(kernel, S, X)) * math.sqrt(X.dim)  # (m, n)
-    lam_min = sym_eigs(_centered_cov(F)).lambda_min
-    if lam_min <= 0:
-        raise SingularKernel("lambda_min(C_K(X)) not positive")
-    return lam_max / lam_min * float(np.mean(np.diag(G)))
 
 
 # ---------------------------------------------------------------------------

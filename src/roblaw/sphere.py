@@ -1,4 +1,4 @@
-"""Uniform-sphere geometry: sampling, tangent projection, exact mixed moments.
+"""Uniform-sphere geometry: sampling and exact mixed moments.
 
 RNG: numpy's PCG64 (``default_rng``) with explicit 64-bit seeding. The
 generator choice is pinned here so golden files stay stable across runs.
@@ -55,24 +55,6 @@ def sample_sphere(d: int, n: int, seed: int) -> SphereSample:
     return SphereSample(g)
 
 
-def project_tangent(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Project g onto the tangent space of the sphere at x: g - (x.g)x."""
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if x.shape != g.shape:
-        raise InvalidArgument(f"dimension mismatch: {x.shape} vs {g.shape}")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-9:
-        raise InvalidArgument("x must be a unit vector")
-    return g - (x @ g) * x
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x), x > 0."""
-    if x <= 0:
-        raise InvalidArgument(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def moment_cpq(p: int, q: int, d: int, s: float) -> float:
     """E[(x.u)^p (x.v)^q] for x uniform on S^{d-1} and unit u, v with u.v = s.
 
@@ -100,19 +82,19 @@ def moment_cpq(p: int, q: int, d: int, s: float) -> float:
     if (p + q) % 2 == 1:
         return 0.0
     log_pref = (
-        log_gamma(p + 1)
-        + log_gamma(q + 1)
-        + log_gamma(d / 2)
+        math.lgamma(p + 1)
+        + math.lgamma(q + 1)
+        + math.lgamma(d / 2)
         - (p + q) * math.log(2)
-        - log_gamma((d + p + q) / 2)
+        - math.lgamma((d + p + q) / 2)
     )
     total = 0.0
     for t in range(p % 2, min(p, q) + 1, 2):
         log_term = (
             t * math.log(2)
-            - log_gamma(t + 1)
-            - log_gamma((p - t) // 2 + 1)
-            - log_gamma((q - t) // 2 + 1)
+            - math.lgamma(t + 1)
+            - math.lgamma((p - t) // 2 + 1)
+            - math.lgamma((q - t) // 2 + 1)
         )
         total += math.exp(log_pref + log_term) * s**t
     return total

@@ -25,7 +25,6 @@ from .data import Dataset, gen_dataset
 from .errors import InvalidArgument, IoError, RoblawError
 from .fit import (
     RidgePath,
-    effective_lambda,
     feature_path,
     kernel_path,
     linear_path,
@@ -154,12 +153,12 @@ class TrialRecord:
 CSV_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(TrialRecord)]
 
 
-def gen_test_set(data: Dataset, size: int = TEST_SET_SIZE) -> Dataset:
+def gen_test_set(data: Dataset) -> Dataset:
     """Fresh inputs and noise under the same signal vector as `data`."""
     seed = data.seed + TEST_SEED_OFFSET
-    X = sample_sphere(data.d, size, seed)
+    X = sample_sphere(data.d, TEST_SET_SIZE, seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
-    y = X.points @ data.w0 + data.zeta * rng.standard_normal(size)
+    y = X.points @ data.w0 + data.zeta * rng.standard_normal(TEST_SET_SIZE)
     return Dataset(X=X, y=y, w0=data.w0, zeta=data.zeta, seed=seed)
 
 
@@ -182,9 +181,10 @@ def _path_for_cell(cell: TrialCell, data: Dataset, fmap: FeatureMap | None) -> R
 
 
 def _solve_lambda(cell: TrialCell) -> float:
-    """The ridge value the solve of `cell` adds to its gram."""
+    """The ridge value the solve of `cell` adds to its gram: rf_finite
+    scales lambda by k/d, the other regimes take it as given."""
     if cell.regime == "rf_finite":
-        return effective_lambda(cell.lam, "rf_scaled", k=cell.k, d=cell.d)
+        return cell.k * cell.lam / cell.d
     return cell.lam
 
 

@@ -277,7 +277,7 @@ def _random_models():
             data = gen_dataset(15, d, 0.3, seed)
             kernel = DotProductKernel(name="ntk_infinite",
                                       activation=ActivationKind.RELU)
-            yield fit_kernel(kernel, data, 1e-6, "plain"), d
+            yield fit_kernel(kernel, data, 1e-6), d
         else:
             data = gen_dataset(15, d, 0.3, seed)
             W = HiddenWeights(sample_sphere(d, 25, seed + 1).points)

@@ -5,12 +5,12 @@ import pytest
 
 from roblaw import (
     ActivationKind,
+    InvalidArgument,
     UnsupportedActivation,
     act_deriv,
     act_eval,
     curvature_coeffs,
     kappa_tilde,
-    maclaurin_at_zero,
     phi_profile,
 )
 from roblaw.activations import catalan_integral, induced_kappa_quadrature
@@ -94,6 +94,12 @@ def test_induced_kernel_quadrature_scaling():
     )
 
 
+@pytest.mark.parametrize("p, d", [(1, 1), (0, 5), (-0.5, 5)])
+def test_induced_kernel_quadrature_rejects_bad_order_or_dimension(p, d):
+    with pytest.raises(InvalidArgument):
+        induced_kappa_quadrature(np.abs, p, d, 0.3)
+
+
 def test_phi_profile_value_derivative_consistency():
     # d/dt of the value profile equals the derivative profile
     h = 1e-6
@@ -120,10 +126,6 @@ def test_kappa_tilde_relu_values():
         assert kappa_tilde(ActivationKind.RELU, 7, t) == pytest.approx(
             ref(t, 7), abs=1e-12
         )
-    # infinite-d limit drops the correction
-    assert kappa_tilde(ActivationKind.RELU, None, 0.5) == pytest.approx(
-        0.5 * math.acos(-0.5) / (2 * math.pi), abs=1e-12
-    )
 
 
 def test_kappa_tilde_abs_and_erf_values():
@@ -133,20 +135,11 @@ def test_kappa_tilde_abs_and_erf_values():
     ) / (math.pi * d)
     # assembled as t*phi_abs'(t) - phi_abs(t)/d with the 2/pi profiles
     assert kappa_tilde(ActivationKind.ABS, d, t) == pytest.approx(ref_abs, abs=1e-12)
-    ref_erf = 4 * t / (math.pi * math.sqrt(9 - 4 * t * t)) - 2 / (
-        math.pi * d
-    ) * math.asin(2 * t / 3)
-    assert kappa_tilde(ActivationKind.ERF, d, t) == pytest.approx(ref_erf, abs=1e-12)
+    # erf is not homogeneous: no sweep or closed form reads its profile
+    with pytest.raises(UnsupportedActivation):
+        kappa_tilde(ActivationKind.ERF, d, t)
 
 
 def test_kappa_tilde_unsupported():
     with pytest.raises(UnsupportedActivation):
         kappa_tilde(ActivationKind.TANH, 5, 0.1)
-
-
-def test_maclaurin_coefficients_of_known_profile():
-    mac = maclaurin_at_zero(lambda t: math.exp(2 * t))
-    assert mac.a0 == pytest.approx(1.0, abs=1e-9)
-    assert mac.a1 == pytest.approx(2.0, abs=1e-7)
-    assert mac.a2 == pytest.approx(2.0, abs=1e-5)
-    assert mac.a3 == pytest.approx(4 / 3, abs=1e-3)

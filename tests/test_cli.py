@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import roblaw.analyze
 import roblaw.fit
 import roblaw.sobolev
 import roblaw.sweep
@@ -325,3 +326,74 @@ def test_analyze_descent_bad_threshold_exits_2(tmp_path, capsys):
     _write_planted_csv(str(path), slope=1.0)  # k=0 rows: no n/k coordinate
     code, _, _ = run_cli(capsys, "analyze-descent", "--csv", str(path))
     assert code == 2
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"bare {name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("asymptotics", "--gamma", "1"), "norm_limit"),
+    (("eigs", "--d", "3", "--k", "8", "--activation", "identity"), "cond"),
+])
+def test_non_finite_json_values_are_strings(capsys, argv, key):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert _strict_json(out)[key] == "inf"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--gamma", "nan"),
+    ("--gamma", "inf"),
+    ("--gamma", "2", "--nlambda", "inf"),
+    ("--gamma", "2", "--nlambda", "nan"),
+])
+def test_asymptotics_non_finite_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "asymptotics", *argv)
+    assert code == 2 and out == "" and "finite" in err
+
+
+def test_asymptotics_integrates_the_norm_once(capsys, monkeypatch):
+    calls = []
+    original = roblaw.analyze.mp_integral
+
+    def counted(gamma, nlambda, which):
+        calls.append(which)
+        return original(gamma, nlambda, which)
+
+    monkeypatch.setattr(roblaw.analyze, "mp_integral", counted)
+    code, out, _ = run_cli(capsys, "asymptotics", "--gamma", "0.5", "--nlambda", "0.3")
+    obj = _strict_json(out)
+    assert code == 0 and sorted(calls) == ["mse", "norm"]
+    assert obj["norm_limit"] == obj["mp_norm_integral"] == original(0.5, 0.3, "norm")
+
+
+def _edited_planted_csv(path, drop=None, cell=None):
+    """The planted CSV without column `drop`, or with `cell` = (column,
+    text) written into its second row."""
+    _write_planted_csv(str(path), slope=1.0)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    columns = [c for c in CSV_COLUMNS if c != drop]
+    if cell is not None:
+        rows[1][cell[0]] = cell[1]
+    with open(path, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
+        w.writeheader()
+        w.writerows(rows)
+
+
+@pytest.mark.parametrize("command, edit, flags, needle", [
+    ("analyze-law", dict(drop="regime"), (), "no column regime"),
+    ("analyze-descent", dict(drop="sobolev_mc"), (), "no column sobolev_mc"),
+    ("analyze-law", dict(cell=("train_mse", "abc")), (), ":3: train_mse: not a number"),
+    ("analyze-law", {}, ("--group-by", "regime,nosuch"), "no column nosuch"),
+])
+def test_analyze_unreadable_csv_exits_2(tmp_path, capsys, command, edit, flags, needle):
+    path = tmp_path / "edited.csv"
+    _edited_planted_csv(path, **edit)
+    code, out, err = run_cli(capsys, command, "--csv", str(path), *flags)
+    assert code == 2 and out == "" and f"{path}" in err and needle in err

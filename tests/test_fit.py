@@ -11,12 +11,8 @@ from roblaw import (
     DotProductKernel,
     FeatureMap,
     HiddenWeights,
-    InvalidArgument,
-    InvalidRegime,
-    effective_lambda,
     fit_features,
     fit_kernel,
-    fit_linear_minnorm,
     fit_linear_ridge,
     gen_dataset,
     gram_dot,
@@ -123,24 +119,16 @@ def test_solve_psd_without_setter_runs_unpinned_and_warns_once(monkeypatch):
     assert len(caught) == 1
 
 
-def test_effective_lambda_conventions():
-    assert effective_lambda(0.3, "plain") == 0.3
-    assert effective_lambda(0.3, "rf_scaled", k=100, d=50) == pytest.approx(0.6)
-    with pytest.raises(InvalidArgument):
-        effective_lambda(0.3, "rf_scaled")
-    with pytest.raises(InvalidArgument):
-        effective_lambda(0.3, "weird")
-
-
 def test_kernel_fit_interpolates_at_zero_ridge():
     data = gen_dataset(30, 50, 0.5, 1)
-    model = fit_kernel(DotProductKernel(name="arccos1"), data, 0.0)
+    model = fit_kernel(DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU),
+                       data, 0.0)
     assert train_mse(model, data) < 1e-12
 
 
 def test_kernel_fit_ridge_normal_equations():
     data = gen_dataset(25, 40, 0.3, 2)
-    kernel = DotProductKernel(name="gaussian", s=1.0)
+    kernel = DotProductKernel(name="ntk_infinite", activation=ActivationKind.RELU)
     lam = 0.1
     model = fit_kernel(kernel, data, lam)
     K = gram_dot(kernel, data.X, data.X)
@@ -194,15 +182,10 @@ def test_ntk_feature_fit_interpolates():
 
 def test_linear_minnorm_matches_lstsq():
     data = gen_dataset(15, 30, 0.2, 8)
-    model = fit_linear_minnorm(data)
+    model = fit_linear_ridge(data, 0.0)
     ref, *_ = np.linalg.lstsq(data.X.points, data.y, rcond=None)
     np.testing.assert_allclose(model.w, ref, atol=1e-9)
     assert train_mse(model, data) < 1e-20
-
-
-def test_linear_minnorm_rejects_overdetermined():
-    with pytest.raises(InvalidRegime):
-        fit_linear_minnorm(gen_dataset(30, 15, 0.2, 9))
 
 
 def test_linear_ridge_overdetermined_matches_lstsq():
@@ -214,7 +197,7 @@ def test_linear_ridge_overdetermined_matches_lstsq():
 
 def test_train_test_mse_definitions():
     data = gen_dataset(8, 12, 0.0, 11)
-    model = fit_linear_minnorm(data)
+    model = fit_linear_ridge(data, 0.0)
     assert train_mse(model, data) == pytest.approx(
         float(np.mean((model.predict(data.X.points) - data.y) ** 2))
     )
@@ -224,7 +207,7 @@ def test_train_test_mse_definitions():
 
 def test_rkhs_norm_quadratic_form():
     data = gen_dataset(10, 16, 0.1, 13)
-    kernel = DotProductKernel(name="arccos1")
+    kernel = DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU)
     model = fit_kernel(kernel, data, 0.0)
     K = gram_dot(kernel, data.X, data.X)
     np.testing.assert_array_equal(model.gram, K)
@@ -238,6 +221,3 @@ def test_reference_limits():
     assert ridgeless_norm_limit(1.0) == math.inf
     assert mse_limit(0.5) == 0.0
     assert mse_limit(2.0) == 0.5
-    assert mse_limit(0.7, "large_ridge") == 1.0
-    with pytest.raises(InvalidArgument):
-        mse_limit(2.0, "other")

@@ -27,34 +27,10 @@ from roblaw.fit import KernelModel, LinearModel, TwoLayerModel
 
 
 ALL_KERNELS = [
-    DotProductKernel(name="linear"),
-    DotProductKernel(name="polynomial", c=0.5, p=3),
-    DotProductKernel(name="gaussian", s=0.8),
-    DotProductKernel(name="laplace", s=1.2),
-    DotProductKernel(name="exp_type", s=1.0, beta=1.5),
-    DotProductKernel(name="arccos0"),
-    DotProductKernel(name="arccos1"),
-    DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU),
-    DotProductKernel(name="ntk_infinite", activation=ActivationKind.RELU),
+    DotProductKernel(name=name, activation=activation)
+    for name in ("rf_infinite", "ntk_infinite")
+    for activation in (ActivationKind.RELU, ActivationKind.ABS, ActivationKind.IDENTITY)
 ]
-
-
-def test_profile_values_at_alignment():
-    assert kernel_profile(DotProductKernel(name="linear"), 1.0) == 1.0
-    assert kernel_profile(DotProductKernel(name="gaussian", s=0.7), 1.0) == 1.0
-    assert kernel_profile(DotProductKernel(name="arccos0"), 1.0) == pytest.approx(1.0)
-    assert kernel_profile(DotProductKernel(name="arccos1"), 1.0) == pytest.approx(1.0)
-    assert kernel_profile(DotProductKernel(name="arccos1"), -1.0) == pytest.approx(0.0)
-
-
-def test_arc_cosine_closed_forms():
-    for t in (-0.9, -0.2, 0.3, 0.99):
-        assert kernel_profile(DotProductKernel(name="arccos0"), t) == pytest.approx(
-            math.acos(-t) / math.pi, rel=1e-12
-        )
-        assert kernel_profile(DotProductKernel(name="arccos1"), t) == pytest.approx(
-            (t * math.acos(-t) + math.sqrt(1 - t * t)) / math.pi, rel=1e-12
-        )
 
 
 def test_infinite_width_profiles_match_arccos():
@@ -76,6 +52,11 @@ def test_infinite_kernels_reject_nonhomogeneous_activation():
         DotProductKernel(name="rf_infinite", activation=ActivationKind.TANH)
 
 
+def test_only_the_infinite_width_kernels_exist():
+    with pytest.raises(InvalidArgument):
+        DotProductKernel(name="gaussian", activation=ActivationKind.RELU)
+
+
 def test_profile_deriv_matches_finite_difference():
     h = 1e-6
     for kernel in ALL_KERNELS:
@@ -83,11 +64,7 @@ def test_profile_deriv_matches_finite_difference():
             fd = (kernel_profile(kernel, t + h) - kernel_profile(kernel, t - h)) / (2 * h)
             assert kernel_profile_deriv(kernel, t) == pytest.approx(
                 fd, rel=1e-4, abs=1e-6
-            ), kernel.name
-
-
-def test_arccos0_deriv_diverges_at_endpoints():
-    assert kernel_profile_deriv(DotProductKernel(name="arccos0"), 1.0) == math.inf
+            ), (kernel.name, kernel.activation)
 
 
 def test_gram_symmetric_psd():
@@ -95,9 +72,8 @@ def test_gram_symmetric_psd():
     for kernel in ALL_KERNELS:
         G = gram_dot(kernel, X, X)
         np.testing.assert_allclose(G, G.T, atol=1e-14)
-        if kernel.name != "linear":
-            evals = np.linalg.eigvalsh(G)
-            assert evals.min() > -1e-8, kernel.name
+        evals = np.linalg.eigvalsh(G)
+        assert evals.min() > -1e-8, (kernel.name, kernel.activation)
 
 
 def test_rf_features_scaling():
@@ -149,7 +125,8 @@ def test_model_gradient_matches_finite_differences():
     two_layer = TwoLayerModel(W=W, v=rng.normal(size=5), activation=ActivationKind.RELU)
     linear = LinearModel(w=rng.normal(size=d))
     data = gen_dataset(15, d, 0.2, 14)
-    kern = fit_kernel(DotProductKernel(name="gaussian", s=1.1), data, 1e-6)
+    kern = fit_kernel(DotProductKernel(name="ntk_infinite", activation=ActivationKind.RELU),
+                      data, 1e-6)
     rf = fit_features(
         FeatureMap(kind="frozen_rf", weights=W, activation=ActivationKind.RELU),
         data, 1e-6,
@@ -176,4 +153,5 @@ def test_model_gradient_batched_matches_single():
 
 def test_gram_dimension_mismatch():
     with pytest.raises(InvalidArgument):
-        gram_dot(DotProductKernel(name="linear"), sample_sphere(4, 3, 0), sample_sphere(5, 3, 0))
+        gram_dot(DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU),
+                 sample_sphere(4, 3, 0), sample_sphere(5, 3, 0))

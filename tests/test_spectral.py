@@ -10,14 +10,9 @@ from roblaw import (
     HiddenWeights,
     InvalidArgument,
     LinearizationCoeffs,
-    SingularKernel,
     c_phi_monte_carlo,
     c_sigma_cov,
     c_sigma_sobolev,
-    condition_alpha_gram,
-    condition_alpha_phi,
-    condition_alpha_sigma,
-    DotProductKernel,
     kappa_tilde,
     linearized_c,
     mp_atom,
@@ -120,35 +115,6 @@ def test_relu_linearization_improves_with_dimension():
         C = c_sigma_cov(W, ActivationKind.RELU, d)
         dists.append(op_distance(C, linearized_c(W, relu_cov_linearization(d))))
     assert dists[1] < dists[0]
-
-
-def test_condition_alpha_sigma_identity_is_cond_squared():
-    # for the identity activation the ratio reduces to cond(W W^T)
-    d = 10
-    W = HiddenWeights(sample_sphere(d, 6, 4).points)
-    G = W.W @ W.W.T
-    ref = np.linalg.eigvalsh(G)
-    alpha = condition_alpha_sigma(W, ActivationKind.IDENTITY, d)
-    assert alpha == pytest.approx(ref[-1] / ref[0], rel=1e-8)
-
-
-def test_condition_alpha_sigma_singular():
-    W = HiddenWeights(np.vstack([np.eye(3)[0], np.eye(3)[0]]))  # duplicate row
-    with pytest.raises(SingularKernel):
-        condition_alpha_sigma(W, ActivationKind.RELU, 3)
-
-
-def test_condition_alpha_phi_positive():
-    W = HiddenWeights(sample_sphere(20, 10, 5).points)
-    fmap = FeatureMap(kind="frozen_rf", weights=W, activation=ActivationKind.RELU)
-    alpha = condition_alpha_phi(fmap, 4000, 6)
-    assert alpha > 1.0
-
-
-def test_condition_alpha_gram_positive():
-    X = sample_sphere(15, 25, 7)
-    alpha = condition_alpha_gram(DotProductKernel(name="arccos1"), X, 4000, 8)
-    assert alpha > 1.0
 
 
 def test_c_phi_monte_carlo_rf_close_to_analytic():

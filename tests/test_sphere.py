@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from roblaw import InvalidArgument, log_gamma, moment_cpq, project_tangent, sample_sphere
+from roblaw import InvalidArgument, moment_cpq, sample_sphere
 
 
 def test_sample_sphere_rows_unit_norm():
@@ -25,27 +25,6 @@ def test_sample_sphere_mean_isotropy():
     # E[x] = 0, E[xx^T] = I/d
     assert np.abs(X.mean(axis=0)).max() < 5e-3
     np.testing.assert_allclose(X.T @ X / X.shape[0], np.eye(5) / 5, atol=2e-3)
-
-
-def test_project_tangent_orthogonal_to_base():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=12)
-    x /= np.linalg.norm(x)
-    g = rng.normal(size=12)
-    t = project_tangent(x, g)
-    assert abs(t @ x) < 1e-12
-    # projecting twice is idempotent
-    np.testing.assert_allclose(project_tangent(x, t), t, atol=1e-12)
-
-
-def test_project_tangent_requires_unit_base():
-    with pytest.raises(InvalidArgument):
-        project_tangent(np.array([1.0, 1.0]), np.array([0.5, 0.5]))
-
-
-def test_log_gamma_matches_math():
-    for x in (0.5, 1.0, 2.5, 10.0, 101.5):
-        assert log_gamma(x) == pytest.approx(math.lgamma(x), abs=1e-14)
 
 
 def test_moment_small_cases_closed_forms():
