@@ -101,7 +101,7 @@ def cmd_gen_data(args):
 
 def cmd_eigs(args):
     W = HiddenWeights(sample_sphere(args.d, args.k, args.seed).points)
-    s = sym_eigs(c_sigma_cov(W, ActivationKind(args.activation), args.d))
+    s = sym_eigs(c_sigma_cov(W, ActivationKind(args.activation)))
     _json_print({
         "activation": args.activation, "d": args.d, "k": args.k,
         "lambda_min": s.lambda_min, "lambda_max": s.lambda_max,

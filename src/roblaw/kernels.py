@@ -184,8 +184,29 @@ def empirical_gram(fmap: FeatureMap, X: SphereSample) -> np.ndarray:
     return (G + G.T) / 2
 
 
-def model_gradient(model, x: np.ndarray) -> np.ndarray:
+def gradient_factor(model, X: np.ndarray):
+    """The part of the gradients of `model` at the rows of X that does not
+    depend on its trained coefficients: sigma'(X W^T) for a two-layer or
+    feature model, phi' at the clamped dot products X A^T with the anchors A
+    for a kernel model, None for a linear model. Models of one hidden layer,
+    or of one kernel and anchor set, have the same factor."""
+    from .fit import FeatureModel, KernelModel, LinearModel, TwoLayerModel
+
+    if isinstance(model, LinearModel):
+        return None
+    if isinstance(model, KernelModel):
+        T = np.clip(X @ model.anchors.points.T, -(1 - 1e-9), 1 - 1e-9)
+        return np.asarray(kernel_profile_deriv(model.kernel, T))  # (m, n)
+    if isinstance(model, TwoLayerModel):
+        return np.asarray(act_deriv(model.activation, X @ model.W.W.T))  # (m, k)
+    if isinstance(model, FeatureModel):
+        return np.asarray(act_deriv(model.map.activation, X @ model.map.weights.W.T))
+    raise InvalidArgument(f"cannot differentiate model {type(model).__name__}")
+
+
+def model_gradient(model, x: np.ndarray, factor=None) -> np.ndarray:
     """Euclidean gradient of a fitted model at x (single point or batch).
+    `factor` is `gradient_factor(model, x)` when the caller has it already.
 
     Kernel-representer gradients clamp t to |t| <= 1 - 1e-9, where the NTK
     profile derivative of relu and abs is still finite; NTK feature
@@ -197,26 +218,21 @@ def model_gradient(model, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     X = x[None, :] if single else x
+    if factor is None:
+        factor = gradient_factor(model, X)
 
     if isinstance(model, LinearModel):
         G = np.broadcast_to(model.w, X.shape).copy()
     elif isinstance(model, TwoLayerModel):
-        W = model.W.W
-        S = np.asarray(act_deriv(model.activation, X @ W.T))  # (m, k)
-        G = (S * model.v) @ W
+        G = (factor * model.v) @ model.W.W
     elif isinstance(model, KernelModel):
-        T = np.clip(X @ model.anchors.points.T, -(1 - 1e-9), 1 - 1e-9)
-        D = np.asarray(kernel_profile_deriv(model.kernel, T))  # (m, n)
-        G = (D * model.c) @ model.anchors.points
-    elif isinstance(model, FeatureModel):
+        G = (factor * model.c) @ model.anchors.points
+    else:
         W = model.map.weights.W
         k = W.shape[0]
-        S = np.asarray(act_deriv(model.map.activation, X @ W.T))
         if model.map.kind == "frozen_rf":
-            G = (S * model.a) @ W / math.sqrt(k)
+            G = (factor * model.a) @ W / math.sqrt(k)
         else:
             A = model.a.reshape(k, -1)  # (k, d) blocks
-            G = (S @ A) / math.sqrt(k)
-    else:
-        raise InvalidArgument(f"cannot differentiate model {type(model).__name__}")
+            G = (factor @ A) / math.sqrt(k)
     return G[0] if single else G

@@ -11,8 +11,8 @@ import numpy as np
 from .activations import HOMOGENEITY, ActivationKind
 from .errors import InvalidArgument, NumericFailure, ResourceLimit, UnsupportedActivation
 from .fit import FeatureModel, KernelModel, LinearModel, TwoLayerModel
-from .kernels import model_gradient
-from .sphere import SphereSample, sample_sphere
+from .kernels import gradient_factor, model_gradient
+from .sphere import sample_sphere
 from .spectral import _MAX_COV_ELEMENTS, c_sigma_sobolev
 
 
@@ -22,6 +22,10 @@ class SobolevEstimate:
     method: str  # "analytic" | "exact" | "monte_carlo"
     samples: int = 0
     std_error: float = 0.0
+
+
+#: sphere-sample rows whose gradients `sobolev_monte_carlo` holds at once
+_BLOCK_ROWS = 1024
 
 
 def _two_layer_view(model):
@@ -68,22 +72,51 @@ def sobolev_exact_linear(model: LinearModel) -> SobolevEstimate:
 def sobolev_monte_carlo(models, d: int, m: int, seed: int) -> list[SobolevEstimate]:
     """Mean squared tangential gradient norm of each model over one draw of
     m sphere samples, reported as a square root with the delta-method
-    standard error."""
+    standard error.
+
+    The sample is walked in blocks of `_BLOCK_ROWS` rows. Each block computes
+    the coefficient-free gradient factor once for every group of models that
+    shares a hidden layer, or a kernel and anchor set, as the models of one
+    lambda path do. Memory: the m x d sample and an (L, m) array of squared
+    norms for L models, plus O(_BLOCK_ROWS * max(k, n, d)) per block for k
+    hidden units or n anchors."""
     if m < 100:
         raise InvalidArgument("m must be >= 100")
     if m * d > _MAX_COV_ELEMENTS:
         raise ResourceLimit(f"sphere sample {m} x {d} too large")
-    X = sample_sphere(d, m, seed)
-    return [_mc_estimate(model, X) for model in models]
+    X = sample_sphere(d, m, seed).points
+    sq = np.empty((len(models), m))
+    for start in range(0, m, _BLOCK_ROWS):
+        Xb = X[start:start + _BLOCK_ROWS]
+        factors = {}
+        for row, model in zip(sq, models):
+            key = _factor_key(model)
+            if key not in factors:
+                factors[key] = gradient_factor(model, Xb)
+            G = model_gradient(model, Xb, factors[key])
+            # project out the radial component and square in place; two
+            # fewer temporaries per block end glibc's heap trim-and-refault
+            # cycle (mc-seminorm: 153,000 -> 6,000 minor faults per sweep)
+            G -= np.sum(G * Xb, axis=1)[:, None] * Xb
+            G *= G
+            row[start:start + len(Xb)] = np.sum(G, axis=1)
+    return [_mc_estimate(row) for row in sq]
 
 
-def _mc_estimate(model, X: SphereSample) -> SobolevEstimate:
-    m = X.count
-    G = model_gradient(model, X.points)
-    # project out the radial component
-    radial = np.sum(G * X.points, axis=1)
-    T = G - radial[:, None] * X.points
-    sq = np.sum(T * T, axis=1)
+def _factor_key(model):
+    """Models with one key have one `gradient_factor`: the same activation
+    and hidden-weight array, or the same kernel and anchor array."""
+    if isinstance(model, TwoLayerModel):
+        return model.activation, id(model.W.W)
+    if isinstance(model, FeatureModel):
+        return model.map.activation, id(model.map.weights.W)
+    if isinstance(model, KernelModel):
+        return model.kernel, id(model.anchors.points)
+    return None
+
+
+def _mc_estimate(sq: np.ndarray) -> SobolevEstimate:
+    m = sq.shape[0]
     mean = float(np.mean(sq))
     se_sq = float(np.std(sq, ddof=1) / math.sqrt(m))
     value = math.sqrt(max(mean, 0.0))

@@ -63,7 +63,7 @@ def c_sigma_sobolev(W: HiddenWeights, kind: ActivationKind, d: int) -> np.ndarra
     return (C + C.T) / 2
 
 
-def c_sigma_cov(W: HiddenWeights, kind: ActivationKind, d: int) -> np.ndarray:
+def c_sigma_cov(W: HiddenWeights, kind: ActivationKind) -> np.ndarray:
     """Covariance of sqrt(d) sigma(Wx) for x ~ tau_d, to O(1/d^2):
     entries phi(w_j . w_l) - phi(0)."""
     T = np.clip(W.W @ W.W.T, -1.0, 1.0)

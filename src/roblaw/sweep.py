@@ -61,10 +61,10 @@ def _check_grid(regime: str, lambdas, zetas) -> None:
     """The checks a sweep grid and a single trial share."""
     if regime not in REGIMES:
         raise InvalidArgument(f"unknown regime {regime}")
-    if any(z < 0 or z > 1 for z in zetas):
+    if not all(0 <= z <= 1 for z in zetas):
         raise InvalidArgument("zeta values must lie in [0, 1]")
-    if any(l < 0 for l in lambdas):
-        raise InvalidArgument("lambda values must be nonnegative")
+    if not all(0 <= l < math.inf for l in lambdas):
+        raise InvalidArgument("lambda values must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ def _c_spectrum(fmap: FeatureMap):
         return None
     W = fmap.weights
     if fmap.kind == "frozen_rf":
-        C = c_sigma_cov(W, kind, W.d)
+        C = c_sigma_cov(W, kind)
     else:
         T = np.clip(W.W @ W.W.T, -1.0, 1.0)
         C = np.asarray(phi_profile(kind, "derivative", T)) / W.k

@@ -167,7 +167,7 @@ def test_criterion_06_linearization_improves_with_dimension():
         dists = []
         for seed in range(5):
             W = HiddenWeights(sample_sphere(d, d, 60 + seed).points)
-            C = c_sigma_cov(W, ActivationKind.RELU, d)
+            C = c_sigma_cov(W, ActivationKind.RELU)
             L = linearized_c(W, relu_cov_linearization(d))
             dists.append(op_distance(C, L))
             if d == 400:

@@ -112,7 +112,10 @@ def test_invalid_regime_exits_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("bad", [("--zeta", "2"), ("--lambda", "-1")])
+@pytest.mark.parametrize("bad", [
+    ("--zeta", "2"), ("--lambda", "-1"),
+    ("--zeta", "nan"), ("--lambda", "nan"), ("--lambda", "inf"),
+])
 def test_fit_out_of_range_exits_2(capsys, bad):
     code, out, err = run_cli(capsys, "fit", "--regime", "linear", "--n", "10",
                              "--d", "20", *bad)
@@ -270,6 +273,17 @@ def test_sweep_fewer_than_one_worker_exits_2(tmp_path, capsys, monkeypatch, work
     code, _, err = run_cli(capsys, "sweep", "--config", _sweep_config_file(tmp_path),
                            "--out", str(out), "--workers", workers)
     assert code == 2 and "workers" in err and calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("line", ["lambda_grid = 0, nan", "lambda_grid = inf",
+                                  "zeta_grid = nan"])
+def test_sweep_non_finite_grid_value_exits_2(tmp_path, capsys, monkeypatch, line):
+    calls = []
+    monkeypatch.setattr(roblaw.sweep, "run_trial", calls.append)
+    out = tmp_path / "g.csv"
+    code, _, err = run_cli(capsys, "sweep", "--config", _sweep_config_file(tmp_path, line + "\n"),
+                           "--out", str(out))
+    assert code == 2 and "error" in err and calls == [] and not out.exists()
 
 
 def test_sweep_unknown_config_key_exits_2(tmp_path, capsys):

@@ -5,12 +5,15 @@ lambda path of a sweep.
 
 Together the grids run the dual (n <= feature dim) and primal (n > feature
 dim) solves of `linear`, `rf_finite` and `ntk_finite` and the kernel solve
-of `rf_infinite` and `ntk_infinite`, each at lambda 0 and 1e-3. A change
-that alters any number a sweep writes, down to the last bit, changes a hash.
+of `rf_infinite` and `ntk_infinite`, each at lambda 0 and 1e-3. The
+finite-width and rf_infinite grids run once more with a Monte-Carlo sample
+of several blocks. A change that alters any number a sweep writes, down to
+the last bit, changes a hash.
 
 The hashes were recorded with Python 3.11.7, numpy 2.4.6 (scipy-openblas64
 0.3.31.188.0) and scipy 1.17.1 (OpenBLAS 0.3.30), DYNAMIC_ARCH on an x86-64
-Haswell kernel. Another BLAS build or CPU kernel may round differently and
+Haswell kernel (`GOLDEN_BLOCKS` on a SkylakeX kernel, where `GOLDEN` holds
+too). Another BLAS build or CPU kernel may round differently and
 change the hashes without any change to the program.
 """
 
@@ -45,17 +48,38 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("regime", sorted(GRIDS))
-def test_sweep_csv_matches_golden_hash(regime, tmp_path):
+def _sweep_hash(regime, mc_samples, tmp_path) -> str:
+    """sha256 of the CSV of the golden grid of `regime`, every row successful."""
     cfg = SweepConfig(
         regime=regime, activation=ActivationKind.RELU, lambda_grid=(0.0, 1e-3),
-        zeta_grid=(0.5,), mc_samples=200, base_seed=3,
+        zeta_grid=(0.5,), mc_samples=mc_samples, base_seed=3,
         output_path=str(tmp_path / f"{regime}.csv"), **GRIDS[regime],
     )
     with open(run_sweep(cfg), "rb") as fh:
         data = fh.read()
     assert all(row["reason"] == "" for row in csv.DictReader(io.StringIO(data.decode())))
-    assert hashlib.sha256(data).hexdigest() == GOLDEN[regime]
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("regime", sorted(GRIDS))
+def test_sweep_csv_matches_golden_hash(regime, tmp_path):
+    assert _sweep_hash(regime, 200, tmp_path) == GOLDEN[regime]
+
+
+#: grids whose Monte-Carlo sample spans two full blocks of
+#: `sobolev._BLOCK_ROWS` rows and a partial third; recorded before the
+#: estimator walked its sample in blocks
+BLOCK_MC_SAMPLES = 2 * 1024 + 37
+GOLDEN_BLOCKS = {
+    "rf_finite": "98083adfd718e48f24cc0234f9a979e8ac97e72d36fe5e2812bab357e56ad4c0",
+    "ntk_finite": "b13be77bb7c196f45496b419aa8cbf11b69dd2598ad50fdc5c1530a2a7f0cd7d",
+    "rf_infinite": "09b009671498ed0e066669ff8f11aaa98509196043ae99c35991cd5b56dd001d",
+}
+
+
+@pytest.mark.parametrize("regime", sorted(GOLDEN_BLOCKS))
+def test_multi_block_sweep_csv_matches_golden_hash(regime, tmp_path):
+    assert _sweep_hash(regime, BLOCK_MC_SAMPLES, tmp_path) == GOLDEN_BLOCKS[regime]
 
 
 def _count_calls(monkeypatch, name, module=roblaw.kernels) -> list:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import roblaw.kernels
 import roblaw.sobolev
 from roblaw import (
     ActivationKind,
@@ -24,6 +26,7 @@ from roblaw import (
     sobolev_monte_carlo,
 )
 from roblaw.fit import FeatureModel, KernelModel, LinearModel, TwoLayerModel
+from roblaw.kernels import model_gradient
 
 
 def _relu_two_layer(d, k, seed):
@@ -138,6 +141,82 @@ def test_monte_carlo_constant_model_is_zero():
         anchors=data.X, c=np.zeros(5),
     )
     assert sobolev_monte_carlo([model], 8, 1000, 11)[0].value == 0.0
+
+
+def _path_models(d, seed):
+    """Models as one lambda path of each family gives them: three coefficient
+    vectors on one RF map, one NTK map and one kernel with its anchors,
+    plus a two-layer and a linear model."""
+    rng = np.random.default_rng(seed)
+    W = HiddenWeights(sample_sphere(d, 7, seed).points)
+    rf = FeatureMap(kind="frozen_rf", weights=W, activation=ActivationKind.RELU)
+    ntk = FeatureMap(kind="ntk", weights=W, activation=ActivationKind.ABS)
+    kernel = DotProductKernel(name="ntk_infinite", activation=ActivationKind.RELU)
+    anchors = sample_sphere(d, 9, seed + 1)
+    return (
+        [FeatureModel(map=rf, a=rng.normal(size=7)) for _ in range(3)]
+        + [FeatureModel(map=ntk, a=rng.normal(size=7 * d)) for _ in range(3)]
+        + [KernelModel(kernel=kernel, anchors=anchors, c=rng.normal(size=9))
+           for _ in range(3)]
+        + [_relu_two_layer(d, 5, seed + 2), LinearModel(w=rng.normal(size=d))]
+    )
+
+
+def _whole_sample_estimate(model, d, m, seed):
+    """(value, std_error) from the gradients of the whole sample at once."""
+    X = sample_sphere(d, m, seed).points
+    G = model_gradient(model, X)
+    T = G - np.sum(G * X, axis=1)[:, None] * X
+    sq = np.sum(T * T, axis=1)
+    value = math.sqrt(np.mean(sq))
+    return value, np.std(sq, ddof=1) / math.sqrt(m) / (2 * value)
+
+
+@pytest.mark.parametrize("m", [100, 1024, 1025, 3 * 1024 + 5])
+def test_monte_carlo_blocks_match_whole_sample(m):
+    d, seed = 6, 31
+    models = _path_models(d, 30)
+    estimates = sobolev_monte_carlo(models, d, m, seed)
+    for model, est in zip(models, estimates):
+        value, se = _whole_sample_estimate(model, d, m, seed)
+        assert est.samples == m
+        assert est.value == pytest.approx(value, rel=1e-13)
+        assert est.std_error == pytest.approx(se, rel=1e-13)
+
+
+@pytest.mark.parametrize("name, family", [
+    ("act_deriv", slice(0, 3)),
+    ("act_deriv", slice(3, 6)),
+    ("kernel_profile_deriv", slice(6, 9)),
+])
+def test_monte_carlo_factor_once_per_block_for_a_path(monkeypatch, name, family):
+    original = getattr(roblaw.kernels, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(np.shape(args[-1])[0])
+        return original(*args)
+
+    monkeypatch.setattr(roblaw.kernels, name, counted)
+    m = 3 * 1024 + 5
+    sobolev_monte_carlo(_path_models(6, 30)[family], 6, m, 3)
+    assert calls == [1024, 1024, 1024, 5]
+
+
+def test_monte_carlo_kernel_memory_is_bounded_by_the_block():
+    n, d, m = 400, 20, 20_000
+    data = gen_dataset(n, d, 0.5, 40)
+    kernel = DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU)
+    models = [KernelModel(kernel=kernel, anchors=data.X, c=data.y * s) for s in (1.0, 0.5)]
+    tracemalloc.start()
+    try:
+        sobolev_monte_carlo(models, d, m, 41)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one m x n array is 64 MB and the m x d sample 3.2 MB; whole-sample
+    # gradients peaked at 323 MB here, 1024-row blocks at 20 MB
+    assert peak < 32e6
 
 
 def test_monte_carlo_minimum_samples():

@@ -94,7 +94,7 @@ def test_c_sigma_cov_matches_feature_covariance():
     # O(1/d) sphere corrections; check against Monte Carlo at moderate d
     d, k = 60, 5
     W = HiddenWeights(sample_sphere(d, k, 2).points)
-    C = c_sigma_cov(W, ActivationKind.RELU, d)
+    C = c_sigma_cov(W, ActivationKind.RELU)
     X = sample_sphere(d, 300000, 3).points
     Z = np.maximum(X @ W.W.T, 0.0) * math.sqrt(d)
     emp = np.cov(Z.T)
@@ -112,7 +112,7 @@ def test_relu_linearization_improves_with_dimension():
     dists = []
     for d in (40, 160):
         W = HiddenWeights(sample_sphere(d, d, d).points)
-        C = c_sigma_cov(W, ActivationKind.RELU, d)
+        C = c_sigma_cov(W, ActivationKind.RELU)
         dists.append(op_distance(C, linearized_c(W, relu_cov_linearization(d))))
     assert dists[1] < dists[0]
 
@@ -122,7 +122,7 @@ def test_c_phi_monte_carlo_rf_close_to_analytic():
     W = HiddenWeights(sample_sphere(d, k, 9).points)
     fmap = FeatureMap(kind="frozen_rf", weights=W, activation=ActivationKind.RELU)
     C = c_phi_monte_carlo(fmap, 200000, 10) * k  # undo 1/sqrt(k) twice
-    ref = c_sigma_cov(W, ActivationKind.RELU, d)
+    ref = c_sigma_cov(W, ActivationKind.RELU)
     assert np.abs(C - ref).max() < 0.02
 
 
