@@ -148,6 +148,63 @@ def induced_kappa_quadrature(h: Callable, p: float, d: int, t: float) -> float:
     return pref * catalan_integral(h, t)
 
 
+#: how far past [-1, 1] a dot product of unit vectors may round
+UNIT_SLACK = 1e-9
+
+
+def clip_unit(t, message: str):
+    """t as a float array, raising InvalidArgument(message) if an entry lies
+    more than UNIT_SLACK outside [-1, 1], and clipped to [-1, 1]; NaN
+    entries pass through. A contiguous, aligned array already in range
+    comes back as it is, so callers must not write to the result. Any other
+    is clipped into a fresh contiguous array: numpy evaluates arccos and
+    arcsin of strided input with another loop, which rounds differently."""
+    t = np.asarray(t, dtype=float)
+    lo = np.fmin.reduce(t, axis=None, initial=math.inf)
+    hi = np.fmax.reduce(t, axis=None, initial=-math.inf)
+    if lo < -(1 + UNIT_SLACK) or hi > 1 + UNIT_SLACK:
+        raise InvalidArgument(message)
+    contiguous = t.flags.c_contiguous or t.flags.f_contiguous
+    if lo < -1.0 or hi > 1.0 or not (contiguous and t.flags.aligned):
+        t = np.clip(t, -1.0, 1.0)
+    return t
+
+
+def sqrt_one_minus_square(t: np.ndarray) -> np.ndarray:
+    """sqrt(max(0, 1 - t^2)) in one fresh array of t's shape."""
+    out = np.multiply(t, t, out=np.empty_like(t))
+    np.subtract(1.0, out, out=out)
+    np.maximum(0.0, out, out=out)
+    return np.sqrt(out, out=out)
+
+
+def _profile(kind: ActivationKind, which: str, t: np.ndarray) -> np.ndarray:
+    """The closed forms of `phi_profile` at a float array t in [-1, 1],
+    evaluated into one fresh array with at most one temporary, in the
+    operation order of the formulas, so the bits equal theirs."""
+    if kind == ActivationKind.RELU:
+        out = np.negative(t, out=np.empty_like(t))
+        np.arccos(out, out=out)
+        if which == "value":
+            out *= t
+            out += sqrt_one_minus_square(t)
+        out /= 2 * math.pi
+    elif kind == ActivationKind.IDENTITY:
+        out = t.copy(order="K") if which == "value" else np.ones_like(t)
+    elif kind == ActivationKind.ABS:
+        out = np.arcsin(t, out=np.empty_like(t))
+        if which == "value":
+            out *= t
+            out += sqrt_one_minus_square(t)
+            out *= 2 / math.pi
+        else:
+            out *= 2
+            out /= math.pi
+    else:
+        raise UnsupportedActivation(f"{kind} has no dimension-free profile")
+    return out
+
+
 def phi_profile(kind: ActivationKind, which: str, t):
     """Dimension-free profile of an order-1 homogeneous activation:
     E[s(x.u) s(x.v)] = phi(u.v)/d (value), or the dimension-free
@@ -157,35 +214,20 @@ def phi_profile(kind: ActivationKind, which: str, t):
     arccos(-t)/(2pi). Identity: t and 1. Abs: closed forms of the circle
     integral, (2/pi)(t arcsin t + sqrt(1-t^2)) and 2 arcsin(t)/pi.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1 + 1e-9):
-        raise InvalidArgument("|t| must be <= 1")
-    t = np.clip(t, -1.0, 1.0)
+    t = clip_unit(t, "|t| must be <= 1")
     if which not in ("value", "derivative"):
         raise InvalidArgument(f"which must be value|derivative, got {which}")
-    if kind == ActivationKind.RELU:
-        if which == "value":
-            out = (t * np.arccos(-t) + np.sqrt(np.maximum(0.0, 1 - t * t))) / (2 * math.pi)
-        else:
-            out = np.arccos(-t) / (2 * math.pi)
-    elif kind == ActivationKind.IDENTITY:
-        out = t if which == "value" else np.ones_like(t)
-    elif kind == ActivationKind.ABS:
-        if which == "value":
-            out = 2 / math.pi * (t * np.arcsin(t) + np.sqrt(np.maximum(0.0, 1 - t * t)))
-        else:
-            out = 2 * np.arcsin(t) / math.pi
-    else:
-        raise UnsupportedActivation(f"{kind} has no dimension-free profile")
+    out = _profile(kind, which, t)
     return out if out.ndim else float(out)
 
 
 def kappa_tilde(kind: ActivationKind, d: int, t):
     """The Sobolev kernel profile t*phi'(t) - phi(t)/d of an order-1
     homogeneous activation; `phi_profile` rejects any other."""
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1 + 1e-9):
-        raise InvalidArgument("|t| must be <= 1")
-    t = np.clip(t, -1.0, 1.0)
-    out = np.asarray(t * phi_profile(kind, "derivative", t) - phi_profile(kind, "value", t) / d)
+    t = clip_unit(t, "|t| must be <= 1")
+    out = _profile(kind, "derivative", t)
+    out *= t
+    value = _profile(kind, "value", t)
+    value /= d
+    out -= value
     return out if out.ndim else float(out)

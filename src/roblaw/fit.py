@@ -15,6 +15,11 @@ primal one), the right-hand side and the map from a solution to a model, so
 one gram serves every lambda of a dataset. A fitted model keeps that matrix
 as `gram`; spectra and the RKHS norm read it instead of building it again,
 and a hand-built model has gram None.
+
+Every model predicts through a design: `predict(x)` is `design(x) @ coef`,
+with `design(x)` the lambda-free matrix of the inputs (x itself, the
+activations, the kernel at the anchors or the features), so the models of
+one lambda path can share one design of a point set.
 """
 
 import ctypes
@@ -50,8 +55,15 @@ class LinearModel:
     meta: dict = field(default_factory=dict)
     gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    @property
+    def coef(self) -> np.ndarray:
+        return self.w
+
+    def design(self, x) -> np.ndarray:
+        return np.asarray(x, dtype=float)
+
     def predict(self, x):
-        return np.asarray(x, dtype=float) @ self.w
+        return self.design(x) @ self.w
 
 
 @dataclass(frozen=True)
@@ -61,9 +73,16 @@ class TwoLayerModel:
     activation: ActivationKind
     meta: dict = field(default_factory=dict)
 
+    @property
+    def coef(self) -> np.ndarray:
+        return self.v
+
+    def design(self, x) -> np.ndarray:
+        """sigma(x W^T)."""
+        return np.asarray(act_eval(self.activation, np.asarray(x, dtype=float) @ self.W.W.T))
+
     def predict(self, x):
-        pre = np.asarray(x, dtype=float) @ self.W.W.T
-        return np.asarray(act_eval(self.activation, pre)) @ self.v
+        return self.design(x) @ self.v
 
 
 @dataclass(frozen=True)
@@ -74,12 +93,23 @@ class KernelModel:
     meta: dict = field(default_factory=dict)
     gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    @property
+    def coef(self) -> np.ndarray:
+        return self.c
+
+    def design(self, X) -> np.ndarray:
+        """K(X, anchors) for an (m, d) batch X. At the anchors themselves it
+        has the bits of the fit's gram: the product of a matrix with its own
+        transpose is exactly symmetric, so `gram_dot`'s symmetrization
+        leaves it unchanged."""
+        T = np.asarray(X, dtype=float) @ self.anchors.points.T
+        np.clip(T, -1.0, 1.0, out=T)
+        return np.asarray(kernel_profile(self.kernel, T))
+
     def predict(self, x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        X = x[None, :] if single else x
-        T = np.clip(X @ self.anchors.points.T, -1.0, 1.0)
-        out = np.asarray(kernel_profile(self.kernel, T)) @ self.c
+        out = self.design(x[None, :] if single else x) @ self.c
         return float(out[0]) if single else out
 
 
@@ -90,11 +120,18 @@ class FeatureModel:
     meta: dict = field(default_factory=dict)
     gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    @property
+    def coef(self) -> np.ndarray:
+        return self.a
+
+    def design(self, X) -> np.ndarray:
+        """The feature rows of an (m, d) batch X."""
+        return features(self.map, X)
+
     def predict(self, x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        X = x[None, :] if single else x
-        out = features(self.map, X) @ self.a
+        out = self.design(x[None, :] if single else x) @ self.a
         return float(out[0]) if single else out
 
 
@@ -172,10 +209,13 @@ _ONE_SCIPY_THREAD = _ScipyBlasPin()
 
 def solve_psd(K: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, dict]:
     """Solve (K + lam*I) c = y for symmetric PSD K, with jitter escalation
-    and a pseudo-inverse fallback. Returns (c, meta)."""
+    and a pseudo-inverse fallback. Returns (c, meta). K, y and lam are
+    checked finite here, so scipy does not check them again."""
     n = K.shape[0]
     if not np.all(np.isfinite(K)) or not np.all(np.isfinite(y)):
         raise InvalidArgument("non-finite entries in solve")
+    if not math.isfinite(lam):
+        raise InvalidArgument(f"lambda must be finite, got {lam}")
     lmax = float(np.max(np.abs(np.diag(K))))
     if lmax <= 0:
         lmax = float(np.max(np.abs(K), initial=0.0))
@@ -183,12 +223,14 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, dic
         raise SingularKernel("kernel matrix is zero")
     A = K + lam * np.eye(n) if lam > 0 else K
     for jitter in (0.0, 1e-12 * lmax, 1e-10 * lmax):
+        M = A + jitter * np.eye(n) if jitter else A
+        # K is finite, so only the shifted diagonal can overflow
+        if not np.all(np.isfinite(M.diagonal())):
+            raise InvalidArgument("K + lambda I overflows")
         try:
             with _ONE_SCIPY_THREAD:
-                cf = scipy.linalg.cho_factor(
-                    A + jitter * np.eye(n) if jitter else A, lower=True
-                )
-                c = scipy.linalg.cho_solve(cf, y)
+                cf = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+                c = scipy.linalg.cho_solve(cf, y, check_finite=False)
             return c, {"solver": "cholesky", "jitter": jitter, "fallback": jitter > 0}
         except np.linalg.LinAlgError:  # scipy.linalg raises this same class
             continue
@@ -288,13 +330,17 @@ def fit_linear_ridge(data: Dataset, lam: float = 0.0) -> LinearModel:
     return linear_path(data).fit(lam)
 
 
-def train_mse(model, data: Dataset) -> float:
-    r = model.predict(data.X.points) - data.y
+def train_mse(model, data: Dataset, design=None) -> float:
+    """Mean squared residual of `model` on `data`. `design` is
+    `model.design(data.X.points)` when the caller has it already."""
+    if design is None:
+        design = model.design(data.X.points)
+    r = design @ model.coef - data.y
     return float(np.mean(r * r))
 
 
-def test_mse(model, test: Dataset) -> float:
-    return train_mse(model, test)
+def test_mse(model, test: Dataset, design=None) -> float:
+    return train_mse(model, test, design)
 
 
 def rkhs_norm(model: KernelModel) -> float:

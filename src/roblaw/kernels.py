@@ -16,19 +16,16 @@ from .activations import (
     HOMOGENEITY,
     act_deriv,
     act_eval,
+    clip_unit,
     phi_profile,
+    sqrt_one_minus_square,
 )
 from .errors import InvalidArgument, UnsupportedActivation
 from .sphere import SphereSample
 
-_CLAMP_SLACK = 1e-9
-
 
 def _clip_t(t):
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1 + _CLAMP_SLACK):
-        raise InvalidArgument("dot products must lie in [-1, 1]")
-    return np.clip(t, -1.0, 1.0)
+    return clip_unit(t, "dot products must lie in [-1, 1]")
 
 
 KERNEL_NAMES = ("rf_infinite", "ntk_infinite")
@@ -55,12 +52,13 @@ class DotProductKernel:
 
 def kernel_profile(kernel: DotProductKernel, t):
     """phi(t): 2 phi_value(t) for rf_infinite, 2 t phi_derivative(t) for
-    ntk_infinite."""
+    ntk_infinite. Doubling is exact, so 2 (t phi) has the bits of (2 t) phi."""
     t = _clip_t(t)
-    if kernel.name == "rf_infinite":
-        out = 2.0 * np.asarray(phi_profile(kernel.activation, "value", t))
-    else:
-        out = t * 2.0 * np.asarray(phi_profile(kernel.activation, "derivative", t))
+    which = "value" if kernel.name == "rf_infinite" else "derivative"
+    out = np.asarray(phi_profile(kernel.activation, which, t))
+    out *= 2.0
+    if kernel.name == "ntk_infinite":
+        out *= t
     return out if out.ndim else float(out)
 
 
@@ -70,18 +68,23 @@ def kernel_profile_deriv(kernel: DotProductKernel, t):
     t = _clip_t(t)
     activation = kernel.activation
     # d/dt of 2*phi_value = 2*phi_derivative for order-1 profiles
-    phi0 = 2.0 * np.asarray(phi_profile(activation, "derivative", t))
-    if kernel.name == "rf_infinite":
-        out = phi0
-    else:
-        with np.errstate(divide="ignore"):
-            if activation == ActivationKind.RELU:
-                dphi0 = 2.0 / (2 * math.pi * np.sqrt(np.maximum(0.0, 1 - t * t)))
-            elif activation == ActivationKind.ABS:
-                dphi0 = 2.0 * (2 / math.pi) / np.sqrt(np.maximum(0.0, 1 - t * t))
-            else:
-                dphi0 = np.zeros_like(np.asarray(t))
-        out = phi0 + t * dphi0
+    out = np.asarray(phi_profile(activation, "derivative", t))
+    out *= 2.0
+    if kernel.name == "ntk_infinite":
+        # out += t * dphi0, with dphi0 the derivative of 2*phi_derivative
+        if activation == ActivationKind.RELU:
+            dphi0 = sqrt_one_minus_square(t)
+            dphi0 *= 2 * math.pi
+            with np.errstate(divide="ignore"):
+                np.divide(2.0, dphi0, out=dphi0)
+        elif activation == ActivationKind.ABS:
+            dphi0 = sqrt_one_minus_square(t)
+            with np.errstate(divide="ignore"):
+                np.divide(2.0 * (2 / math.pi), dphi0, out=dphi0)
+        else:
+            dphi0 = np.zeros_like(t)
+        dphi0 *= t
+        out += dphi0
     return out if out.ndim else float(out)
 
 
@@ -89,10 +92,12 @@ def gram_dot(kernel: DotProductKernel, A: SphereSample, B: SphereSample) -> np.n
     """G[i, j] = phi(a_i . b_j)."""
     if A.dim != B.dim:
         raise InvalidArgument(f"dimension mismatch: {A.dim} vs {B.dim}")
-    T = np.clip(A.points @ B.points.T, -1.0, 1.0)
+    T = A.points @ B.points.T
+    np.clip(T, -1.0, 1.0, out=T)
     G = np.asarray(kernel_profile(kernel, T))
     if A is B or (A.count == B.count and A.points is B.points):
-        G = (G + G.T) / 2
+        G = G + G.T
+        G /= 2
     return G
 
 
@@ -195,7 +200,8 @@ def gradient_factor(model, X: np.ndarray):
     if isinstance(model, LinearModel):
         return None
     if isinstance(model, KernelModel):
-        T = np.clip(X @ model.anchors.points.T, -(1 - 1e-9), 1 - 1e-9)
+        T = X @ model.anchors.points.T
+        np.clip(T, -(1 - 1e-9), 1 - 1e-9, out=T)
         return np.asarray(kernel_profile_deriv(model.kernel, T))  # (m, n)
     if isinstance(model, TwoLayerModel):
         return np.asarray(act_deriv(model.activation, X @ model.W.W.T))  # (m, k)

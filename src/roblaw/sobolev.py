@@ -146,12 +146,6 @@ def eta_proxy(model) -> float:
 
 def coef_norm(model) -> float:
     """Euclidean norm of the trained coefficient vector."""
-    if isinstance(model, LinearModel):
-        return float(np.linalg.norm(model.w))
-    if isinstance(model, TwoLayerModel):
-        return float(np.linalg.norm(model.v))
-    if isinstance(model, FeatureModel):
-        return float(np.linalg.norm(model.a))
-    if isinstance(model, KernelModel):
-        return float(np.linalg.norm(model.c))
-    raise InvalidArgument(f"unknown model type {type(model).__name__}")
+    if not isinstance(model, (LinearModel, TwoLayerModel, FeatureModel, KernelModel)):
+        raise InvalidArgument(f"unknown model type {type(model).__name__}")
+    return float(np.linalg.norm(model.coef))

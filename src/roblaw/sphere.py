@@ -12,6 +12,8 @@ import numpy as np
 from .errors import InvalidArgument
 
 _NORM_TOL = 1e-12
+#: rows `sample_sphere` normalizes at a time; the row norms do not depend on it
+_NORM_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -30,6 +32,14 @@ class SphereSample:
         if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise InvalidArgument("every row must have unit norm")
         object.__setattr__(self, "points", pts)
+
+    @classmethod
+    def _trusted(cls, points: np.ndarray) -> "SphereSample":
+        """A sample of float rows of unit norm in dimension >= 2, taken
+        without the checks, for a caller that has just normalized them."""
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "points", points)
+        return sample
 
     @property
     def dim(self) -> int:
@@ -51,8 +61,11 @@ def sample_sphere(d: int, n: int, seed: int) -> SphereSample:
         raise InvalidArgument(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, d))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return SphereSample(g)
+    # blocks of rows keep the norm's n x d temporaries small
+    for start in range(0, n, _NORM_BLOCK_ROWS):
+        block = g[start:start + _NORM_BLOCK_ROWS]
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+    return SphereSample._trusted(g)
 
 
 def moment_cpq(p: int, q: int, d: int, s: float) -> float:

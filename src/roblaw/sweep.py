@@ -7,10 +7,11 @@ can be recomputed in isolation. Dataset seeds are shared across weight
 draws and ridge values within a cell, matching the experimental protocol.
 
 The unit of work is a lambda path: the cells that differ only in lambda. Its
-dataset, hidden weights, gram and its spectra, test set and Monte-Carlo
-sample are built once and shared by all its ridge values, each of which
-pays only for its own solve, predictions and seminorm. Every row still
-equals the row of its cell run alone, byte for byte.
+dataset, hidden weights, gram and its spectra, train and test designs, test
+set and Monte-Carlo sample are built once and shared by all its ridge
+values, each of which pays only for its own solve, predictions and
+seminorm. Every row still equals the row of its cell run alone, byte for
+byte.
 """
 
 import csv
@@ -32,7 +33,7 @@ from .fit import (
     test_mse,
     train_mse,
 )
-from .kernels import DotProductKernel, FeatureMap, HiddenWeights
+from .kernels import KERNEL_NAMES, DotProductKernel, FeatureMap, HiddenWeights
 from .sobolev import (
     coef_norm,
     eta_proxy,
@@ -272,12 +273,14 @@ def _fill_path(recs: list, cells: list) -> list:
     """Compute the metrics of a lambda path's cells into their records and
     return for each row the exception that stopped it, or None.
 
-    The dataset, hidden weights, gram, spectra, test set and Monte-Carlo
-    sample do not depend on lambda and are built once; each lambda pays for
-    its solve, predictions and seminorm. The gram is released before
-    prediction. Every row passes the stages of a lone trial in the same
-    order and sees the same values, so it ends with the metrics and the
-    failure its cell would give if run alone."""
+    The dataset, hidden weights, gram, spectra, train and test designs, test
+    set and Monte-Carlo sample do not depend on lambda and are built once;
+    each lambda pays for its solve, a matrix-vector product per prediction
+    and its seminorm. A kernel path's gram is its train design; a feature
+    or linear path builds that design after releasing the gram. Every row
+    passes the stages of a lone trial in the same order and sees the same
+    values, so it ends with the metrics and the failure its cell would give
+    if run alone."""
     rows = _PathRows(recs)
     cell = cells[0]
     data = rows.shared(lambda: gen_dataset(cell.n, cell.d, cell.zeta, cell.dataset_seed,
@@ -297,14 +300,23 @@ def _fill_path(recs: list, cells: list) -> list:
     if c_spec is not None:
         rows.fill("lambda_min_C", lambda i: c_spec.lambda_min)
         rows.fill("lambda_max_C", lambda i: c_spec.lambda_max)
-    if cell.regime in ("rf_infinite", "ntk_infinite"):
+    is_kernel = cell.regime in KERNEL_NAMES
+    if is_kernel:
         rows.fill("rkhs_norm", lambda i: rkhs_norm(models[i]))
-    # Keeping the gram past this point raised rf-kernel's peak RSS by 5%.
+    # K(X, X) is the gram bit for bit, so a kernel path keeps it as the
+    # train design. A feature path builds its Z once the gram is gone, so
+    # the two are never held together.
+    design = path.gram if is_kernel and path is not None else None
     del path
     models = {i: replace(model, gram=None) for i, model in models.items()}
-    rows.fill("train_mse", lambda i: train_mse(models[i], data))
+    if design is None:
+        design = rows.shared(lambda: models[rows.live[0]].design(data.X.points))
+    rows.fill("train_mse", lambda i: train_mse(models[i], data, design))
+    del design
     test = rows.shared(lambda: gen_test_set(data))
-    rows.fill("test_mse", lambda i: test_mse(models[i], test))
+    design = rows.shared(lambda: models[rows.live[0]].design(test.X.points))
+    rows.fill("test_mse", lambda i: test_mse(models[i], test, design))
+    del design
     mc = rows.shared(lambda: dict(zip(rows.live, sobolev_monte_carlo(
         [models[i] for i in rows.live], cell.d, cell.mc_samples,
         splitmix64(cell.weight_seed, 3)))))

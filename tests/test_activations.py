@@ -143,3 +143,76 @@ def test_kappa_tilde_abs_and_erf_values():
 def test_kappa_tilde_unsupported():
     with pytest.raises(UnsupportedActivation):
         kappa_tilde(ActivationKind.TANH, 5, 0.1)
+
+
+def _phi_reference(kind, which, t):
+    """phi_profile as whole-array expressions, one temporary per operation;
+    the in-place evaluation must give the same bits."""
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) > 1 + 1e-9):
+        raise InvalidArgument("|t| must be <= 1")
+    t = np.clip(t, -1.0, 1.0)
+    if kind == ActivationKind.RELU:
+        if which == "value":
+            out = (t * np.arccos(-t) + np.sqrt(np.maximum(0.0, 1 - t * t))) / (2 * math.pi)
+        else:
+            out = np.arccos(-t) / (2 * math.pi)
+    elif kind == ActivationKind.IDENTITY:
+        out = t if which == "value" else np.ones_like(t)
+    else:
+        if which == "value":
+            out = 2 / math.pi * (t * np.arcsin(t) + np.sqrt(np.maximum(0.0, 1 - t * t)))
+        else:
+            out = 2 * np.arcsin(t) / math.pi
+    return out if out.ndim else float(out)
+
+
+def _kappa_reference(kind, d, t):
+    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
+    out = np.asarray(t * _phi_reference(kind, "derivative", t)
+                     - _phi_reference(kind, "value", t) / d)
+    return out if out.ndim else float(out)
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+PROFILE_KINDS = (ActivationKind.RELU, ActivationKind.ABS, ActivationKind.IDENTITY)
+
+
+@pytest.mark.parametrize("kind", PROFILE_KINDS)
+def test_profiles_equal_their_closed_forms_bit_for_bit(kind, unit_inputs):
+    for t in unit_inputs:
+        before = np.array(t, copy=True)
+        for which in ("value", "derivative"):
+            got = phi_profile(kind, which, t)
+            assert_same_bits(got, _phi_reference(kind, which, t))
+            assert not np.shares_memory(got, t)
+        for d in (2, 50):
+            assert_same_bits(kappa_tilde(kind, d, t), _kappa_reference(kind, d, t))
+        np.testing.assert_array_equal(np.asarray(t), before)  # not written to
+
+
+@pytest.mark.parametrize("t", [
+    1 + 2e-9, -1 - 2e-9, math.inf, -math.inf, [0.5, 1.01], [math.nan, 5.0], [-7.0, math.nan],
+])
+def test_profiles_reject_out_of_range_input_nan_or_not(t):
+    for fn in (lambda: phi_profile(ActivationKind.RELU, "value", t),
+               lambda: phi_profile(ActivationKind.ABS, "bogus", t),
+               lambda: kappa_tilde(ActivationKind.RELU, 5, t)):
+        with pytest.raises(InvalidArgument, match=r"\|t\| must be <= 1"):
+            fn()
+
+
+def test_profiles_pass_nan_through():
+    t = np.array([math.nan, 0.5, -1.0])
+    for kind in PROFILE_KINDS:
+        for which in ("value", "derivative"):
+            got = phi_profile(kind, which, t)
+            assert_same_bits(got, _phi_reference(kind, which, t))
+            assert math.isnan(got[0]) == (kind != ActivationKind.IDENTITY or which == "value")
+        assert math.isnan(kappa_tilde(kind, 3, t)[0])
+    assert math.isnan(phi_profile(ActivationKind.RELU, "value", math.nan))

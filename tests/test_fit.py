@@ -11,6 +11,7 @@ from roblaw import (
     DotProductKernel,
     FeatureMap,
     HiddenWeights,
+    InvalidArgument,
     fit_features,
     fit_kernel,
     fit_linear_ridge,
@@ -37,6 +38,26 @@ def test_solve_psd_matches_direct_solve():
     c, meta = solve_psd(K, y, 0.5)
     np.testing.assert_allclose(c, np.linalg.solve(K + 0.5 * np.eye(20), y), atol=1e-10)
     assert meta["solver"] == "cholesky" and not meta["fallback"]
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan, -math.inf])
+def test_solve_psd_rejects_non_finite_lambda(lam):
+    K = np.eye(4) + 0.5
+    with pytest.raises(InvalidArgument, match="lambda must be finite"):
+        solve_psd(K, np.ones(4), lam)
+
+
+def test_solve_psd_rejects_a_shift_that_overflows():
+    K = np.eye(3) * 1e308 + 1.0
+    with np.errstate(over="ignore"), pytest.raises(InvalidArgument, match="overflows"):
+        solve_psd(K, np.ones(3), 1.7e308)
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_ridge_path_rejects_non_finite_lambda(lam):
+    path = roblaw.fit.linear_path(gen_dataset(6, 10, 0.5, 1))
+    with pytest.raises(InvalidArgument, match="lambda must be finite"):
+        path.fit(lam)
 
 
 def test_solve_psd_singular_falls_back():
@@ -203,6 +224,25 @@ def test_train_test_mse_definitions():
     )
     fresh = gen_dataset(20, 12, 0.0, 12)
     assert mse_on(model, fresh) >= 0
+
+
+def test_every_model_predicts_through_its_design():
+    data = gen_dataset(9, 5, 0.3, 21)
+    W = HiddenWeights(sample_sphere(5, 7, 22).points)
+    kernel = DotProductKernel(name="ntk_infinite", activation=ActivationKind.ABS)
+    models = [
+        fit_linear_ridge(data, 1e-3),
+        fit_kernel(kernel, data, 1e-3),
+        fit_features(FeatureMap(kind="frozen_rf", weights=W), data, 1e-3),
+        fit_features(FeatureMap(kind="ntk", weights=W), data, 1e-3),
+        roblaw.fit.TwoLayerModel(W=W, v=np.arange(7.0), activation=ActivationKind.RELU),
+    ]
+    X = sample_sphere(5, 13, 23).points
+    for model in models:
+        design = model.design(X)
+        assert design.shape[0] == 13
+        assert model.predict(X).tobytes() == (design @ model.coef).tobytes()
+        assert train_mse(model, data, model.design(data.X.points)) == train_mse(model, data)
 
 
 def test_rkhs_norm_quadratic_form():

@@ -1,7 +1,7 @@
 """Golden SHA-256 hashes of small sweep CSVs, one grid per regime, and
 counts of the work a trial does: one gram per trial, and one gram, one
-Monte-Carlo sample, one Sobolev matrix and one solve per lambda for each
-lambda path of a sweep.
+train and one test design, one Monte-Carlo sample, one Sobolev matrix and
+one solve per lambda for each lambda path of a sweep.
 
 Together the grids run the dual (n <= feature dim) and primal (n > feature
 dim) solves of `linear`, `rf_finite` and `ntk_finite` and the kernel solve
@@ -22,6 +22,7 @@ import hashlib
 import io
 import sys
 
+import numpy as np
 import pytest
 
 import roblaw
@@ -29,7 +30,7 @@ import roblaw.fit
 import roblaw.spectral
 import roblaw.sphere
 from roblaw import ActivationKind, SweepConfig, TrialCell
-from roblaw.sweep import run_sweep, run_trial
+from roblaw.sweep import TEST_SET_SIZE, run_sweep, run_trial
 
 GRIDS = {
     "linear": dict(n_grid=(6, 20), d_grid=(10,), k_grid=(0,)),
@@ -133,10 +134,29 @@ def test_sweep_builds_one_gram_and_one_sample_per_lambda_path(
     assert len(grams) == len(ntk_dual)
     for n in n_grid:
         # features of the training points: one for a gram built from them,
-        # and one per lambda for the training predictions
+        # and one train design for the predictions of every lambda
         on_train = sum(len(args[1]) == n for args in feats)
-        assert on_train == (n not in ntk_dual) + len(lams)
+        assert on_train == (n not in ntk_dual) + 1
+    assert sum(len(args[1]) == TEST_SET_SIZE for args in feats) == len(n_grid)
     assert len(solves) == len(n_grid) * len(lams)
     assert len({id(args[0]) for args in solves}) == len(n_grid)
     assert sum(args[1] == mc for args in samples) == len(n_grid)
     assert len(sobolev_mats) == (len(n_grid) if regime == "rf_finite" else 0)
+
+
+@pytest.mark.parametrize("regime", ["rf_infinite", "ntk_infinite"])
+def test_kernel_path_evaluates_one_kernel_matrix_per_point_set(monkeypatch, tmp_path, regime):
+    n_grid, lams = (12, 20), (0.0, 1e-4, 1e-3)
+    cfg = SweepConfig(
+        regime=regime, activation=ActivationKind.RELU, n_grid=n_grid, d_grid=(6,),
+        k_grid=(0,), lambda_grid=lams, zeta_grid=(0.5,), mc_samples=200,
+        base_seed=3, output_path=str(tmp_path / "path.csv"),
+    )
+    profiles = _count_calls(monkeypatch, "kernel_profile")
+    run_sweep(cfg)
+    shapes = [np.shape(args[1]) for args in profiles]
+    for n in n_grid:
+        # the gram, which is also the train design, and one test design
+        assert shapes.count((n, n)) == 1
+        assert shapes.count((TEST_SET_SIZE, n)) == 1
+    assert len(shapes) == 2 * len(n_grid)

@@ -23,7 +23,9 @@ from roblaw import (
     rf_features,
     sample_sphere,
 )
-from roblaw.fit import KernelModel, LinearModel, TwoLayerModel
+from roblaw.fit import KernelModel, LinearModel, TwoLayerModel, kernel_path, train_mse
+
+from test_activations import _phi_reference, assert_same_bits
 
 
 ALL_KERNELS = [
@@ -155,3 +157,64 @@ def test_gram_dimension_mismatch():
     with pytest.raises(InvalidArgument):
         gram_dot(DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU),
                  sample_sphere(4, 3, 0), sample_sphere(5, 3, 0))
+
+
+def _kernel_reference(kernel, t, deriv=False):
+    """kernel_profile / kernel_profile_deriv as whole-array expressions over
+    the out-of-place phi profile; the in-place evaluation must give the
+    same bits."""
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) > 1 + 1e-9):
+        raise InvalidArgument("dot products must lie in [-1, 1]")
+    t = np.clip(t, -1.0, 1.0)
+    act = kernel.activation
+    if not deriv:
+        if kernel.name == "rf_infinite":
+            out = 2.0 * np.asarray(_phi_reference(act, "value", t))
+        else:
+            out = t * 2.0 * np.asarray(_phi_reference(act, "derivative", t))
+        return out if out.ndim else float(out)
+    phi0 = 2.0 * np.asarray(_phi_reference(act, "derivative", t))
+    if kernel.name == "rf_infinite":
+        out = phi0
+    else:
+        with np.errstate(divide="ignore"):
+            if act == ActivationKind.RELU:
+                dphi0 = 2.0 / (2 * math.pi * np.sqrt(np.maximum(0.0, 1 - t * t)))
+            elif act == ActivationKind.ABS:
+                dphi0 = 2.0 * (2 / math.pi) / np.sqrt(np.maximum(0.0, 1 - t * t))
+            else:
+                dphi0 = np.zeros_like(t)
+        out = phi0 + t * dphi0
+    return out if out.ndim else float(out)
+
+
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: f"{k.name}-{k.activation.value}")
+def test_kernel_profiles_equal_their_closed_forms_bit_for_bit(kernel, unit_inputs):
+    for t in unit_inputs + [np.array([math.nan, 0.5, -1.0])]:
+        before = np.array(t, copy=True)
+        for fn, deriv in ((kernel_profile, False), (kernel_profile_deriv, True)):
+            got = fn(kernel, t)
+            assert_same_bits(got, _kernel_reference(kernel, t, deriv))
+            assert not np.shares_memory(got, t)
+        np.testing.assert_array_equal(np.asarray(t), before)  # not written to
+
+
+@pytest.mark.parametrize("t", [1 + 2e-9, -math.inf, [math.nan, 5.0], [0.2, -1.1]])
+def test_kernel_profiles_reject_out_of_range_dot_products(t):
+    for kernel in ALL_KERNELS[:2]:
+        for fn in (kernel_profile, kernel_profile_deriv):
+            with pytest.raises(InvalidArgument, match=r"dot products must lie in \[-1, 1\]"):
+                fn(kernel, t)
+
+
+@pytest.mark.parametrize("name", ["rf_infinite", "ntk_infinite"])
+@pytest.mark.parametrize("n", [1, 37, 400])
+def test_kernel_gram_is_the_train_design_bit_for_bit(name, n):
+    data = gen_dataset(n, 30, 0.5, n)
+    path = kernel_path(DotProductKernel(name=name, activation=ActivationKind.RELU), data)
+    model = path.fit(1e-3)
+    design = model.design(data.X.points)
+    assert design.tobytes() == path.gram.tobytes()
+    assert train_mse(model, data, path.gram) == train_mse(model, data)
+    np.testing.assert_array_equal(model.predict(data.X.points), design @ model.c)

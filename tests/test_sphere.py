@@ -3,13 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from roblaw import InvalidArgument, moment_cpq, sample_sphere
+from roblaw import InvalidArgument, SphereSample, moment_cpq, sample_sphere
 
 
 def test_sample_sphere_rows_unit_norm():
     s = sample_sphere(17, 200, 0)
     assert s.points.shape == (200, 17)
     np.testing.assert_allclose(np.linalg.norm(s.points, axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("points", [
+    [[1.0, 0.0], [0.6, 0.9]],           # second row has norm 1.08
+    [[1.0, 1e-4]],
+    [[math.nan, 0.0]],
+])
+def test_public_sphere_sample_checks_every_row_norm(points):
+    with pytest.raises(InvalidArgument, match="unit norm"):
+        SphereSample(np.array(points))
+
+
+def test_sample_sphere_rows_normalized_in_blocks_equal_whole_array_norms():
+    for d, n in ((2, 1), (7, 1023), (3, 2049), (40, 3000)):
+        g = np.random.default_rng(n).standard_normal((n, d))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        assert sample_sphere(d, n, n).points.tobytes() == g.tobytes()
 
 
 def test_sample_sphere_deterministic():
