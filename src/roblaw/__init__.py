@@ -64,6 +64,7 @@ from .spectral import (
     c_phi_monte_carlo,
     c_sigma_cov,
     c_sigma_sobolev,
+    gram_spectrum,
     linearized_c,
     mp_atom,
     mp_cdf,

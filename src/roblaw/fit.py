@@ -14,7 +14,9 @@ solves factor (K(X,X), Z Z^T or X X^T for a dual solve, Z^T Z or X^T X for a
 primal one), the right-hand side and the map from a solution to a model, so
 one gram serves every lambda of a dataset. A fitted model keeps that matrix
 as `gram`; spectra and the RKHS norm read it instead of building it again,
-and a hand-built model has gram None.
+and a hand-built model has gram None. A lambda = 0 solve can hand the
+gram's Cholesky factor to its caller, so the spectra of a wide gram need
+no factorization of their own.
 
 Every model predicts through a design: `predict(x)` is `design(x) @ coef`,
 with `design(x)` the lambda-free matrix of the inputs (x itself, the
@@ -207,10 +209,25 @@ class _ScipyBlasPin:
 _ONE_SCIPY_THREAD = _ScipyBlasPin()
 
 
-def solve_psd(K: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, dict]:
+def cholesky(M: np.ndarray):
+    """The lower Cholesky factor of a finite symmetric M, as
+    `scipy.linalg.cho_factor` gives it, made on one thread of scipy's BLAS.
+    Raises LinAlgError when M is not numerically positive definite. Every
+    factor of a gram goes through here, so one matrix has one factor's
+    bits whoever makes it."""
+    with _ONE_SCIPY_THREAD:
+        return scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+
+
+def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
+              on_factor: Callable | None = None) -> tuple[np.ndarray, dict]:
     """Solve (K + lam*I) c = y for symmetric PSD K, with jitter escalation
     and a pseudo-inverse fallback. Returns (c, meta). K, y and lam are
-    checked finite here, so scipy does not check them again."""
+    checked finite here, so scipy does not check them again.
+
+    When lam is 0 and K itself factors, `on_factor(factor)` is called with
+    its `cholesky` factor before the solve returns: a caller can reuse the
+    factor without holding it past the call."""
     n = K.shape[0]
     if not np.all(np.isfinite(K)) or not np.all(np.isfinite(y)):
         raise InvalidArgument("non-finite entries in solve")
@@ -229,11 +246,13 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, dic
             raise InvalidArgument("K + lambda I overflows")
         try:
             with _ONE_SCIPY_THREAD:
-                cf = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+                cf = cholesky(M)
                 c = scipy.linalg.cho_solve(cf, y, check_finite=False)
-            return c, {"solver": "cholesky", "jitter": jitter, "fallback": jitter > 0}
         except np.linalg.LinAlgError:  # scipy.linalg raises this same class
             continue
+        if on_factor is not None and M is K:
+            on_factor(cf)
+        return c, {"solver": "cholesky", "jitter": jitter, "fallback": jitter > 0}
     # eigendecomposition pseudo-inverse
     evals, evecs = np.linalg.eigh((A + A.T) / 2)
     top = float(evals[-1])
@@ -251,17 +270,18 @@ class RidgePath:
     matrix every solve factors (the models' `gram`), the right-hand side,
     and the map from a solution to a model. `fit(lam)` costs one
     `solve_psd`, so the fits of one dataset over many lambdas share the
-    gram; dropping the path and its models releases it."""
+    gram; dropping the path and its models releases it. `on_factor` goes
+    to `solve_psd`: a lambda = 0 fit hands it the gram's Cholesky factor."""
 
     gram: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
     #: (solution, meta, gram) -> fitted model
     make_model: Callable = field(repr=False)
 
-    def fit(self, lam: float):
+    def fit(self, lam: float, on_factor: Callable | None = None):
         if lam < 0:
             raise InvalidArgument("lambda must be nonnegative")
-        x, meta = solve_psd(self.gram, self.rhs, lam)
+        x, meta = solve_psd(self.gram, self.rhs, lam, on_factor)
         return self.make_model(x, dict(meta, **{"lambda": lam}), self.gram)
 
 

@@ -8,6 +8,7 @@ dimension-free activation profile.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -126,6 +127,15 @@ class HiddenWeights:
     def d(self) -> int:
         return self.W.shape[1]
 
+    @cached_property
+    def cosines(self) -> np.ndarray:
+        """clip(W W^T, -1, 1), read-only and built on first use: the
+        activation covariance, the Sobolev matrix and the NTK C matrix of
+        one weight draw all start from it."""
+        T = np.clip(self.W @ self.W.T, -1.0, 1.0)
+        T.flags.writeable = False
+        return T
+
 
 @dataclass(frozen=True)
 class FeatureMap:
@@ -166,7 +176,8 @@ def ntk_features(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
     single = x.ndim == 1
     X = x[None, :] if single else x
     S = np.asarray(act_deriv(fmap.activation, X @ W.T))  # (m, k)
-    Z = (S[:, :, None] * X[:, None, :]).reshape(X.shape[0], k * d) / math.sqrt(k)
+    Z = (S[:, :, None] * X[:, None, :]).reshape(X.shape[0], k * d)
+    Z /= math.sqrt(k)
     return Z[0] if single else Z
 
 

@@ -41,7 +41,7 @@ from .sobolev import (
     sobolev_exact_linear,
     sobolev_monte_carlo,
 )
-from .spectral import c_sigma_cov, sym_eigs
+from .spectral import DENSE_MAX_SIDE, c_sigma_cov, gram_spectrum, sym_eigs
 from .sphere import sample_sphere
 
 REGIMES = ("linear", "rf_finite", "ntk_finite", "rf_infinite", "ntk_infinite")
@@ -200,8 +200,7 @@ def _c_spectrum(fmap: FeatureMap):
     if fmap.kind == "frozen_rf":
         C = c_sigma_cov(W, kind)
     else:
-        T = np.clip(W.W @ W.W.T, -1.0, 1.0)
-        C = np.asarray(phi_profile(kind, "derivative", T)) / W.k
+        C = np.asarray(phi_profile(kind, "derivative", W.cosines)) / W.k
         C = (C + C.T) / 2
     return sym_eigs(C)
 
@@ -288,13 +287,20 @@ def _fill_path(recs: list, cells: list) -> list:
     fmap = rows.shared(lambda: _feature_map(cell))
     path = rows.shared(lambda: _path_for_cell(cell, data, fmap))
     models = {}
+    # a wide gram's spectrum is taken from the lambda = 0 solve's Cholesky
+    # factor while that solve holds it, so no factor outlives its solve
+    spectra = {}
+
+    def keep_spectrum(factor):
+        spectra["gram"] = gram_spectrum(path.gram, factor)
 
     def fit(i):
-        models[i] = path.fit(_solve_lambda(cells[i]))
+        wide = path.gram.shape[0] > DENSE_MAX_SIDE and not spectra
+        models[i] = path.fit(_solve_lambda(cells[i]), keep_spectrum if wide else None)
         return bool(models[i].meta.get("fallback", False))
 
     rows.fill("solver_fallback", fit)
-    s = rows.shared(lambda: sym_eigs(path.gram))
+    s = rows.shared(lambda: spectra["gram"] if spectra else gram_spectrum(path.gram))
     rows.fill("gram_cond", lambda i: s.cond)
     c_spec = rows.shared(lambda: _c_spectrum(fmap)) if fmap is not None else s
     if c_spec is not None:

@@ -7,8 +7,11 @@ Together the grids run the dual (n <= feature dim) and primal (n > feature
 dim) solves of `linear`, `rf_finite` and `ntk_finite` and the kernel solve
 of `rf_infinite` and `ntk_infinite`, each at lambda 0 and 1e-3. The
 finite-width and rf_infinite grids run once more with a Monte-Carlo sample
-of several blocks. A change that alters any number a sweep writes, down to
-the last bit, changes a hash.
+of several blocks. One more ntk_finite grid has grams wider than
+`spectral.DENSE_MAX_SIDE`, whose extremes come from Lanczos; its hash was
+recorded after the Lanczos extremes were held to `eigvalsh` within Weyl's
+bound (tests/test_spectral.py). A change that alters any number a sweep
+writes, down to the last bit, changes a hash.
 
 The hashes were recorded with Python 3.11.7, numpy 2.4.6 (scipy-openblas64
 0.3.31.188.0) and scipy 1.17.1 (OpenBLAS 0.3.30), DYNAMIC_ARCH on an x86-64
@@ -49,12 +52,13 @@ GOLDEN = {
 }
 
 
-def _sweep_hash(regime, mc_samples, tmp_path) -> str:
-    """sha256 of the CSV of the golden grid of `regime`, every row successful."""
+def _sweep_hash(regime, mc_samples, tmp_path, grid=None) -> str:
+    """sha256 of the CSV of `grid` (by default the golden grid of `regime`),
+    every row successful."""
     cfg = SweepConfig(
         regime=regime, activation=ActivationKind.RELU, lambda_grid=(0.0, 1e-3),
         zeta_grid=(0.5,), mc_samples=mc_samples, base_seed=3,
-        output_path=str(tmp_path / f"{regime}.csv"), **GRIDS[regime],
+        output_path=str(tmp_path / f"{regime}.csv"), **(grid or GRIDS[regime]),
     )
     with open(run_sweep(cfg), "rb") as fh:
         data = fh.read()
@@ -81,6 +85,19 @@ GOLDEN_BLOCKS = {
 @pytest.mark.parametrize("regime", sorted(GOLDEN_BLOCKS))
 def test_multi_block_sweep_csv_matches_golden_hash(regime, tmp_path):
     assert _sweep_hash(regime, BLOCK_MC_SAMPLES, tmp_path) == GOLDEN_BLOCKS[regime]
+
+
+#: an ntk_finite grid whose grams are wider than `spectral.DENSE_MAX_SIDE`,
+#: so their extremes come from Lanczos: n = 1030 runs the dual solve on a
+#: 1030 x 1030 gram, n = 1045 the primal one on a 1040 x 1040 gram
+WIDE_GRID = dict(n_grid=(1030, 1045), d_grid=(26,), k_grid=(40,))
+GOLDEN_WIDE = "d11b99a6682fb58a6e1d5c8e9aade49da19190ac1e53e01b03302209620b5b99"
+
+
+def test_wide_gram_sweep_csv_matches_golden_hash(monkeypatch, tmp_path):
+    lanczos = _count_calls(monkeypatch, "_top_eigenvalue", roblaw.spectral)
+    assert _sweep_hash("ntk_finite", 200, tmp_path, WIDE_GRID) == GOLDEN_WIDE
+    assert len(lanczos) == 2 * len(WIDE_GRID["n_grid"])  # lambda_max and lambda_min
 
 
 def _count_calls(monkeypatch, name, module=roblaw.kernels) -> list:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,3 +219,16 @@ def test_kernel_gram_is_the_train_design_bit_for_bit(name, n):
     assert design.tobytes() == path.gram.tobytes()
     assert train_mse(model, data, path.gram) == train_mse(model, data)
     np.testing.assert_array_equal(model.predict(data.X.points), design @ model.c)
+
+
+def test_ntk_features_peak_memory_is_about_its_output():
+    fmap = FeatureMap("ntk", HiddenWeights(sample_sphere(50, 40, 1).points))
+    X = sample_sphere(50, 500, 2).points
+    tracemalloc.start()
+    try:
+        Z = ntk_features(fmap, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert Z.shape == (500, 2000)
+    assert peak < 1.25 * Z.nbytes  # one m x kd array, not two

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.integrate import quad
 
+import roblaw.fit
+import roblaw.spectral
 from roblaw import (
     ActivationKind,
     FeatureMap,
@@ -13,6 +16,8 @@ from roblaw import (
     c_phi_monte_carlo,
     c_sigma_cov,
     c_sigma_sobolev,
+    gen_dataset,
+    gram_spectrum,
     kappa_tilde,
     linearized_c,
     mp_atom,
@@ -26,6 +31,8 @@ from roblaw import (
     sample_sphere,
     sym_eigs,
 )
+from roblaw.fit import feature_path, linear_path
+from roblaw.spectral import DENSE_MAX_SIDE
 
 
 def test_sym_eigs_matches_numpy():
@@ -165,3 +172,94 @@ def test_mp_invalid_arguments():
         mp_integral(-1.0, 0.0, "norm")
     with pytest.raises(InvalidArgument):
         mp_integral(0.5, 0.0, "other")
+
+
+def _ntk_gram(n, d, k):
+    """The gram an ntk_finite path factors: Z^T Z for n > kd, else Z Z^T."""
+    W = HiddenWeights(sample_sphere(d, k, 2).points)
+    return feature_path(FeatureMap("ntk", W), gen_dataset(n, d, 0.5, 1)).gram
+
+
+WIDE_GRAMS = {
+    "ntk_primal": lambda: _ntk_gram(1045, 26, 40),  # 1040 x 1040, cond 1.3e7
+    "ntk_dual": lambda: _ntk_gram(1100, 50, 40),    # 1100 x 1100
+    "linear_dual": lambda: linear_path(gen_dataset(1050, 1100, 0.5, 1)).gram,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(WIDE_GRAMS))
+def wide_gram(request):
+    G = WIDE_GRAMS[request.param]()
+    assert G.shape[0] > DENSE_MAX_SIDE
+    return request.param, G
+
+
+def _same_summary(a, b):
+    return (np.array_equal(a.eigenvalues, b.eigenvalues)
+            and (a.lambda_min, a.lambda_max, a.cond) == (b.lambda_min, b.lambda_max, b.cond))
+
+
+def test_wide_gram_extremes_agree_with_eigvalsh_within_weyl_bound(wide_gram):
+    name, G = wide_gram
+    s = gram_spectrum(G)
+    ref = np.linalg.eigvalsh(G)
+    assert s.eigenvalues.shape == (2,)  # from Lanczos, not a fallback
+    bound = 10 * G.shape[0] * np.finfo(float).eps * ref[-1]
+    assert abs(s.lambda_max - ref[-1]) <= bound
+    assert abs(s.lambda_min - ref[0]) <= bound
+    assert s.cond == s.lambda_max / s.lambda_min
+    if name == "ntk_primal":
+        assert ref[-1] / ref[0] >= 1e6
+
+
+def test_wide_gram_spectrum_takes_a_given_factor(wide_gram):
+    _, G = wide_gram
+    factor = roblaw.fit.cholesky(G)
+    assert _same_summary(gram_spectrum(G, factor), gram_spectrum(G))
+
+
+def test_wide_gram_spectrum_bits_survive_an_unrelated_eigsh_call(wide_gram):
+    _, G = wide_gram
+    first = gram_spectrum(G)
+    A = np.random.default_rng().standard_normal((60, 60))
+    scipy.sparse.linalg.eigsh(A + A.T, k=2)  # start vector from OS entropy
+    again = gram_spectrum(G)
+    assert (again.lambda_min, again.lambda_max, again.cond) == (
+        first.lambda_min, first.lambda_max, first.cond)
+
+
+def test_singular_wide_gram_falls_back_to_eigvalsh():
+    Z = np.random.default_rng(3).standard_normal((1100, 40))
+    G = Z @ Z.T  # rank 40: its Cholesky fails
+    with pytest.raises(np.linalg.LinAlgError):
+        roblaw.fit.cholesky(G)
+    s = gram_spectrum(G)
+    assert s.eigenvalues.shape == (1100,)
+    assert _same_summary(s, sym_eigs(G))
+
+
+def test_wide_gram_falls_back_to_eigvalsh_when_lanczos_does_not_converge(monkeypatch):
+    G = _ntk_gram(1100, 50, 40)
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("planted", np.empty(0), np.empty(0))
+
+    monkeypatch.setattr(roblaw.spectral, "eigsh", no_convergence)
+    s = gram_spectrum(G)
+    assert s.eigenvalues.shape == (1100,)
+    assert _same_summary(s, sym_eigs(G))
+
+
+@pytest.mark.parametrize("n", [1, 30, DENSE_MAX_SIDE])
+def test_narrow_gram_spectrum_is_sym_eigs(n):
+    Z = np.random.default_rng(n).standard_normal((n, n + 5))
+    G = Z @ Z.T
+    assert _same_summary(gram_spectrum(G), sym_eigs(G))
+
+
+def test_hidden_weights_build_their_cosines_once():
+    W = HiddenWeights(sample_sphere(7, 30, 4).points)
+    T = W.cosines
+    assert T is W.cosines
+    assert not T.flags.writeable
+    assert np.array_equal(T, np.clip(W.W @ W.W.T, -1.0, 1.0))

@@ -1,9 +1,11 @@
 import csv
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import roblaw.fit
 import roblaw.sweep
@@ -263,10 +265,10 @@ def test_solve_failure_at_one_lambda_stays_in_its_row(tmp_path, monkeypatch):
     clean = _csv_rows(run_sweep(_path_config(tmp_path, "clean.csv")))
     original = roblaw.fit.solve_psd
 
-    def singular_at_zero(K, y, lam):
+    def singular_at_zero(K, y, lam, on_factor=None):
         if lam == 0:
             raise SingularKernel("planted")
-        return original(K, y, lam)
+        return original(K, y, lam, on_factor)
 
     monkeypatch.setattr(roblaw.fit, "solve_psd", singular_at_zero)
     cfg = _path_config(tmp_path, "planted.csv")
@@ -310,3 +312,51 @@ def test_run_sweep_rejects_fewer_than_one_worker(tmp_path, workers):
     with pytest.raises(InvalidArgument):
         run_sweep(cfg, workers=workers)
     assert not (tmp_path / "out.csv").exists()
+
+
+def _wide_path(lams):
+    """An ntk_finite lambda path whose dual gram, of side 1100, is wider
+    than `spectral.DENSE_MAX_SIDE`, so its spectrum comes from Lanczos."""
+    return [TrialCell(regime="ntk_finite", activation=ActivationKind.RELU, n=1100, d=50,
+                      k=40, lam=lam, zeta=0.5, dataset_seed=5, weight_seed=6,
+                      mc_samples=200) for lam in lams]
+
+
+@pytest.mark.parametrize("lams, factors", [
+    ((0.0, 1e-3), 2),   # the lambda = 0 solve's factor serves the spectrum
+    ((1e-4, 1e-3), 3),  # the spectrum factors the gram itself
+])
+def test_wide_path_factors_its_gram_once(monkeypatch, lams, factors):
+    original = scipy.linalg.cho_factor
+    factored = []
+
+    def counted(M, *args, **kwargs):
+        factored.append(M.shape)
+        return original(M, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+    recs = run_trial(_wide_path(lams))
+    assert [r.reason for r in recs] == [""] * len(lams)
+    assert factored == [(1100, 1100)] * factors
+
+
+def test_wide_path_releases_the_lambda_zero_factor_before_the_next_solve(monkeypatch):
+    original = roblaw.fit.cholesky
+    made = []
+
+    def tracked(M):
+        assert all(ref() is None for ref in made)
+        factor = original(M)
+        made.append(weakref.ref(factor[0]))
+        return factor
+
+    monkeypatch.setattr(roblaw.fit, "cholesky", tracked)
+    recs = run_trial(_wide_path((0.0, 1e-4, 1e-3)))
+    assert [r.reason for r in recs] == [""] * 3
+    assert len(made) == 3
+
+
+def test_wide_path_rows_equal_their_cells_run_alone():
+    cells = _wide_path((0.0, 1e-4, 1e-3))
+    rows = [rec.csv_row() for rec in run_trial(cells)]
+    assert rows == [run_trial([cell])[0].csv_row() for cell in cells]
