@@ -209,26 +209,33 @@ class _ScipyBlasPin:
 _ONE_SCIPY_THREAD = _ScipyBlasPin()
 
 
-def cholesky(M: np.ndarray):
+def cholesky(M: np.ndarray, overwrite_a: bool = False):
     """The lower Cholesky factor of a finite symmetric M, as
     `scipy.linalg.cho_factor` gives it, made on one thread of scipy's BLAS.
     Raises LinAlgError when M is not numerically positive definite. Every
     factor of a gram goes through here, so one matrix has one factor's
-    bits whoever makes it."""
+    bits whoever makes it. With `overwrite_a` the factor overwrites a
+    C-ordered M: LAPACK reads its F-ordered transpose, equal to M, in place
+    of the transposing copy that `cho_factor` would make of the same bytes."""
     with _ONE_SCIPY_THREAD:
+        if overwrite_a:
+            return scipy.linalg.cho_factor(M.T, lower=True, overwrite_a=True,
+                                           check_finite=False)
         return scipy.linalg.cho_factor(M, lower=True, check_finite=False)
 
 
 def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
               on_factor: Callable | None = None) -> tuple[np.ndarray, dict]:
-    """Solve (K + lam*I) c = y for symmetric PSD K, with jitter escalation
+    """Solve (K + lam*I) c = y for exactly symmetric PSD K (K == K.T bit
+    for bit, as every path builder makes its gram), with jitter escalation
     and a pseudo-inverse fallback. Returns (c, meta). K, y and lam are
-    checked finite here, so scipy does not check them again.
+    checked finite here, so scipy does not check them again. Each attempt
+    copies K into one buffer, adds lam and then the jitter to its diagonal
+    and factors it in place: a solve holds one array besides K.
 
     When lam is 0 and K itself factors, `on_factor(factor)` is called with
     its `cholesky` factor before the solve returns: a caller can reuse the
     factor without holding it past the call."""
-    n = K.shape[0]
     if not np.all(np.isfinite(K)) or not np.all(np.isfinite(y)):
         raise InvalidArgument("non-finite entries in solve")
     if not math.isfinite(lam):
@@ -238,22 +245,29 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
         lmax = float(np.max(np.abs(K), initial=0.0))
     if lmax <= 0:
         raise SingularKernel("kernel matrix is zero")
-    A = K + lam * np.eye(n) if lam > 0 else K
+    n = K.shape[0]
+    M = np.empty((n, n))  # C-ordered, so its diagonal is a strided view
+    diag = M.reshape(-1)[::n + 1]
     for jitter in (0.0, 1e-12 * lmax, 1e-10 * lmax):
-        M = A + jitter * np.eye(n) if jitter else A
+        np.copyto(M, K)  # a failed attempt leaves M half factored
+        if lam > 0:
+            diag += lam
+        diag += jitter
         # K is finite, so only the shifted diagonal can overflow
-        if not np.all(np.isfinite(M.diagonal())):
+        if not np.all(np.isfinite(diag)):
             raise InvalidArgument("K + lambda I overflows")
         try:
             with _ONE_SCIPY_THREAD:
-                cf = cholesky(M)
+                cf = cholesky(M, overwrite_a=True)
                 c = scipy.linalg.cho_solve(cf, y, check_finite=False)
         except np.linalg.LinAlgError:  # scipy.linalg raises this same class
             continue
-        if on_factor is not None and M is K:
+        if on_factor is not None and not lam > 0 and not jitter:
             on_factor(cf)
         return c, {"solver": "cholesky", "jitter": jitter, "fallback": jitter > 0}
+    del M, diag
     # eigendecomposition pseudo-inverse
+    A = K + lam * np.eye(n) if lam > 0 else K
     evals, evecs = np.linalg.eigh((A + A.T) / 2)
     top = float(evals[-1])
     if top <= 0:

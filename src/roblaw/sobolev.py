@@ -12,7 +12,7 @@ from .activations import HOMOGENEITY, ActivationKind
 from .errors import InvalidArgument, NumericFailure, ResourceLimit, UnsupportedActivation
 from .fit import FeatureModel, KernelModel, LinearModel, TwoLayerModel
 from .kernels import gradient_factor, model_gradient
-from .sphere import sample_sphere
+from .sphere import BLOCK_ROWS, sample_sphere, sphere_blocks
 from .spectral import _MAX_COV_ELEMENTS, c_sigma_sobolev
 
 
@@ -22,10 +22,6 @@ class SobolevEstimate:
     method: str  # "analytic" | "exact" | "monte_carlo"
     samples: int = 0
     std_error: float = 0.0
-
-
-#: sphere-sample rows whose gradients `sobolev_monte_carlo` holds at once
-_BLOCK_ROWS = 1024
 
 
 def _two_layer_view(model):
@@ -74,20 +70,18 @@ def sobolev_monte_carlo(models, d: int, m: int, seed: int) -> list[SobolevEstima
     m sphere samples, reported as a square root with the delta-method
     standard error.
 
-    The sample is walked in blocks of `_BLOCK_ROWS` rows. Each block computes
-    the coefficient-free gradient factor once for every group of models that
-    shares a hidden layer, or a kernel and anchor set, as the models of one
-    lambda path do. Memory: the m x d sample and an (L, m) array of squared
-    norms for L models, plus O(_BLOCK_ROWS * max(k, n, d)) per block for k
-    hidden units or n anchors."""
+    The sample is drawn in blocks of BLOCK_ROWS rows into one buffer. Each
+    block computes the coefficient-free gradient factor once for every group
+    of models that shares a hidden layer, or a kernel and anchor set, as the
+    models of one lambda path do. Memory: one block and an (L, m) array of
+    squared norms for L models, plus O(BLOCK_ROWS * max(k, n, d)) per block
+    for k hidden units or n anchors; the m * d limit bounds the draw's work."""
     if m < 100:
         raise InvalidArgument("m must be >= 100")
     if m * d > _MAX_COV_ELEMENTS:
         raise ResourceLimit(f"sphere sample {m} x {d} too large")
-    X = sample_sphere(d, m, seed).points
     sq = np.empty((len(models), m))
-    for start in range(0, m, _BLOCK_ROWS):
-        Xb = X[start:start + _BLOCK_ROWS]
+    for start, Xb in zip(range(0, m, BLOCK_ROWS), sphere_blocks(d, m, seed)):
         factors = {}
         for row, model in zip(sq, models):
             key = _factor_key(model)

@@ -11,9 +11,8 @@ import numpy as np
 
 from .errors import InvalidArgument
 
-_NORM_TOL = 1e-12
-#: rows `sample_sphere` normalizes at a time; the row norms do not depend on it
-_NORM_BLOCK_ROWS = 1024
+#: rows drawn and normalized at a time; the draws do not depend on it
+BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -50,22 +49,36 @@ class SphereSample:
         return self.points.shape[0]
 
 
-def sample_sphere(d: int, n: int, seed: int) -> SphereSample:
-    """n iid uniform points on S^{d-1}: normalized standard-Gaussian rows.
+def _check_size(d: int, n: int) -> None:
+    if d < 2 or n < 1:
+        raise InvalidArgument(f"a sphere sample needs d >= 2 and n >= 1, got d={d}, n={n}")
 
-    Deterministic given the seed (PCG64 stream).
-    """
-    if d < 2:
-        raise InvalidArgument(f"d must be >= 2, got {d}")
-    if n < 1:
-        raise InvalidArgument(f"n must be >= 1, got {n}")
+
+def sphere_blocks(d: int, n: int, seed: int, out: np.ndarray | None = None):
+    """The points of `sample_sphere(d, n, seed)` bit for bit, in blocks of
+    BLOCK_ROWS rows (PCG64 fills an array in row-major order). Each block is
+    drawn into its own rows of an (n, d) `out`, or by default into one
+    (BLOCK_ROWS, d) buffer that the next block overwrites."""
+    _check_size(d, n)
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, d))
-    # blocks of rows keep the norm's n x d temporaries small
-    for start in range(0, n, _NORM_BLOCK_ROWS):
-        block = g[start:start + _NORM_BLOCK_ROWS]
+    if out is None:
+        out = np.empty((min(n, BLOCK_ROWS), d))
+    for start in range(0, n, BLOCK_ROWS):
+        # rows start: of an (n, d) out, the leading rows of the buffer
+        block = out[start % len(out):][:min(BLOCK_ROWS, n - start)]
+        rng.standard_normal(out=block)
         block /= np.linalg.norm(block, axis=1, keepdims=True)
-    return SphereSample._trusted(g)
+        yield block
+
+
+def sample_sphere(d: int, n: int, seed: int) -> SphereSample:
+    """n iid uniform points on S^{d-1}: normalized standard-Gaussian rows,
+    deterministic given the seed (PCG64 stream)."""
+    _check_size(d, n)
+    points = np.empty((n, d))
+    for _ in sphere_blocks(d, n, seed, points):
+        pass
+    return SphereSample._trusted(points)
 
 
 def moment_cpq(p: int, q: int, d: int, s: float) -> float:

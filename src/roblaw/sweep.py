@@ -287,6 +287,10 @@ def _fill_path(recs: list, cells: list) -> list:
     fmap = rows.shared(lambda: _feature_map(cell))
     path = rows.shared(lambda: _path_for_cell(cell, data, fmap))
     models = {}
+    is_kernel = cell.regime in KERNEL_NAMES
+    # inverse Lanczos is slower than `eigvalsh` on a kernel gram's clustered
+    # bottom at any side, so only feature and linear grams go to Lanczos
+    spectrum = sym_eigs if is_kernel else gram_spectrum
     # a wide gram's spectrum is taken from the lambda = 0 solve's Cholesky
     # factor while that solve holds it, so no factor outlives its solve
     spectra = {}
@@ -295,18 +299,17 @@ def _fill_path(recs: list, cells: list) -> list:
         spectra["gram"] = gram_spectrum(path.gram, factor)
 
     def fit(i):
-        wide = path.gram.shape[0] > DENSE_MAX_SIDE and not spectra
+        wide = not is_kernel and path.gram.shape[0] > DENSE_MAX_SIDE and not spectra
         models[i] = path.fit(_solve_lambda(cells[i]), keep_spectrum if wide else None)
         return bool(models[i].meta.get("fallback", False))
 
     rows.fill("solver_fallback", fit)
-    s = rows.shared(lambda: spectra["gram"] if spectra else gram_spectrum(path.gram))
+    s = rows.shared(lambda: spectra["gram"] if spectra else spectrum(path.gram))
     rows.fill("gram_cond", lambda i: s.cond)
     c_spec = rows.shared(lambda: _c_spectrum(fmap)) if fmap is not None else s
     if c_spec is not None:
         rows.fill("lambda_min_C", lambda i: c_spec.lambda_min)
         rows.fill("lambda_max_C", lambda i: c_spec.lambda_max)
-    is_kernel = cell.regime in KERNEL_NAMES
     if is_kernel:
         rows.fill("rkhs_norm", lambda i: rkhs_norm(models[i]))
     # K(X, X) is the gram bit for bit, so a kernel path keeps it as the

@@ -93,14 +93,14 @@ def test_fit_numeric_failure_exits_4(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["fit", "sobolev"])
 def test_oversized_monte_carlo_sample_exits_2_before_it_is_drawn(capsys, monkeypatch, command):
-    original = roblaw.sobolev.sample_sphere
+    original = roblaw.sobolev.sphere_blocks
 
-    def small_only(d, n, seed):
+    def small_only(d, n, seed, *args):
         if n * d > 10**6:
             raise AssertionError(f"drew a {n} x {d} sample")
-        return original(d, n, seed)
+        return original(d, n, seed, *args)
 
-    monkeypatch.setattr(roblaw.sobolev, "sample_sphere", small_only)
+    monkeypatch.setattr(roblaw.sobolev, "sphere_blocks", small_only)
     code, out, err = run_cli(capsys, command, "--regime", "linear", "--n", "5",
                              "--d", "5", "--mc-samples", "100000000")
     assert code == 2 and out == "" and "too large" in err

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +72,94 @@ def test_solve_psd_singular_falls_back():
 def _spd(n, seed):
     A = np.random.default_rng(seed).normal(size=(n, n))
     return A @ A.T + n * np.eye(n), np.ones(n)
+
+
+def _fail_first_factorization(monkeypatch) -> list:
+    """Make the first `cho_factor` call fail as a factorization that stops
+    halfway does: it scribbles NaN over an array it may overwrite, then
+    raises. Later calls run; the returned list collects their factors."""
+    original, made = scipy.linalg.cho_factor, []
+
+    def fail_once(a, *args, **kwargs):
+        if not made:
+            made.append(None)
+            if kwargs.get("overwrite_a"):
+                a[...] = np.nan
+            raise np.linalg.LinAlgError("planted")
+        made.append(original(a, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", fail_once)
+    return made
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+@pytest.mark.parametrize("retry", [False, True])
+def test_solve_psd_never_writes_to_its_gram(monkeypatch, lam, retry):
+    K, y = _spd(200, 4)
+    before = K.tobytes()
+    if retry:
+        _fail_first_factorization(monkeypatch)
+    factors = []
+    _, meta = solve_psd(K, y, lam, factors.append)
+    assert K.tobytes() == before
+    assert (meta["jitter"] > 0) == retry
+    assert len(factors) == (lam == 0 and not retry)
+
+
+def test_a_retry_factors_the_shifted_gram_with_its_jitter_bit_for_bit(monkeypatch):
+    K, y = _spd(200, 5)
+    lam, n = 1e-3, len(K)
+    original = scipy.linalg.cho_factor
+    made = _fail_first_factorization(monkeypatch)
+    c, meta = solve_psd(K, y, lam)
+    jitter = meta["jitter"]
+    assert jitter == 1e-12 * float(np.max(np.diag(K)))
+    with roblaw.fit._ONE_SCIPY_THREAD:
+        ref = original(K + lam * np.eye(n) + jitter * np.eye(n), lower=True, check_finite=False)
+        ref_c = scipy.linalg.cho_solve(ref, y, check_finite=False)
+    assert made[-1][0].tobytes() == ref[0].tobytes()
+    assert c.tobytes() == ref_c.tobytes()
+
+
+def test_every_path_builds_an_exactly_symmetric_gram():
+    # solve_psd factors the transpose of its copy of the gram, which is the
+    # gram itself only when the two agree bit for bit
+    d, k = 10, 30
+    W = HiddenWeights(sample_sphere(d, k, 3).points)
+    small, large = gen_dataset(20, d, 0.5, 1), gen_dataset(400, d, 0.5, 2)
+    paths = {
+        f"kernel {name}": roblaw.fit.kernel_path(
+            DotProductKernel(name=name, activation=ActivationKind.RELU), large)
+        for name in ("rf_infinite", "ntk_infinite")
+    }
+    for kind in ("frozen_rf", "ntk"):
+        fmap = FeatureMap(kind=kind, weights=W, activation=ActivationKind.RELU)
+        paths[f"{kind} dual"] = roblaw.fit.feature_path(fmap, small)
+        paths[f"{kind} primal"] = roblaw.fit.feature_path(fmap, large)
+    paths["linear dual"] = roblaw.fit.linear_path(gen_dataset(6, d, 0.5, 3))
+    paths["linear primal"] = roblaw.fit.linear_path(large)
+    sides = {name: len(path.gram) for name, path in paths.items()}
+    assert sides == {"kernel rf_infinite": 400, "kernel ntk_infinite": 400,
+                     "frozen_rf dual": 20, "frozen_rf primal": k,
+                     "ntk dual": 20, "ntk primal": k * d,
+                     "linear dual": 6, "linear primal": d}
+    for name, path in paths.items():
+        assert path.gram.tobytes() == path.gram.T.tobytes(), name
+
+
+def test_a_ridge_solve_holds_one_array_of_the_gram_size():
+    K, y = _spd(1100, 6)
+    tracemalloc.start()
+    try:
+        solve_psd(K, y, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the shifted copy, factored in place, and the n x n boolean finiteness
+    # check of K (an eighth of it); forming K + lam*I and letting cho_factor
+    # make its transposing copy peaks at two copies
+    assert peak < 1.5 * K.nbytes
 
 
 def _record_threads(monkeypatch, get, fail=False):

@@ -72,7 +72,7 @@ def test_sweep_csv_matches_golden_hash(regime, tmp_path):
 
 
 #: grids whose Monte-Carlo sample spans two full blocks of
-#: `sobolev._BLOCK_ROWS` rows and a partial third; recorded before the
+#: `sphere.BLOCK_ROWS` rows and a partial third; recorded before the
 #: estimator walked its sample in blocks
 BLOCK_MC_SAMPLES = 2 * 1024 + 37
 GOLDEN_BLOCKS = {
@@ -144,7 +144,8 @@ def test_sweep_builds_one_gram_and_one_sample_per_lambda_path(
     grams = _count_calls(monkeypatch, "empirical_gram")
     feats = _count_calls(monkeypatch, "features")
     solves = _count_calls(monkeypatch, "solve_psd", roblaw.fit)
-    samples = _count_calls(monkeypatch, "sample_sphere", roblaw.sphere)
+    # every sphere draw, whole or block by block, goes through the drawer
+    samples = _count_calls(monkeypatch, "sphere_blocks", roblaw.sphere)
     sobolev_mats = _count_calls(monkeypatch, "c_sigma_sobolev", roblaw.spectral)
     run_sweep(cfg)
     ntk_dual = [n for n in n_grid if regime == "ntk_finite" and n <= k * d]

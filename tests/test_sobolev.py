@@ -219,6 +219,20 @@ def test_monte_carlo_kernel_memory_is_bounded_by_the_block():
     assert peak < 32e6
 
 
+def test_monte_carlo_holds_no_sample_sized_array():
+    d, m = 100, 100_000
+    model = LinearModel(w=np.random.default_rng(5).normal(size=d))
+    tracemalloc.start()
+    try:
+        sobolev_monte_carlo([model], d, m, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the m x d sample is 80 MB; one 1024-row block is 0.8 MB and the squared
+    # norms of one model 0.8 MB
+    assert peak < 8e6
+
+
 def test_monte_carlo_minimum_samples():
     with pytest.raises(InvalidArgument):
         sobolev_monte_carlo([LinearModel(w=np.ones(4))], 4, 50, 0)

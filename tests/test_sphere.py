@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from roblaw import InvalidArgument, SphereSample, moment_cpq, sample_sphere
+from roblaw.sphere import BLOCK_ROWS, sphere_blocks
 
 
 def test_sample_sphere_rows_unit_norm():
@@ -27,6 +28,24 @@ def test_sample_sphere_rows_normalized_in_blocks_equal_whole_array_norms():
         g = np.random.default_rng(n).standard_normal((n, d))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         assert sample_sphere(d, n, n).points.tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 37])
+def test_sphere_blocks_draw_the_sample_bits_into_one_buffer(n):
+    d, seed = 7, 40 + n
+    blocks = list(sphere_blocks(d, n, seed))
+    assert [len(b) for b in blocks] == [min(BLOCK_ROWS, n - s) for s in range(0, n, BLOCK_ROWS)]
+    assert all(np.shares_memory(b, blocks[0]) for b in blocks)
+    copies = np.concatenate([b.copy() for b in sphere_blocks(d, n, seed)])
+    assert copies.tobytes() == sample_sphere(d, n, seed).points.tobytes()
+
+
+@pytest.mark.parametrize("d, n", [(1, 5), (3, 0), (-2, 5), (3, -1)])
+def test_sphere_draws_reject_bad_sizes(d, n):
+    with pytest.raises(InvalidArgument):
+        sample_sphere(d, n, 0)
+    with pytest.raises(InvalidArgument):
+        next(sphere_blocks(d, n, 0))
 
 
 def test_sample_sphere_deterministic():

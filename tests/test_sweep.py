@@ -8,15 +8,18 @@ import pytest
 import scipy.linalg
 
 import roblaw.fit
+import roblaw.spectral
 import roblaw.sweep
 from roblaw import (
     ActivationKind,
+    DotProductKernel,
     InvalidArgument,
     NumericFailure,
     SingularKernel,
     SweepConfig,
     TrialCell,
     gen_dataset,
+    sym_eigs,
 )
 from roblaw.sweep import (
     CSV_COLUMNS,
@@ -344,9 +347,9 @@ def test_wide_path_releases_the_lambda_zero_factor_before_the_next_solve(monkeyp
     original = roblaw.fit.cholesky
     made = []
 
-    def tracked(M):
+    def tracked(M, *args, **kwargs):
         assert all(ref() is None for ref in made)
-        factor = original(M)
+        factor = original(M, *args, **kwargs)
         made.append(weakref.ref(factor[0]))
         return factor
 
@@ -354,6 +357,33 @@ def test_wide_path_releases_the_lambda_zero_factor_before_the_next_solve(monkeyp
     recs = run_trial(_wide_path((0.0, 1e-4, 1e-3)))
     assert [r.reason for r in recs] == [""] * 3
     assert len(made) == 3
+
+
+def test_wide_kernel_path_takes_its_spectrum_from_eigvalsh(monkeypatch):
+    # a kernel gram's clustered bottom makes inverse Lanczos slower than
+    # eigvalsh, so a kernel path never calls eigsh or factors for spectra
+    def no_lanczos(*args, **kwargs):
+        raise AssertionError("eigsh called on a kernel gram")
+
+    monkeypatch.setattr(roblaw.spectral, "eigsh", no_lanczos)
+    original, factored = scipy.linalg.cho_factor, []
+
+    def counted(M, *args, **kwargs):
+        factored.append(M.shape)
+        return original(M, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+    cells = [TrialCell(regime="rf_infinite", activation=ActivationKind.RELU, n=1100, d=500,
+                       k=0, lam=lam, zeta=0.5, dataset_seed=5, weight_seed=6, mc_samples=200)
+             for lam in (0.0, 1e-3)]
+    recs = run_trial(cells)
+    assert [r.reason for r in recs] == ["", ""]
+    assert factored == [(1100, 1100)] * 2  # the two solves
+    kernel = DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU)
+    s = sym_eigs(roblaw.fit.kernel_path(kernel, gen_dataset(1100, 500, 0.5, 5)).gram)
+    for r in recs:
+        assert (r.gram_cond, r.lambda_min_C, r.lambda_max_C) == (s.cond, s.lambda_min,
+                                                                s.lambda_max)
 
 
 def test_wide_path_rows_equal_their_cells_run_alone():
