@@ -21,7 +21,10 @@ no factorization of their own.
 Every model predicts through a design: `predict(x)` is `design(x) @ coef`,
 with `design(x)` the lambda-free matrix of the inputs (x itself, the
 activations, the kernel at the anchors or the features), so the models of
-one lambda path can share one design of a point set.
+one lambda path can share one design of a point set. Gradients split the
+same way: `gradient(X, gradient_factor(X))`, with the coefficient-free
+factor shared by the models of one `factor_key`. `two_layer` is the
+(hidden weights, output weights, activation) of a two-layer network, or None.
 """
 
 import ctypes
@@ -47,6 +50,7 @@ from .kernels import (
     features,
     gram_dot,
     kernel_profile,
+    kernel_profile_deriv,
 )
 from .sphere import SphereSample
 
@@ -57,12 +61,21 @@ class LinearModel:
     meta: dict = field(default_factory=dict)
     gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    factor_key = None
+    two_layer = None
+
     @property
     def coef(self) -> np.ndarray:
         return self.w
 
     def design(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float)
+
+    def gradient_factor(self, X):
+        return None
+
+    def gradient(self, X, factor) -> np.ndarray:
+        return np.broadcast_to(self.w, X.shape).copy()
 
     def predict(self, x):
         return self.design(x) @ self.w
@@ -79,9 +92,23 @@ class TwoLayerModel:
     def coef(self) -> np.ndarray:
         return self.v
 
+    @property
+    def factor_key(self):
+        return self.activation, id(self.W.W)
+
+    @property
+    def two_layer(self):
+        return self.W, self.v, self.activation
+
     def design(self, x) -> np.ndarray:
         """sigma(x W^T)."""
         return np.asarray(act_eval(self.activation, np.asarray(x, dtype=float) @ self.W.W.T))
+
+    def gradient_factor(self, X) -> np.ndarray:
+        return np.asarray(act_deriv(self.activation, X @ self.W.W.T))
+
+    def gradient(self, X, factor) -> np.ndarray:
+        return (factor * self.v) @ self.W.W
 
     def predict(self, x):
         return self.design(x) @ self.v
@@ -95,24 +122,37 @@ class KernelModel:
     meta: dict = field(default_factory=dict)
     gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    two_layer = None
+
     @property
     def coef(self) -> np.ndarray:
         return self.c
 
+    @property
+    def factor_key(self):
+        return self.kernel, id(self.anchors.points)
+
     def design(self, X) -> np.ndarray:
         """K(X, anchors) for an (m, d) batch X. At the anchors themselves it
-        has the bits of the fit's gram: the product of a matrix with its own
-        transpose is exactly symmetric, so `gram_dot`'s symmetrization
-        leaves it unchanged."""
+        is the fit's gram bit for bit: `gram_dot` makes the same product,
+        clip and profile."""
         T = np.asarray(X, dtype=float) @ self.anchors.points.T
         np.clip(T, -1.0, 1.0, out=T)
         return np.asarray(kernel_profile(self.kernel, T))
 
+    def gradient_factor(self, X) -> np.ndarray:
+        """phi'(X A^T) at the anchors A, (m, n), with t clamped to
+        |t| <= 1 - 1e-9, where the NTK phi' of relu and abs is finite."""
+        T = X @ self.anchors.points.T
+        np.clip(T, -(1 - 1e-9), 1 - 1e-9, out=T)
+        return np.asarray(kernel_profile_deriv(self.kernel, T))
+
+    def gradient(self, X, factor) -> np.ndarray:
+        return (factor * self.c) @ self.anchors.points
+
     def predict(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        out = self.design(x[None, :] if single else x) @ self.c
-        return float(out[0]) if single else out
+        out = self.design(np.atleast_2d(np.asarray(x, dtype=float))) @ self.c
+        return float(out[0]) if np.ndim(x) == 1 else out
 
 
 @dataclass(frozen=True)
@@ -126,15 +166,37 @@ class FeatureModel:
     def coef(self) -> np.ndarray:
         return self.a
 
+    @property
+    def factor_key(self):
+        return self.map.activation, id(self.map.weights.W)
+
+    @property
+    def two_layer(self):
+        """Random features are the network of output weights a / sqrt(k)."""
+        if self.map.kind != "frozen_rf":
+            return None
+        k = self.map.weights.k
+        return self.map.weights, self.a / math.sqrt(k), self.map.activation
+
     def design(self, X) -> np.ndarray:
         """The feature rows of an (m, d) batch X."""
         return features(self.map, X)
 
+    def gradient_factor(self, X) -> np.ndarray:
+        return np.asarray(act_deriv(self.map.activation, X @ self.map.weights.W.T))
+
+    def gradient(self, X, factor) -> np.ndarray:
+        """The NTK feature Jacobian drops the distributional sigma'' term
+        (a.e. correct for piecewise-linear sigma')."""
+        W = self.map.weights.W
+        k = W.shape[0]
+        if self.map.kind == "frozen_rf":
+            return (factor * self.a) @ W / math.sqrt(k)
+        return (factor @ self.a.reshape(k, -1)) / math.sqrt(k)  # (k, d) blocks
+
     def predict(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        out = self.design(x[None, :] if single else x) @ self.a
-        return float(out[0]) if single else out
+        out = self.design(np.atleast_2d(np.asarray(x, dtype=float))) @ self.a
+        return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def _scipy_blas_threads() -> tuple:

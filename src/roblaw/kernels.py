@@ -1,5 +1,5 @@
 """The infinite-width RF and NTK kernels, finite RF/NTK feature maps, gram
-matrices, and gradients of every fitted-model family.
+matrices, and the gradient of a fitted model at a point or a batch.
 
 Normalization convention: the infinite-width RF/NTK kernels use the
 unnormalized arc-cosine-style profiles (1/pi scale), i.e. twice the
@@ -90,16 +90,13 @@ def kernel_profile_deriv(kernel: DotProductKernel, t):
 
 
 def gram_dot(kernel: DotProductKernel, A: SphereSample, B: SphereSample) -> np.ndarray:
-    """G[i, j] = phi(a_i . b_j)."""
+    """G[i, j] = phi(a_i . b_j). For B = A it is exactly symmetric: A A^T
+    is, and phi acts entrywise."""
     if A.dim != B.dim:
         raise InvalidArgument(f"dimension mismatch: {A.dim} vs {B.dim}")
     T = A.points @ B.points.T
     np.clip(T, -1.0, 1.0, out=T)
-    G = np.asarray(kernel_profile(kernel, T))
-    if A is B or (A.count == B.count and A.points is B.points):
-        G = G + G.T
-        G /= 2
-    return G
+    return np.asarray(kernel_profile(kernel, T))
 
 
 @dataclass(frozen=True)
@@ -186,70 +183,24 @@ def features(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
 
 
 def empirical_gram(fmap: FeatureMap, X: SphereSample) -> np.ndarray:
-    """G = Z Z^T with Z the feature rows. NTK uses the Hadamard identity
-    K_ntk = (X X^T) o ((1/k) S S^T), S = sigma'(X W^T), so the k*d-dim
-    features are never materialized."""
+    """G = Z Z^T with Z the feature rows, exactly symmetric. NTK uses the
+    Hadamard identity K_ntk = (X X^T) o ((1/k) S S^T), S = sigma'(X W^T),
+    so the k*d-dim features are never materialized."""
     if X.dim != fmap.weights.d:
         raise InvalidArgument("sample dimension does not match weights")
     if fmap.kind == "frozen_rf":
         Z = rf_features(fmap, X.points)
-        G = Z @ Z.T
-    else:
-        S = np.asarray(act_deriv(fmap.activation, X.points @ fmap.weights.W.T))
-        G = (X.points @ X.points.T) * (S @ S.T) / fmap.weights.k
-    return (G + G.T) / 2
-
-
-def gradient_factor(model, X: np.ndarray):
-    """The part of the gradients of `model` at the rows of X that does not
-    depend on its trained coefficients: sigma'(X W^T) for a two-layer or
-    feature model, phi' at the clamped dot products X A^T with the anchors A
-    for a kernel model, None for a linear model. Models of one hidden layer,
-    or of one kernel and anchor set, have the same factor."""
-    from .fit import FeatureModel, KernelModel, LinearModel, TwoLayerModel
-
-    if isinstance(model, LinearModel):
-        return None
-    if isinstance(model, KernelModel):
-        T = X @ model.anchors.points.T
-        np.clip(T, -(1 - 1e-9), 1 - 1e-9, out=T)
-        return np.asarray(kernel_profile_deriv(model.kernel, T))  # (m, n)
-    if isinstance(model, TwoLayerModel):
-        return np.asarray(act_deriv(model.activation, X @ model.W.W.T))  # (m, k)
-    if isinstance(model, FeatureModel):
-        return np.asarray(act_deriv(model.map.activation, X @ model.map.weights.W.T))
-    raise InvalidArgument(f"cannot differentiate model {type(model).__name__}")
+        return Z @ Z.T
+    S = np.asarray(act_deriv(fmap.activation, X.points @ fmap.weights.W.T))
+    return (X.points @ X.points.T) * (S @ S.T) / fmap.weights.k
 
 
 def model_gradient(model, x: np.ndarray, factor=None) -> np.ndarray:
-    """Euclidean gradient of a fitted model at x (single point or batch).
-    `factor` is `gradient_factor(model, x)` when the caller has it already.
-
-    Kernel-representer gradients clamp t to |t| <= 1 - 1e-9, where the NTK
-    profile derivative of relu and abs is still finite; NTK feature
-    Jacobians drop the distributional sigma'' term (a.e. correct for
-    piecewise-linear sigma').
-    """
-    from .fit import FeatureModel, KernelModel, LinearModel, TwoLayerModel
-
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
+    """Euclidean gradient of a fitted model at x (single point or batch):
+    `model.gradient` of the batch and its `gradient_factor`, which the
+    caller passes as `factor` when it has it already."""
+    X = np.atleast_2d(np.asarray(x, dtype=float))
     if factor is None:
-        factor = gradient_factor(model, X)
-
-    if isinstance(model, LinearModel):
-        G = np.broadcast_to(model.w, X.shape).copy()
-    elif isinstance(model, TwoLayerModel):
-        G = (factor * model.v) @ model.W.W
-    elif isinstance(model, KernelModel):
-        G = (factor * model.c) @ model.anchors.points
-    else:
-        W = model.map.weights.W
-        k = W.shape[0]
-        if model.map.kind == "frozen_rf":
-            G = (factor * model.a) @ W / math.sqrt(k)
-        else:
-            A = model.a.reshape(k, -1)  # (k, d) blocks
-            G = (factor @ A) / math.sqrt(k)
-    return G[0] if single else G
+        factor = model.gradient_factor(X)
+    G = model.gradient(X, factor)
+    return G[0] if np.ndim(x) == 1 else G

@@ -10,8 +10,8 @@ import numpy as np
 
 from .activations import HOMOGENEITY, ActivationKind
 from .errors import InvalidArgument, NumericFailure, ResourceLimit, UnsupportedActivation
-from .fit import FeatureModel, KernelModel, LinearModel, TwoLayerModel
-from .kernels import gradient_factor, model_gradient
+from .fit import LinearModel
+from .kernels import model_gradient
 from .sphere import BLOCK_ROWS, sample_sphere, sphere_blocks
 from .spectral import _MAX_COV_ELEMENTS, c_sigma_sobolev
 
@@ -24,21 +24,11 @@ class SobolevEstimate:
     std_error: float = 0.0
 
 
-def _two_layer_view(model):
-    """(W, v, kind) for models that are secretly two-layer networks."""
-    if isinstance(model, TwoLayerModel):
-        return model.W, model.v, model.activation
-    if isinstance(model, FeatureModel) and model.map.kind == "frozen_rf":
-        k = model.map.weights.k
-        return model.map.weights, model.a / math.sqrt(k), model.map.activation
-    return None
-
-
 def sobolev_analytic(models) -> list[SobolevEstimate]:
     """sqrt(v^T C v) for each model, with C the kappa-tilde matrix of their
     common hidden layer, built once; valid for two-layer networks with
     order-1 positively homogeneous activations."""
-    views = [_two_layer_view(model) for model in models]
+    views = [getattr(model, "two_layer", None) for model in models]
     if not views or None in views:
         raise InvalidArgument("analytic seminorm needs two-layer models")
     W, _, kind = views[0]
@@ -84,9 +74,9 @@ def sobolev_monte_carlo(models, d: int, m: int, seed: int) -> list[SobolevEstima
     for start, Xb in zip(range(0, m, BLOCK_ROWS), sphere_blocks(d, m, seed)):
         factors = {}
         for row, model in zip(sq, models):
-            key = _factor_key(model)
+            key = model.factor_key
             if key not in factors:
-                factors[key] = gradient_factor(model, Xb)
+                factors[key] = model.gradient_factor(Xb)
             G = model_gradient(model, Xb, factors[key])
             # project out the radial component and square in place; two
             # fewer temporaries per block end glibc's heap trim-and-refault
@@ -95,18 +85,6 @@ def sobolev_monte_carlo(models, d: int, m: int, seed: int) -> list[SobolevEstima
             G *= G
             row[start:start + len(Xb)] = np.sum(G, axis=1)
     return [_mc_estimate(row) for row in sq]
-
-
-def _factor_key(model):
-    """Models with one key have one `gradient_factor`: the same activation
-    and hidden-weight array, or the same kernel and anchor array."""
-    if isinstance(model, TwoLayerModel):
-        return model.activation, id(model.W.W)
-    if isinstance(model, FeatureModel):
-        return model.map.activation, id(model.map.weights.W)
-    if isinstance(model, KernelModel):
-        return model.kernel, id(model.anchors.points)
-    return None
 
 
 def _mc_estimate(sq: np.ndarray) -> SobolevEstimate:
@@ -131,7 +109,7 @@ def poincare_lower_bound(model, d: int, m: int, seed: int) -> float:
 
 def eta_proxy(model) -> float:
     """sum_j |v_j| ||w_j||, the path-norm upper-bound proxy."""
-    view = _two_layer_view(model)
+    view = getattr(model, "two_layer", None)
     if view is None:
         raise InvalidArgument("eta proxy needs a two-layer model")
     W, v, _ = view
@@ -140,6 +118,6 @@ def eta_proxy(model) -> float:
 
 def coef_norm(model) -> float:
     """Euclidean norm of the trained coefficient vector."""
-    if not isinstance(model, (LinearModel, TwoLayerModel, FeatureModel, KernelModel)):
+    if not hasattr(model, "coef"):
         raise InvalidArgument(f"unknown model type {type(model).__name__}")
     return float(np.linalg.norm(model.coef))

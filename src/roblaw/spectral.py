@@ -115,16 +115,15 @@ def op_distance(A: np.ndarray, B: np.ndarray) -> float:
 
 def c_sigma_sobolev(W: HiddenWeights, kind: ActivationKind, d: int) -> np.ndarray:
     """The Sobolev quadratic-form matrix: entries are the kappa-tilde
-    profile evaluated at w_j . w_l (finite-d correction included)."""
-    C = np.asarray(kappa_tilde(kind, d, W.cosines))
-    return (C + C.T) / 2
+    profile evaluated at w_j . w_l (finite-d correction included). Exactly
+    symmetric, as W W^T is."""
+    return np.asarray(kappa_tilde(kind, d, W.cosines))
 
 
 def c_sigma_cov(W: HiddenWeights, kind: ActivationKind) -> np.ndarray:
     """Covariance of sqrt(d) sigma(Wx) for x ~ tau_d, to O(1/d^2):
-    entries phi(w_j . w_l) - phi(0)."""
-    C = np.asarray(phi_profile(kind, "value", W.cosines)) - phi_profile(kind, "value", 0.0)
-    return (C + C.T) / 2
+    entries phi(w_j . w_l) - phi(0), exactly symmetric as W W^T is."""
+    return np.asarray(phi_profile(kind, "value", W.cosines)) - phi_profile(kind, "value", 0.0)
 
 
 def c_phi_monte_carlo(fmap: FeatureMap, m: int, seed: int) -> np.ndarray:
@@ -140,8 +139,7 @@ def c_phi_monte_carlo(fmap: FeatureMap, m: int, seed: int) -> np.ndarray:
     X = sample_sphere(d, m, seed)
     F = features(fmap, X.points) * math.sqrt(d)
     F -= F.mean(axis=0)
-    C = F.T @ F / m
-    return (C + C.T) / 2
+    return F.T @ F / m  # exactly symmetric: numpy forms F^T F by syrk
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .activations import HOMOGENEITY, ActivationKind, phi_profile
 from .data import Dataset, gen_dataset
 from .errors import InvalidArgument, IoError, RoblawError
 from .fit import (
-    RidgePath,
     feature_path,
     kernel_path,
     linear_path,
@@ -33,7 +33,7 @@ from .fit import (
     test_mse,
     train_mse,
 )
-from .kernels import KERNEL_NAMES, DotProductKernel, FeatureMap, HiddenWeights
+from .kernels import DotProductKernel, FeatureMap, HiddenWeights
 from .sobolev import (
     coef_norm,
     eta_proxy,
@@ -43,8 +43,6 @@ from .sobolev import (
 )
 from .spectral import DENSE_MAX_SIDE, c_sigma_cov, gram_spectrum, sym_eigs
 from .sphere import sample_sphere
-
-REGIMES = ("linear", "rf_finite", "ntk_finite", "rf_infinite", "ntk_infinite")
 
 TEST_SET_SIZE = 500
 TEST_SEED_OFFSET = 77003
@@ -154,6 +152,53 @@ class TrialRecord:
 CSV_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(TrialRecord)]
 
 
+@dataclass(frozen=True)
+class Regime:
+    """How a sweep runs the lambda paths of one regime: the FeatureMap kind
+    of its `hidden` layer, if it has one; its `path`(cell, dataset, hidden
+    layer), a RidgePath; the feature `width`(cell), n for a kernel: a path
+    solves on the n x n dual gram when n <= width, else on the primal one;
+    the ridge `solve_lambda`(cell) a solve adds to the gram; the
+    `c_matrix`(hidden weights, activation) of lambda_min_C and lambda_max_C,
+    if not the gram's; whether it is an infinite-width `kernel` path; the
+    `exact` seminorms of a list of models; and whether it fills `eta`. The
+    entries call library functions by their module-level names, so a
+    wrapper bound to such a name sees every call."""
+
+    hidden: str | None = None
+    path: Callable = lambda cell, data, fmap: feature_path(fmap, data)
+    width: Callable = lambda cell: cell.n
+    solve_lambda: Callable = lambda cell: cell.lam
+    c_matrix: Callable | None = None
+    kernel: bool = False
+    exact: Callable | None = None
+    eta: bool = False
+
+
+def _kernel_path(cell: TrialCell, data: Dataset, fmap):
+    kernel = DotProductKernel(name=cell.regime, activation=ActivationKind(cell.activation))
+    return kernel_path(kernel, data)
+
+
+#: regime name -> how its lambda paths run
+REGIME_TABLE = {
+    "linear": Regime(
+        path=lambda cell, data, fmap: linear_path(data), width=lambda cell: cell.d,
+        exact=lambda models: [sobolev_exact_linear(model) for model in models]),
+    "rf_finite": Regime(
+        hidden="frozen_rf", width=lambda cell: cell.k,
+        solve_lambda=lambda cell: cell.k * cell.lam / cell.d,
+        c_matrix=lambda W, kind: c_sigma_cov(W, kind),
+        exact=lambda models: sobolev_analytic(models), eta=True),
+    "ntk_finite": Regime(
+        hidden="ntk", width=lambda cell: cell.k * cell.d,
+        c_matrix=lambda W, kind: np.asarray(phi_profile(kind, "derivative", W.cosines)) / W.k),
+    "rf_infinite": Regime(path=_kernel_path, kernel=True),
+    "ntk_infinite": Regime(path=_kernel_path, kernel=True),
+}
+REGIMES = tuple(REGIME_TABLE)
+
+
 def gen_test_set(data: Dataset) -> Dataset:
     """Fresh inputs and noise under the same signal vector as `data`."""
     seed = data.seed + TEST_SEED_OFFSET
@@ -161,48 +206,6 @@ def gen_test_set(data: Dataset) -> Dataset:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
     y = X.points @ data.w0 + data.zeta * rng.standard_normal(TEST_SET_SIZE)
     return Dataset(X=X, y=y, w0=data.w0, zeta=data.zeta, seed=seed)
-
-
-def _feature_map(cell: TrialCell) -> FeatureMap | None:
-    """The hidden layer of a finite-width cell; None for other regimes."""
-    if cell.regime not in ("rf_finite", "ntk_finite"):
-        return None
-    W = HiddenWeights(sample_sphere(cell.d, cell.k, cell.weight_seed).points)
-    kind = "frozen_rf" if cell.regime == "rf_finite" else "ntk"
-    return FeatureMap(kind=kind, weights=W, activation=ActivationKind(cell.activation))
-
-
-def _path_for_cell(cell: TrialCell, data: Dataset, fmap: FeatureMap | None) -> RidgePath:
-    if fmap is not None:
-        return feature_path(fmap, data)
-    if cell.regime == "linear":
-        return linear_path(data)
-    kernel = DotProductKernel(name=cell.regime, activation=ActivationKind(cell.activation))
-    return kernel_path(kernel, data)
-
-
-def _solve_lambda(cell: TrialCell) -> float:
-    """The ridge value the solve of `cell` adds to its gram: rf_finite
-    scales lambda by k/d, the other regimes take it as given."""
-    if cell.regime == "rf_finite":
-        return cell.k * cell.lam / cell.d
-    return cell.lam
-
-
-def _c_spectrum(fmap: FeatureMap):
-    """Spectrum of the C matrix of a finite-width map with an order-1
-    homogeneous activation: the activation covariance for random
-    features, phi'(W W^T)/k for NTK features; None for other activations."""
-    kind = fmap.activation
-    if HOMOGENEITY.get(kind) != 1.0:
-        return None
-    W = fmap.weights
-    if fmap.kind == "frozen_rf":
-        C = c_sigma_cov(W, kind)
-    else:
-        C = np.asarray(phi_profile(kind, "derivative", W.cosines)) / W.k
-        C = (C + C.T) / 2
-    return sym_eigs(C)
 
 
 def blank_record(cell: TrialCell) -> TrialRecord:
@@ -216,10 +219,9 @@ def blank_record(cell: TrialCell) -> TrialRecord:
 
 def _gram_side(cell: TrialCell) -> int:
     """Side of the gram the lambda path of `cell` builds, factors and
-    decomposes: n for a kernel, else the smaller of n and the feature
-    dimension, as `fit._ridge_path` chooses the dual or primal solve."""
-    width = {"linear": cell.d, "rf_finite": cell.k, "ntk_finite": cell.k * cell.d}
-    return min(cell.n, width.get(cell.regime, cell.n))
+    decomposes: the smaller of n and the regime's width, as `fit._ridge_path`
+    chooses the dual or primal solve."""
+    return min(cell.n, REGIME_TABLE[cell.regime].width(cell))
 
 
 def _path_key(cell: TrialCell) -> TrialCell:
@@ -282,15 +284,20 @@ def _fill_path(recs: list, cells: list) -> list:
     if run alone."""
     rows = _PathRows(recs)
     cell = cells[0]
+    regime = REGIME_TABLE[cell.regime]
+    activation = ActivationKind(cell.activation)
     data = rows.shared(lambda: gen_dataset(cell.n, cell.d, cell.zeta, cell.dataset_seed,
                                            zero_signal=cell.zero_signal))
-    fmap = rows.shared(lambda: _feature_map(cell))
-    path = rows.shared(lambda: _path_for_cell(cell, data, fmap))
+    fmap = None
+    if regime.hidden is not None:
+        fmap = rows.shared(lambda: FeatureMap(
+            kind=regime.hidden, activation=activation,
+            weights=HiddenWeights(sample_sphere(cell.d, cell.k, cell.weight_seed).points)))
+    path = rows.shared(lambda: regime.path(cell, data, fmap))
     models = {}
-    is_kernel = cell.regime in KERNEL_NAMES
     # inverse Lanczos is slower than `eigvalsh` on a kernel gram's clustered
     # bottom at any side, so only feature and linear grams go to Lanczos
-    spectrum = sym_eigs if is_kernel else gram_spectrum
+    spectrum = sym_eigs if regime.kernel else gram_spectrum
     # a wide gram's spectrum is taken from the lambda = 0 solve's Cholesky
     # factor while that solve holds it, so no factor outlives its solve
     spectra = {}
@@ -299,23 +306,27 @@ def _fill_path(recs: list, cells: list) -> list:
         spectra["gram"] = gram_spectrum(path.gram, factor)
 
     def fit(i):
-        wide = not is_kernel and path.gram.shape[0] > DENSE_MAX_SIDE and not spectra
-        models[i] = path.fit(_solve_lambda(cells[i]), keep_spectrum if wide else None)
+        wide = not regime.kernel and path.gram.shape[0] > DENSE_MAX_SIDE and not spectra
+        models[i] = path.fit(regime.solve_lambda(cells[i]), keep_spectrum if wide else None)
         return bool(models[i].meta.get("fallback", False))
 
     rows.fill("solver_fallback", fit)
     s = rows.shared(lambda: spectra["gram"] if spectra else spectrum(path.gram))
     rows.fill("gram_cond", lambda i: s.cond)
-    c_spec = rows.shared(lambda: _c_spectrum(fmap)) if fmap is not None else s
+    # a hidden layer has a closed-form C matrix and seminorm only for an
+    # order-1 homogeneous activation
+    closed = regime.hidden is None or HOMOGENEITY.get(activation) == 1.0
+    c_spec = s if regime.c_matrix is None else rows.shared(
+        lambda: sym_eigs(regime.c_matrix(fmap.weights, activation)) if closed else None)
     if c_spec is not None:
         rows.fill("lambda_min_C", lambda i: c_spec.lambda_min)
         rows.fill("lambda_max_C", lambda i: c_spec.lambda_max)
-    if is_kernel:
+    if regime.kernel:
         rows.fill("rkhs_norm", lambda i: rkhs_norm(models[i]))
     # K(X, X) is the gram bit for bit, so a kernel path keeps it as the
     # train design. A feature path builds its Z once the gram is gone, so
     # the two are never held together.
-    design = path.gram if is_kernel and path is not None else None
+    design = path.gram if regime.kernel and path is not None else None
     del path
     models = {i: replace(model, gram=None) for i, model in models.items()}
     if design is None:
@@ -332,14 +343,12 @@ def _fill_path(recs: list, cells: list) -> list:
     rows.fill("sobolev_mc", lambda i: mc[i].value)
     rows.fill("sobolev_mc_stderr", lambda i: mc[i].std_error)
     rows.fill("coef_norm", lambda i: coef_norm(models[i]))
-    if cell.regime == "rf_finite":
-        if HOMOGENEITY.get(ActivationKind(cell.activation)) == 1.0:
-            exact = rows.shared(lambda: dict(zip(rows.live, sobolev_analytic(
-                [models[i] for i in rows.live]))))
-            rows.fill("sobolev_analytic", lambda i: exact[i].value)
+    if regime.exact is not None and closed:
+        exact = rows.shared(lambda: dict(zip(rows.live, regime.exact(
+            [models[i] for i in rows.live]))))
+        rows.fill("sobolev_analytic", lambda i: exact[i].value)
+    if regime.eta:
         rows.fill("eta", lambda i: eta_proxy(models[i]))
-    elif cell.regime == "linear":
-        rows.fill("sobolev_analytic", lambda i: sobolev_exact_linear(models[i]).value)
     return rows.errors
 
 

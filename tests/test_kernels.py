@@ -232,3 +232,19 @@ def test_ntk_features_peak_memory_is_about_its_output():
         tracemalloc.stop()
     assert Z.shape == (500, 2000)
     assert peak < 1.25 * Z.nbytes  # one m x kd array, not two
+
+
+@pytest.mark.parametrize("n, d", [(7, 3), (100, 500), (1033, 17)])
+def test_self_grams_are_exactly_symmetric(n, d):
+    # X X^T, and so every entrywise profile of it, comes out exactly
+    # symmetric; the ridge solves rely on it
+    X = sample_sphere(d, n, n + d)
+    W = HiddenWeights(sample_sphere(d, 40, 1).points)
+    grams = {kernel: gram_dot(kernel, X, X) for kernel in ALL_KERNELS}
+    for kind in ("frozen_rf", "ntk"):
+        for activation in (ActivationKind.RELU, ActivationKind.TANH):
+            fmap = FeatureMap(kind=kind, weights=W, activation=activation)
+            grams[fmap.kind, activation] = empirical_gram(fmap, X)
+    for name, G in grams.items():
+        assert G.shape == (n, n)
+        assert G.tobytes() == G.T.tobytes(), name

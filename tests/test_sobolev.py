@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import roblaw.kernels
+import roblaw.fit
 import roblaw.sobolev
 from roblaw import (
     ActivationKind,
@@ -190,14 +190,15 @@ def test_monte_carlo_blocks_match_whole_sample(m):
     ("kernel_profile_deriv", slice(6, 9)),
 ])
 def test_monte_carlo_factor_once_per_block_for_a_path(monkeypatch, name, family):
-    original = getattr(roblaw.kernels, name)
+    # each model class takes its gradient factor in roblaw.fit
+    original = getattr(roblaw.fit, name)
     calls = []
 
     def counted(*args):
         calls.append(np.shape(args[-1])[0])
         return original(*args)
 
-    monkeypatch.setattr(roblaw.kernels, name, counted)
+    monkeypatch.setattr(roblaw.fit, name, counted)
     m = 3 * 1024 + 5
     sobolev_monte_carlo(_path_models(6, 30)[family], 6, m, 3)
     assert calls == [1024, 1024, 1024, 5]
@@ -278,6 +279,23 @@ def test_coef_norm_families():
     assert coef_norm(LinearModel(w=np.array([3.0, 4.0]))) == pytest.approx(5.0)
     m = _relu_two_layer(6, 3, 20)
     assert coef_norm(m) == pytest.approx(float(np.linalg.norm(m.v)))
+
+
+def test_only_two_layer_networks_have_a_two_layer_view():
+    rf, ntk, kernel, two_layer, linear = [_path_models(6, 31)[i] for i in (0, 3, 6, 9, 10)]
+    W, v, activation = rf.two_layer
+    assert W is rf.map.weights and activation == rf.map.activation
+    assert v.tobytes() == (rf.a / math.sqrt(rf.map.weights.k)).tobytes()
+    assert eta_proxy(rf) == eta_proxy(TwoLayerModel(W=W, v=v, activation=activation))
+    assert two_layer.two_layer == (two_layer.W, two_layer.v, two_layer.activation)
+    for model in (ntk, kernel, linear, object()):
+        assert getattr(model, "two_layer", None) is None
+        with pytest.raises(InvalidArgument):
+            eta_proxy(model)
+        with pytest.raises(InvalidArgument):
+            sobolev_analytic([model])
+    with pytest.raises(InvalidArgument, match="unknown model type object"):
+        coef_norm(object())
 
 
 def test_analytic_over_v_norm_band_at_proportional_width():

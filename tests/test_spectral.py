@@ -33,6 +33,7 @@ from roblaw import (
 )
 from roblaw.fit import feature_path, linear_path
 from roblaw.spectral import DENSE_MAX_SIDE
+from roblaw.sweep import REGIME_TABLE
 
 
 def test_sym_eigs_matches_numpy():
@@ -263,3 +264,26 @@ def test_hidden_weights_build_their_cosines_once():
     assert T is W.cosines
     assert not T.flags.writeable
     assert np.array_equal(T, np.clip(W.W @ W.W.T, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("k", [7, 1000])
+@pytest.mark.parametrize("kind", [ActivationKind.RELU, ActivationKind.ABS])
+def test_every_c_matrix_is_exactly_symmetric(kind, k):
+    # each is an entrywise profile of W W^T, itself exactly symmetric, so
+    # sym_eigs takes it as it is
+    d = 17
+    W = HiddenWeights(sample_sphere(d, k, k).points)
+    mats = {"c_sigma_sobolev": c_sigma_sobolev(W, kind, d), "c_sigma_cov": c_sigma_cov(W, kind)}
+    mats.update((name, regime.c_matrix(W, kind)) for name, regime in REGIME_TABLE.items()
+                if regime.c_matrix is not None)
+    assert set(mats) == {"c_sigma_sobolev", "c_sigma_cov", "rf_finite", "ntk_finite"}
+    for name, C in mats.items():
+        assert C.shape == (k, k)
+        assert C.tobytes() == C.T.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["frozen_rf", "ntk"])
+def test_monte_carlo_feature_covariance_is_exactly_symmetric(kind):
+    W = HiddenWeights(sample_sphere(5, 7, 1).points)
+    C = c_phi_monte_carlo(FeatureMap(kind=kind, weights=W), 1000, 2)
+    assert C.tobytes() == C.T.tobytes()

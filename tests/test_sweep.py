@@ -390,3 +390,55 @@ def test_wide_path_rows_equal_their_cells_run_alone():
     cells = _wide_path((0.0, 1e-4, 1e-3))
     rows = [rec.csv_row() for rec in run_trial(cells)]
     assert rows == [run_trial([cell])[0].csv_row() for cell in cells]
+
+
+_METRICS = ("train_mse", "test_mse", "sobolev_mc", "sobolev_mc_stderr", "sobolev_analytic",
+            "coef_norm", "eta", "rkhs_norm", "lambda_min_C", "lambda_max_C", "gram_cond")
+_NO_C = {"lambda_min_C", "lambda_max_C"}
+#: (regime, order-1 homogeneous activation) -> the metric columns left nan
+_NAN_COLUMNS = {
+    ("linear", True): {"eta", "rkhs_norm"},
+    ("linear", False): {"eta", "rkhs_norm"},
+    ("rf_finite", True): {"rkhs_norm"},
+    ("rf_finite", False): {"rkhs_norm", "sobolev_analytic"} | _NO_C,
+    ("ntk_finite", True): {"sobolev_analytic", "eta", "rkhs_norm"},
+    ("ntk_finite", False): {"sobolev_analytic", "eta", "rkhs_norm"} | _NO_C,
+    ("rf_infinite", True): {"sobolev_analytic", "eta"},
+    ("rf_infinite", False): set(_METRICS),
+    ("ntk_infinite", True): {"sobolev_analytic", "eta"},
+    ("ntk_infinite", False): set(_METRICS),
+}
+
+
+@pytest.mark.parametrize("activation", ["relu", "abs", "tanh", "erf"])
+@pytest.mark.parametrize("regime", roblaw.sweep.REGIMES)
+def test_each_regime_and_activation_fills_its_columns(regime, activation):
+    homogeneous = activation in ("relu", "abs")
+    cells = [TrialCell(regime=regime, activation=ActivationKind(activation),
+                       n=8, d=5, k=6, lam=lam, zeta=0.3, dataset_seed=13,
+                       weight_seed=14, mc_samples=100) for lam in (0.0, 1e-3)]
+    for rec in run_trial(cells):
+        nan = {name for name in _METRICS if math.isnan(getattr(rec, name))}
+        assert nan == _NAN_COLUMNS[regime, homogeneous]
+        if regime.endswith("_infinite") and not homogeneous:
+            assert rec.reason.startswith("UnsupportedActivation: ")
+        else:
+            assert rec.reason == ""
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 12, 20])
+@pytest.mark.parametrize("regime", roblaw.sweep.REGIMES)
+def test_gram_side_is_the_side_of_the_gram_the_path_solves(monkeypatch, regime, n):
+    # widths d = 4, k = 3 and k * d = 12: n runs below, at and above each
+    sides, original = [], roblaw.fit.solve_psd
+
+    def recorded(K, *args):
+        sides.append(K.shape[0])
+        return original(K, *args)
+
+    monkeypatch.setattr(roblaw.fit, "solve_psd", recorded)
+    cell = TrialCell(regime=regime, activation=ActivationKind.RELU, n=n, d=4, k=3,
+                     lam=0.0, zeta=0.3, dataset_seed=15, weight_seed=16, mc_samples=100)
+    [rec] = run_trial([cell])
+    assert rec.reason == ""
+    assert sides == [roblaw.sweep._gram_side(cell)]
