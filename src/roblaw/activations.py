@@ -51,20 +51,31 @@ def act_eval(kind: ActivationKind, t):
     raise UnsupportedActivation(str(kind))
 
 
-def act_deriv(kind: ActivationKind, t):
-    """Almost-everywhere derivative; returns 0 at the ReLU/abs kink."""
+def act_deriv(kind: ActivationKind, t, out=None):
+    """Almost-everywhere derivative; returns 0 at the ReLU/abs kink. `out`,
+    a float array of t's shape and possibly t itself, receives it."""
     t = np.asarray(t, dtype=float)
+    if out is None:
+        out = np.empty_like(t)
     if kind == ActivationKind.RELU:
-        return (t > 0).astype(float)
-    if kind == ActivationKind.ABS:
-        return np.sign(t)
-    if kind == ActivationKind.ERF:
-        return math.sqrt(2 / math.pi) * np.exp(-t * t / 2)
-    if kind == ActivationKind.TANH:
-        return 1.0 - np.tanh(t) ** 2
-    if kind == ActivationKind.IDENTITY:
-        return np.ones_like(t)
-    raise UnsupportedActivation(str(kind))
+        np.greater(t, 0.0, out=out)
+    elif kind == ActivationKind.ABS:
+        np.sign(t, out=out)
+    elif kind == ActivationKind.ERF:
+        # sqrt(2/pi) exp(-t^2 / 2); negating and halving are exact
+        np.multiply(t, t, out=out)
+        out *= -0.5
+        np.exp(out, out=out)
+        out *= math.sqrt(2 / math.pi)
+    elif kind == ActivationKind.TANH:
+        np.tanh(t, out=out)
+        np.multiply(out, out, out=out)
+        np.subtract(1.0, out, out=out)
+    elif kind == ActivationKind.IDENTITY:
+        out[...] = 1.0
+    else:
+        raise UnsupportedActivation(str(kind))
+    return out if out.ndim else out[()]
 
 
 @dataclass(frozen=True)
@@ -178,21 +189,24 @@ def sqrt_one_minus_square(t: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _profile(kind: ActivationKind, which: str, t: np.ndarray) -> np.ndarray:
+def _profile(kind: ActivationKind, which: str, t: np.ndarray, out=None) -> np.ndarray:
     """The closed forms of `phi_profile` at a float array t in [-1, 1],
-    evaluated into one fresh array with at most one temporary, in the
+    evaluated into `out` (an array of t's shape, t itself only for the
+    derivative) or one fresh array, with at most one temporary, in the
     operation order of the formulas, so the bits equal theirs."""
+    if out is None:
+        out = np.empty_like(t)
     if kind == ActivationKind.RELU:
-        out = np.negative(t, out=np.empty_like(t))
+        np.negative(t, out=out)
         np.arccos(out, out=out)
         if which == "value":
             out *= t
             out += sqrt_one_minus_square(t)
         out /= 2 * math.pi
     elif kind == ActivationKind.IDENTITY:
-        out = t.copy(order="K") if which == "value" else np.ones_like(t)
+        out[...] = t if which == "value" else 1.0
     elif kind == ActivationKind.ABS:
-        out = np.arcsin(t, out=np.empty_like(t))
+        np.arcsin(t, out=out)
         if which == "value":
             out *= t
             out += sqrt_one_minus_square(t)
@@ -205,7 +219,7 @@ def _profile(kind: ActivationKind, which: str, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def phi_profile(kind: ActivationKind, which: str, t):
+def phi_profile(kind: ActivationKind, which: str, t, out=None):
     """Dimension-free profile of an order-1 homogeneous activation:
     E[s(x.u) s(x.v)] = phi(u.v)/d (value), or the dimension-free
     E[s'(x.u) s'(x.v)] = phi'(u.v) (derivative).
@@ -213,11 +227,13 @@ def phi_profile(kind: ActivationKind, which: str, t):
     ReLU: value (1/2pi)(t arccos(-t) + sqrt(1-t^2)), derivative
     arccos(-t)/(2pi). Identity: t and 1. Abs: closed forms of the circle
     integral, (2/pi)(t arcsin t + sqrt(1-t^2)) and 2 arcsin(t)/pi.
+    `out`, a float array of t's shape, receives the profile; it may be t
+    itself for the derivative.
     """
     t = clip_unit(t, "|t| must be <= 1")
     if which not in ("value", "derivative"):
         raise InvalidArgument(f"which must be value|derivative, got {which}")
-    out = _profile(kind, which, t)
+    out = _profile(kind, which, t, out)
     return out if out.ndim else float(out)
 
 

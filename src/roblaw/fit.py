@@ -22,9 +22,12 @@ Every model predicts through a design: `predict(x)` is `design(x) @ coef`,
 with `design(x)` the lambda-free matrix of the inputs (x itself, the
 activations, the kernel at the anchors or the features), so the models of
 one lambda path can share one design of a point set. Gradients split the
-same way: `gradient(X, gradient_factor(X))`, with the coefficient-free
-factor shared by the models of one `factor_key`. `two_layer` is the
-(hidden weights, output weights, activation) of a two-layer network, or None.
+same way: `gradient(X, gradient_factor(X))` multiplies the coefficient-free
+(m, factor_width) factor, which the models of one `factor_key` share, by a
+small (factor_width, d) operand into which the model folds its
+coefficients. Both methods take an `out` array to write into. `two_layer`
+is the (hidden weights, output weights, activation) of a two-layer
+network, or None.
 """
 
 import ctypes
@@ -33,6 +36,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -62,6 +66,7 @@ class LinearModel:
     gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     factor_key = None
+    factor_width = 0
     two_layer = None
 
     @property
@@ -71,11 +76,14 @@ class LinearModel:
     def design(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float)
 
-    def gradient_factor(self, X):
+    def gradient_factor(self, X, out=None):
         return None
 
-    def gradient(self, X, factor) -> np.ndarray:
-        return np.broadcast_to(self.w, X.shape).copy()
+    def gradient(self, X, factor, out=None) -> np.ndarray:
+        if out is None:
+            out = np.empty(X.shape)
+        out[...] = self.w
+        return out
 
     def predict(self, x):
         return self.design(x) @ self.w
@@ -97,6 +105,10 @@ class TwoLayerModel:
         return self.activation, id(self.W.W)
 
     @property
+    def factor_width(self) -> int:
+        return self.W.k
+
+    @property
     def two_layer(self):
         return self.W, self.v, self.activation
 
@@ -104,11 +116,13 @@ class TwoLayerModel:
         """sigma(x W^T)."""
         return np.asarray(act_eval(self.activation, np.asarray(x, dtype=float) @ self.W.W.T))
 
-    def gradient_factor(self, X) -> np.ndarray:
-        return np.asarray(act_deriv(self.activation, X @ self.W.W.T))
+    def gradient_factor(self, X, out=None) -> np.ndarray:
+        """sigma'(X W^T), formed in place (in `out` when given)."""
+        T = np.matmul(X, self.W.W.T, out=out)
+        return act_deriv(self.activation, T, T)
 
-    def gradient(self, X, factor) -> np.ndarray:
-        return (factor * self.v) @ self.W.W
+    def gradient(self, X, factor, out=None) -> np.ndarray:
+        return np.matmul(factor, self.v[:, None] * self.W.W, out=out)
 
     def predict(self, x):
         return self.design(x) @ self.v
@@ -132,6 +146,10 @@ class KernelModel:
     def factor_key(self):
         return self.kernel, id(self.anchors.points)
 
+    @property
+    def factor_width(self) -> int:
+        return self.anchors.count
+
     def design(self, X) -> np.ndarray:
         """K(X, anchors) for an (m, d) batch X. At the anchors themselves it
         is the fit's gram bit for bit: `gram_dot` makes the same product,
@@ -140,15 +158,16 @@ class KernelModel:
         np.clip(T, -1.0, 1.0, out=T)
         return np.asarray(kernel_profile(self.kernel, T))
 
-    def gradient_factor(self, X) -> np.ndarray:
+    def gradient_factor(self, X, out=None) -> np.ndarray:
         """phi'(X A^T) at the anchors A, (m, n), with t clamped to
-        |t| <= 1 - 1e-9, where the NTK phi' of relu and abs is finite."""
-        T = X @ self.anchors.points.T
+        |t| <= 1 - 1e-9, where the NTK phi' of relu and abs is finite;
+        formed in place (in `out` when given)."""
+        T = np.matmul(X, self.anchors.points.T, out=out)
         np.clip(T, -(1 - 1e-9), 1 - 1e-9, out=T)
-        return np.asarray(kernel_profile_deriv(self.kernel, T))
+        return np.asarray(kernel_profile_deriv(self.kernel, T, T))
 
-    def gradient(self, X, factor) -> np.ndarray:
-        return (factor * self.c) @ self.anchors.points
+    def gradient(self, X, factor, out=None) -> np.ndarray:
+        return np.matmul(factor, self.c[:, None] * self.anchors.points, out=out)
 
     def predict(self, x):
         out = self.design(np.atleast_2d(np.asarray(x, dtype=float))) @ self.c
@@ -171,6 +190,10 @@ class FeatureModel:
         return self.map.activation, id(self.map.weights.W)
 
     @property
+    def factor_width(self) -> int:
+        return self.map.weights.k
+
+    @property
     def two_layer(self):
         """Random features are the network of output weights a / sqrt(k)."""
         if self.map.kind != "frozen_rf":
@@ -182,17 +205,21 @@ class FeatureModel:
         """The feature rows of an (m, d) batch X."""
         return features(self.map, X)
 
-    def gradient_factor(self, X) -> np.ndarray:
-        return np.asarray(act_deriv(self.map.activation, X @ self.map.weights.W.T))
+    def gradient_factor(self, X, out=None) -> np.ndarray:
+        """sigma'(X W^T), formed in place (in `out` when given)."""
+        T = np.matmul(X, self.map.weights.W.T, out=out)
+        return act_deriv(self.map.activation, T, T)
 
-    def gradient(self, X, factor) -> np.ndarray:
+    def gradient(self, X, factor, out=None) -> np.ndarray:
         """The NTK feature Jacobian drops the distributional sigma'' term
         (a.e. correct for piecewise-linear sigma')."""
         W = self.map.weights.W
         k = W.shape[0]
         if self.map.kind == "frozen_rf":
-            return (factor * self.a) @ W / math.sqrt(k)
-        return (factor @ self.a.reshape(k, -1)) / math.sqrt(k)  # (k, d) blocks
+            operand = (self.a / math.sqrt(k))[:, None] * W
+        else:
+            operand = self.a.reshape(k, -1) / math.sqrt(k)  # (k, d) blocks
+        return np.matmul(factor, operand, out=out)
 
     def predict(self, x):
         out = self.design(np.atleast_2d(np.asarray(x, dtype=float))) @ self.a
@@ -287,18 +314,21 @@ def cholesky(M: np.ndarray, overwrite_a: bool = False):
 
 
 def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
-              on_factor: Callable | None = None) -> tuple[np.ndarray, dict]:
+              on_factor: Callable | None = None, *,
+              gram_checked: bool = False) -> tuple[np.ndarray, dict]:
     """Solve (K + lam*I) c = y for exactly symmetric PSD K (K == K.T bit
     for bit, as every path builder makes its gram), with jitter escalation
     and a pseudo-inverse fallback. Returns (c, meta). K, y and lam are
-    checked finite here, so scipy does not check them again. Each attempt
-    copies K into one buffer, adds lam and then the jitter to its diagonal
-    and factors it in place: a solve holds one array besides K.
+    checked finite here, so scipy does not check them again; a caller that
+    has checked K already, as a `RidgePath` does once for all its lambdas,
+    passes `gram_checked`. Each attempt copies K into one buffer, adds lam
+    and then the jitter to its diagonal and factors it in place: a solve
+    holds one array besides K.
 
     When lam is 0 and K itself factors, `on_factor(factor)` is called with
     its `cholesky` factor before the solve returns: a caller can reuse the
     factor without holding it past the call."""
-    if not np.all(np.isfinite(K)) or not np.all(np.isfinite(y)):
+    if (not gram_checked and not np.all(np.isfinite(K))) or not np.all(np.isfinite(y)):
         raise InvalidArgument("non-finite entries in solve")
     if not math.isfinite(lam):
         raise InvalidArgument(f"lambda must be finite, got {lam}")
@@ -346,18 +376,27 @@ class RidgePath:
     matrix every solve factors (the models' `gram`), the right-hand side,
     and the map from a solution to a model. `fit(lam)` costs one
     `solve_psd`, so the fits of one dataset over many lambdas share the
-    gram; dropping the path and its models releases it. `on_factor` goes
-    to `solve_psd`: a lambda = 0 fit hands it the gram's Cholesky factor."""
+    gram, which is checked finite once; dropping the path and its models
+    releases it. `on_factor` goes to `solve_psd`: a lambda = 0 fit hands it
+    the gram's Cholesky factor. `train_design()`, when set, builds the
+    models' design of the training inputs from what the path holds."""
 
     gram: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
     #: (solution, meta, gram) -> fitted model
     make_model: Callable = field(repr=False)
+    train_design: Callable | None = field(default=None, repr=False)
+
+    @cached_property
+    def _gram_finite(self) -> bool:
+        return bool(np.all(np.isfinite(self.gram)))
 
     def fit(self, lam: float, on_factor: Callable | None = None):
         if lam < 0:
             raise InvalidArgument("lambda must be nonnegative")
-        x, meta = solve_psd(self.gram, self.rhs, lam, on_factor)
+        if not self._gram_finite:
+            raise InvalidArgument("non-finite entries in solve")
+        x, meta = solve_psd(self.gram, self.rhs, lam, on_factor, gram_checked=True)
         return self.make_model(x, dict(meta, **{"lambda": lam}), self.gram)
 
 
@@ -366,9 +405,12 @@ def kernel_path(kernel: DotProductKernel, data: Dataset) -> RidgePath:
     c = (K(X,X) + lam I)^-1 y."""
     if not np.all(np.isfinite(data.y)):
         raise InvalidArgument("NaN targets")
+    # K(X, X) is the models' design of X bit for bit
+    K = gram_dot(kernel, data.X, data.X)
     return RidgePath(
-        gram_dot(kernel, data.X, data.X), data.y,
+        K, data.y,
         lambda c, meta, K: KernelModel(kernel=kernel, anchors=data.X, c=c, meta=meta, gram=K),
+        lambda: K,
     )
 
 
@@ -395,13 +437,16 @@ def feature_path(fmap: FeatureMap, data: Dataset) -> RidgePath:
     if fmap.kind == "ntk" and data.n <= fmap.out_dim:
         X = data.X.points
         W = fmap.weights.W
+        # sigma'(X W^T) of the training set, shared by the gram, the
+        # recovery of a and the train design
         S = np.asarray(act_deriv(fmap.activation, X @ W.T))
 
         def recover(alpha, meta, G):
             a = ((S * alpha[:, None]).T @ X / math.sqrt(W.shape[0])).reshape(-1)
             return model(a, meta, G)
 
-        return RidgePath(empirical_gram(fmap, data.X), data.y, recover)
+        return RidgePath(empirical_gram(fmap, data.X, S), data.y, recover,
+                         lambda: features(fmap, X, S))
     return _ridge_path(features(fmap, data.X.points), data.y, model)
 
 

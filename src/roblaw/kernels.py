@@ -63,16 +63,16 @@ def kernel_profile(kernel: DotProductKernel, t):
     return out if out.ndim else float(out)
 
 
-def kernel_profile_deriv(kernel: DotProductKernel, t):
+def kernel_profile_deriv(kernel: DotProductKernel, t, out=None):
     """Analytic phi'(t). For ntk_infinite with relu or abs it diverges at
-    |t| = 1, where it returns a signed infinity."""
+    |t| = 1, where it returns a signed infinity. `out`, a float array of
+    t's shape and possibly t itself, receives it."""
     t = _clip_t(t)
     activation = kernel.activation
-    # d/dt of 2*phi_value = 2*phi_derivative for order-1 profiles
-    out = np.asarray(phi_profile(activation, "derivative", t))
-    out *= 2.0
+    dphi0 = None
     if kernel.name == "ntk_infinite":
-        # out += t * dphi0, with dphi0 the derivative of 2*phi_derivative
+        # t * dphi0, with dphi0 the derivative of 2*phi_derivative, taken
+        # before `out` is written
         if activation == ActivationKind.RELU:
             dphi0 = sqrt_one_minus_square(t)
             dphi0 *= 2 * math.pi
@@ -85,6 +85,10 @@ def kernel_profile_deriv(kernel: DotProductKernel, t):
         else:
             dphi0 = np.zeros_like(t)
         dphi0 *= t
+    # d/dt of 2*phi_value = 2*phi_derivative for order-1 profiles
+    out = np.asarray(phi_profile(activation, "derivative", t, out))
+    out *= 2.0
+    if dphi0 is not None:
         out += dphi0
     return out if out.ndim else float(out)
 
@@ -163,8 +167,9 @@ def rf_features(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
     return np.asarray(act_eval(fmap.activation, pre)) / math.sqrt(W.shape[0])
 
 
-def ntk_features(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
-    """(1/sqrt(k)) sigma'(W x) (x) x, blocks j = sigma'(x.w_j) * x."""
+def ntk_features(fmap: FeatureMap, x: np.ndarray, S: np.ndarray | None = None) -> np.ndarray:
+    """(1/sqrt(k)) sigma'(W x) (x) x, blocks j = sigma'(x.w_j) * x. `S` is
+    sigma'(x W^T) when the caller has it already."""
     if fmap.kind != "ntk":
         raise InvalidArgument("ntk_features requires an ntk map")
     W = fmap.weights.W
@@ -172,35 +177,39 @@ def ntk_features(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     X = x[None, :] if single else x
-    S = np.asarray(act_deriv(fmap.activation, X @ W.T))  # (m, k)
+    if S is None:
+        S = np.asarray(act_deriv(fmap.activation, X @ W.T))  # (m, k)
     Z = (S[:, :, None] * X[:, None, :]).reshape(X.shape[0], k * d)
     Z /= math.sqrt(k)
     return Z[0] if single else Z
 
 
-def features(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
-    return rf_features(fmap, x) if fmap.kind == "frozen_rf" else ntk_features(fmap, x)
+def features(fmap: FeatureMap, x: np.ndarray, S: np.ndarray | None = None) -> np.ndarray:
+    """The feature rows of x; `S` as in `ntk_features`, for an NTK map."""
+    return rf_features(fmap, x) if fmap.kind == "frozen_rf" else ntk_features(fmap, x, S)
 
 
-def empirical_gram(fmap: FeatureMap, X: SphereSample) -> np.ndarray:
+def empirical_gram(fmap: FeatureMap, X: SphereSample, S: np.ndarray | None = None) -> np.ndarray:
     """G = Z Z^T with Z the feature rows, exactly symmetric. NTK uses the
     Hadamard identity K_ntk = (X X^T) o ((1/k) S S^T), S = sigma'(X W^T),
-    so the k*d-dim features are never materialized."""
+    so the k*d-dim features are never materialized; the caller may pass S."""
     if X.dim != fmap.weights.d:
         raise InvalidArgument("sample dimension does not match weights")
     if fmap.kind == "frozen_rf":
         Z = rf_features(fmap, X.points)
         return Z @ Z.T
-    S = np.asarray(act_deriv(fmap.activation, X.points @ fmap.weights.W.T))
+    if S is None:
+        S = np.asarray(act_deriv(fmap.activation, X.points @ fmap.weights.W.T))
     return (X.points @ X.points.T) * (S @ S.T) / fmap.weights.k
 
 
-def model_gradient(model, x: np.ndarray, factor=None) -> np.ndarray:
+def model_gradient(model, x: np.ndarray, factor=None, out=None) -> np.ndarray:
     """Euclidean gradient of a fitted model at x (single point or batch):
     `model.gradient` of the batch and its `gradient_factor`, which the
-    caller passes as `factor` when it has it already."""
+    caller passes as `factor` when it has it already. `out`, an (m, d)
+    float array, receives the gradients of a batch."""
     X = np.atleast_2d(np.asarray(x, dtype=float))
     if factor is None:
         factor = model.gradient_factor(X)
-    G = model.gradient(X, factor)
+    G = model.gradient(X, factor, out)
     return G[0] if np.ndim(x) == 1 else G

@@ -63,27 +63,41 @@ def sobolev_monte_carlo(models, d: int, m: int, seed: int) -> list[SobolevEstima
     The sample is drawn in blocks of BLOCK_ROWS rows into one buffer. Each
     block computes the coefficient-free gradient factor once for every group
     of models that shares a hidden layer, or a kernel and anchor set, as the
-    models of one lambda path do. Memory: one block and an (L, m) array of
-    squared norms for L models, plus O(BLOCK_ROWS * max(k, n, d)) per block
-    for k hidden units or n anchors; the m * d limit bounds the draw's work."""
+    models of one lambda path do; a model's gradient is then one product of
+    that factor with a small operand into which the model folds its
+    coefficients. Memory: the drawn block, the workspace below and an (L, m)
+    array of squared norms for L models, plus, for one model at a time, a
+    (k or n) x d operand for k hidden units or n anchors and a block-sized
+    radial part, and for an ntk_infinite factor one block x n term; the
+    m * d limit bounds the draw's work."""
     if m < 100:
         raise InvalidArgument("m must be >= 100")
     if m * d > _MAX_COV_ELEMENTS:
         raise ResourceLimit(f"sphere sample {m} x {d} too large")
     sq = np.empty((len(models), m))
+    # The workspace, made once and rewritten by every block: one factor per
+    # factor_key (rows x k or n), the gradient G (rows x d) and the radial
+    # components r. The radial part r x is the one block-sized array made
+    # per model; freed at once, it reuses one heap chunk. A buffer held for
+    # it through the estimate raised the heap's peak on kernel paths, so
+    # the heap shrank after each estimate and faulted its pages back in.
+    rows = min(m, BLOCK_ROWS)
+    buffers = {model.factor_key: np.empty((rows, model.factor_width)) for model in models}
+    G, r = np.empty((rows, d)), np.empty(rows)
     for start, Xb in zip(range(0, m, BLOCK_ROWS), sphere_blocks(d, m, seed)):
+        b = len(Xb)
+        Gb, rb = G[:b], r[:b]
         factors = {}
         for row, model in zip(sq, models):
             key = model.factor_key
             if key not in factors:
-                factors[key] = model.gradient_factor(Xb)
-            G = model_gradient(model, Xb, factors[key])
-            # project out the radial component and square in place; two
-            # fewer temporaries per block end glibc's heap trim-and-refault
-            # cycle (mc-seminorm: 153,000 -> 6,000 minor faults per sweep)
-            G -= np.sum(G * Xb, axis=1)[:, None] * Xb
-            G *= G
-            row[start:start + len(Xb)] = np.sum(G, axis=1)
+                factors[key] = model.gradient_factor(Xb, buffers[key][:b])
+            model_gradient(model, Xb, factors[key], Gb)
+            # |G - (G.x) x|^2 per row: the projection keeps the accuracy of a
+            # nearly radial gradient, where |G|^2 - (G.x)^2 would cancel
+            np.einsum("ij,ij->i", Gb, Xb, out=rb)
+            Gb -= rb[:, None] * Xb
+            np.einsum("ij,ij->i", Gb, Gb, out=row[start:start + b])
     return [_mc_estimate(row) for row in sq]
 
 

@@ -277,8 +277,9 @@ def _fill_path(recs: list, cells: list) -> list:
     The dataset, hidden weights, gram, spectra, train and test designs, test
     set and Monte-Carlo sample do not depend on lambda and are built once;
     each lambda pays for its solve, a matrix-vector product per prediction
-    and its seminorm. A kernel path's gram is its train design; a feature
-    or linear path builds that design after releasing the gram. Every row
+    and its seminorm. A kernel path's gram is its train design; any other
+    path builds that design after releasing the gram, an NTK dual path from
+    the sigma' its gram was built from. Every row
     passes the stages of a lone trial in the same order and sees the same
     values, so it ends with the metrics and the failure its cell would give
     if run alone."""
@@ -323,14 +324,14 @@ def _fill_path(recs: list, cells: list) -> list:
         rows.fill("lambda_max_C", lambda i: c_spec.lambda_max)
     if regime.kernel:
         rows.fill("rkhs_norm", lambda i: rkhs_norm(models[i]))
-    # K(X, X) is the gram bit for bit, so a kernel path keeps it as the
-    # train design. A feature path builds its Z once the gram is gone, so
-    # the two are never held together.
-    design = path.gram if regime.kernel and path is not None else None
+    # A kernel path's train design is its gram; any other design is built
+    # once the gram is gone, so the two are never held together.
+    train_design = path.train_design if path is not None else None
     del path
     models = {i: replace(model, gram=None) for i, model in models.items()}
-    if design is None:
-        design = rows.shared(lambda: models[rows.live[0]].design(data.X.points))
+    design = rows.shared(lambda: train_design() if train_design is not None
+                         else models[rows.live[0]].design(data.X.points))
+    del train_design
     rows.fill("train_mse", lambda i: train_mse(models[i], data, design))
     del design
     test = rows.shared(lambda: gen_test_set(data))

@@ -28,6 +28,30 @@ def test_eval_and_deriv_pointwise():
     )
 
 
+def _deriv_reference(kind, t):
+    """act_deriv as whole-array expressions."""
+    if kind == ActivationKind.RELU:
+        return (t > 0).astype(float)
+    if kind == ActivationKind.ABS:
+        return np.sign(t)
+    if kind == ActivationKind.ERF:
+        return math.sqrt(2 / math.pi) * np.exp(-t * t / 2)
+    if kind == ActivationKind.TANH:
+        return 1.0 - np.tanh(t) ** 2
+    return np.ones_like(t)
+
+
+@pytest.mark.parametrize("kind", list(ActivationKind))
+def test_deriv_equals_its_expression_bit_for_bit_in_place_or_not(kind):
+    rng = np.random.default_rng(3)
+    t = np.concatenate([rng.normal(scale=4, size=999), [0.0, -0.0, 1e-310, 40.0, -40.0]])
+    want = _deriv_reference(kind, t)
+    assert act_deriv(kind, t).tobytes() == want.tobytes()
+    u = t.copy()
+    assert act_deriv(kind, u, u) is u and u.tobytes() == want.tobytes()
+    assert type(act_deriv(kind, 0.3)) is np.float64
+
+
 def test_deriv_matches_finite_difference_smooth_kinds():
     h = 1e-6
     for kind in (ActivationKind.ERF, ActivationKind.TANH):
@@ -191,6 +215,11 @@ def test_profiles_equal_their_closed_forms_bit_for_bit(kind, unit_inputs):
             got = phi_profile(kind, which, t)
             assert_same_bits(got, _phi_reference(kind, which, t))
             assert not np.shares_memory(got, t)
+        if np.ndim(t):
+            # the derivative may overwrite its input
+            u = np.array(t, copy=True)
+            assert phi_profile(kind, "derivative", u, u) is u
+            assert_same_bits(u, _phi_reference(kind, "derivative", t))
         for d in (2, 50):
             assert_same_bits(kappa_tilde(kind, d, t), _kappa_reference(kind, d, t))
         np.testing.assert_array_equal(np.asarray(t), before)  # not written to

@@ -54,6 +54,57 @@ def test_solve_psd_rejects_a_shift_that_overflows():
         solve_psd(K, np.ones(3), 1.7e308)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_solve_psd_rejects_a_non_finite_gram_before_factoring(monkeypatch, bad):
+    factored = []
+    monkeypatch.setattr(roblaw.fit, "cholesky", lambda *args, **kwargs: factored.append(1))
+    K = np.eye(4) + 0.5
+    K[1, 2] = K[2, 1] = bad
+    for lam in (0.0, 1e-3):
+        with pytest.raises(InvalidArgument, match="non-finite"):
+            solve_psd(K, np.ones(4), lam)
+    assert factored == []
+
+
+def _count_gram_checks(monkeypatch, side) -> list:
+    """Record each np.isfinite call on a side x side array."""
+    checks, original = [], np.isfinite
+
+    def counted(x, *args, **kwargs):
+        if np.shape(x) == (side, side):
+            checks.append(x)
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    return checks
+
+
+def test_ridge_path_checks_its_gram_once_for_all_lambdas(monkeypatch):
+    data = gen_dataset(6, 10, 0.5, 1)
+    path = roblaw.fit.linear_path(data)
+    checks = _count_gram_checks(monkeypatch, 6)
+    lams = (0.0, 1e-4, 1e-3)
+    fits = [path.fit(lam) for lam in lams]
+    assert len(checks) == 1 and checks[0] is path.gram
+    # the bits of a direct solve, which checks the gram itself
+    for lam, model in zip(lams, fits):
+        c, _ = solve_psd(path.gram, path.rhs, lam)
+        assert model.w.tobytes() == (data.X.points.T @ c).tobytes()
+    assert len(checks) == 1 + len(lams)
+
+
+def test_ridge_path_with_a_non_finite_gram_fails_every_lambda_unfactored(monkeypatch):
+    factored = []
+    monkeypatch.setattr(roblaw.fit, "cholesky", lambda *args, **kwargs: factored.append(1))
+    gram = np.eye(3)
+    gram[0, 0] = math.nan
+    path = roblaw.fit.RidgePath(gram, np.ones(3), lambda c, meta, G: c)
+    for lam in (0.0, 1e-3):
+        with pytest.raises(InvalidArgument, match="non-finite"):
+            path.fit(lam)
+    assert factored == []
+
+
 @pytest.mark.parametrize("lam", [math.inf, math.nan])
 def test_ridge_path_rejects_non_finite_lambda(lam):
     path = roblaw.fit.linear_path(gen_dataset(6, 10, 0.5, 1))

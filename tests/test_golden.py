@@ -10,7 +10,12 @@ finite-width and rf_infinite grids run once more with a Monte-Carlo sample
 of several blocks. One more ntk_finite grid has grams wider than
 `spectral.DENSE_MAX_SIDE`, whose extremes come from Lanczos; its hash was
 recorded after the Lanczos extremes were held to `eigvalsh` within Weyl's
-bound (tests/test_spectral.py). A change that alters any number a sweep
+bound (tests/test_spectral.py). Every hash but GOLDEN["rf_infinite"] was
+recorded again after the Monte-Carlo estimator folded each model's
+coefficients into its gradient operand and projected blocks in its
+workspace, once its blocks were held to the whole-sample projection
+(tests/test_sobolev.py); only `sobolev_mc` and `sobolev_mc_stderr` moved,
+by at most 4.1e-16 relative. A change that alters any number a sweep
 writes, down to the last bit, changes a hash.
 
 The hashes were recorded with Python 3.11.7, numpy 2.4.6 (scipy-openblas64
@@ -29,6 +34,7 @@ import numpy as np
 import pytest
 
 import roblaw
+import roblaw.activations
 import roblaw.fit
 import roblaw.spectral
 import roblaw.sphere
@@ -44,11 +50,11 @@ GRIDS = {
 }
 
 GOLDEN = {
-    "linear": "06bc76717192076a8b4284964bd7a34cf9ec30cab22885fe379b65b6e9c656f5",
-    "rf_finite": "8969f7e93883baadb9a8909376c46b7b4b16955ce14cb1cec6687921f9ec0b3a",
-    "ntk_finite": "65deb11f2485faaf82907e6bc29e3cc2497b530639e3540d90c5880a14112daf",
+    "linear": "5529f2eebd12d0a707bc7923b76c6d9220d87f88f450b2ffca08073b4a9dc6cb",
+    "rf_finite": "3fe71e629d05541f2c013914ce37ba48f3504d38c172a25276c125332985af7e",
+    "ntk_finite": "818d5701fa44e47da50dbb8dcf317b6cb3a8b5ce2f19f7e58c295b345fdca649",
     "rf_infinite": "c05a75e9ca4a5478ff6cfb42c8461c7a407c5f431d6fffd19b19a95b0eface9c",
-    "ntk_infinite": "dbd00933e6193d018d9ca5977587da3e2b19b95c921cc8bbb713f8e08cb524d3",
+    "ntk_infinite": "f748e2323e8149e706d739253723e1515d315e260ced904aebb1970f68de30d7",
 }
 
 
@@ -72,13 +78,12 @@ def test_sweep_csv_matches_golden_hash(regime, tmp_path):
 
 
 #: grids whose Monte-Carlo sample spans two full blocks of
-#: `sphere.BLOCK_ROWS` rows and a partial third; recorded before the
-#: estimator walked its sample in blocks
+#: `sphere.BLOCK_ROWS` rows and a partial third
 BLOCK_MC_SAMPLES = 2 * 1024 + 37
 GOLDEN_BLOCKS = {
-    "rf_finite": "98083adfd718e48f24cc0234f9a979e8ac97e72d36fe5e2812bab357e56ad4c0",
-    "ntk_finite": "b13be77bb7c196f45496b419aa8cbf11b69dd2598ad50fdc5c1530a2a7f0cd7d",
-    "rf_infinite": "09b009671498ed0e066669ff8f11aaa98509196043ae99c35991cd5b56dd001d",
+    "rf_finite": "3342af6ae27f2e4cfcf535e05d7478ed4fd4fe0d22084f20425c172261540419",
+    "ntk_finite": "36b277a1fae57ca8a7326d0ca041ccf3856b7b79aa88dab0b65cfa473b68768c",
+    "rf_infinite": "a34bb96a7470b17119ccd7369dc811fa563abb8275482b7321061556aa92ec3c",
 }
 
 
@@ -91,7 +96,7 @@ def test_multi_block_sweep_csv_matches_golden_hash(regime, tmp_path):
 #: so their extremes come from Lanczos: n = 1030 runs the dual solve on a
 #: 1030 x 1030 gram, n = 1045 the primal one on a 1040 x 1040 gram
 WIDE_GRID = dict(n_grid=(1030, 1045), d_grid=(26,), k_grid=(40,))
-GOLDEN_WIDE = "d11b99a6682fb58a6e1d5c8e9aade49da19190ac1e53e01b03302209620b5b99"
+GOLDEN_WIDE = "79db99f0cf370f215a547b2d9cba752c561dba2b7f2f4804999982ae846f1f39"
 
 
 def test_wide_gram_sweep_csv_matches_golden_hash(monkeypatch, tmp_path):
@@ -127,6 +132,23 @@ def test_one_gram_per_trial(monkeypatch, regime, n, d, k, name):
                                  dataset_seed=5, weight_seed=6, mc_samples=200)])
     assert rec.reason == ""
     assert len(calls) == 1
+
+
+def test_ntk_dual_path_takes_sigma_prime_of_its_training_set_once(monkeypatch):
+    n, d, k = 30, 4, 10  # n <= k * d: the dual solve
+    calls = _count_calls(monkeypatch, "act_deriv", roblaw.activations)
+    grams = _count_calls(monkeypatch, "empirical_gram")
+    feats = _count_calls(monkeypatch, "features")
+    cells = [TrialCell(regime="ntk_finite", activation=ActivationKind.RELU, n=n, d=d, k=k,
+                       lam=lam, zeta=0.5, dataset_seed=5, weight_seed=6, mc_samples=200)
+             for lam in (0.0, 1e-3)]
+    recs = run_trial(cells)
+    assert [rec.reason for rec in recs] == ["", ""]
+    # the gram, the recovery of a and the train design share one sigma'
+    assert [np.shape(args[-1]) for args in calls].count((n, k)) == 1
+    assert len(grams) == 1 and sum(len(args[1]) == n for args in feats) == 1
+    # and give the rows of the cells run alone
+    assert [rec.csv_row() for rec in recs] == [run_trial([c])[0].csv_row() for c in cells]
 
 
 @pytest.mark.parametrize("regime, n_grid, d, k", [

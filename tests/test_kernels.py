@@ -199,6 +199,11 @@ def test_kernel_profiles_equal_their_closed_forms_bit_for_bit(kernel, unit_input
             assert_same_bits(got, _kernel_reference(kernel, t, deriv))
             assert not np.shares_memory(got, t)
         np.testing.assert_array_equal(np.asarray(t), before)  # not written to
+        if np.ndim(t):
+            # the derivative may overwrite its input
+            u = np.array(t, copy=True)
+            assert kernel_profile_deriv(kernel, u, u) is u
+            assert_same_bits(u, _kernel_reference(kernel, t, True))
 
 
 @pytest.mark.parametrize("t", [1 + 2e-9, -math.inf, [math.nan, 5.0], [0.2, -1.1]])

@@ -14,6 +14,7 @@ from roblaw import (
     HiddenWeights,
     InvalidArgument,
     ResourceLimit,
+    SphereSample,
     UnsupportedActivation,
     c_sigma_sobolev,
     coef_norm,
@@ -182,6 +183,57 @@ def test_monte_carlo_blocks_match_whole_sample(m):
         assert est.samples == m
         assert est.value == pytest.approx(value, rel=1e-13)
         assert est.std_error == pytest.approx(se, rel=1e-13)
+
+
+def test_monte_carlo_point_at_an_anchor_matches_whole_sample():
+    # phi' of ntk_infinite relu is clamped near t = 1, so a sample point at
+    # an anchor has a large, nearly radial gradient whose tangential part
+    # the projection must not lose
+    d, m, seed = 6, 2 * 1024 + 7, 31
+    X = sample_sphere(d, m, seed).points
+    anchors = SphereSample(X[[0, 1500, m - 1]])
+    kernel = DotProductKernel(name="ntk_infinite", activation=ActivationKind.RELU)
+    model = KernelModel(kernel=kernel, anchors=anchors, c=np.array([1.0, -0.5, 2.0]))
+    g = model_gradient(model, X[0])
+    assert abs(g @ X[0]) > 0.999 * np.linalg.norm(g) > 1e3
+    [est] = sobolev_monte_carlo([model], d, m, seed)
+    value, se = _whole_sample_estimate(model, d, m, seed)
+    assert est.value == pytest.approx(value, rel=1e-13)
+    assert est.std_error == pytest.approx(se, rel=1e-13)
+
+
+def test_monte_carlo_blocks_reuse_one_workspace(monkeypatch):
+    factor_outs, gradient_outs = {}, []
+    for cls in (FeatureModel, KernelModel, TwoLayerModel):
+        def recorded(self, X, out=None, original=cls.gradient_factor):
+            factor_outs.setdefault(self.factor_key, []).append(out)
+            return original(self, X, out)
+
+        monkeypatch.setattr(cls, "gradient_factor", recorded)
+    original_gradient = roblaw.sobolev.model_gradient
+
+    def recorded_gradient(model, x, factor=None, out=None):
+        gradient_outs.append(out)
+        return original_gradient(model, x, factor, out)
+
+    monkeypatch.setattr(roblaw.sobolev, "model_gradient", recorded_gradient)
+    d, m = 6, 3 * 1024 + 5
+    models = _path_models(d, 30)
+    sobolev_monte_carlo(models, d, m, 3)
+
+    def address(a):
+        return a.__array_interface__["data"][0]
+
+    rows = [1024, 1024, 1024, 5]
+    assert len(factor_outs) == 4  # rf, ntk, kernel and two-layer
+    for key, outs in factor_outs.items():
+        assert [len(out) for out in outs] == rows
+        assert len({address(out) for out in outs}) == 1
+    assert [len(out) for out in gradient_outs] == [r for r in rows for _ in models]
+    assert {out.shape[1] for out in gradient_outs} == {d}
+    assert len({address(out) for out in gradient_outs}) == 1
+    factor_addresses = {address(outs[0]) for outs in factor_outs.values()}
+    assert address(gradient_outs[0]) not in factor_addresses
 
 
 @pytest.mark.parametrize("name, family", [

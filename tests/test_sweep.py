@@ -268,10 +268,10 @@ def test_solve_failure_at_one_lambda_stays_in_its_row(tmp_path, monkeypatch):
     clean = _csv_rows(run_sweep(_path_config(tmp_path, "clean.csv")))
     original = roblaw.fit.solve_psd
 
-    def singular_at_zero(K, y, lam, on_factor=None):
+    def singular_at_zero(K, y, lam, on_factor=None, **kwargs):
         if lam == 0:
             raise SingularKernel("planted")
-        return original(K, y, lam, on_factor)
+        return original(K, y, lam, on_factor, **kwargs)
 
     monkeypatch.setattr(roblaw.fit, "solve_psd", singular_at_zero)
     cfg = _path_config(tmp_path, "planted.csv")
@@ -432,9 +432,9 @@ def test_gram_side_is_the_side_of_the_gram_the_path_solves(monkeypatch, regime, 
     # widths d = 4, k = 3 and k * d = 12: n runs below, at and above each
     sides, original = [], roblaw.fit.solve_psd
 
-    def recorded(K, *args):
+    def recorded(K, *args, **kwargs):
         sides.append(K.shape[0])
-        return original(K, *args)
+        return original(K, *args, **kwargs)
 
     monkeypatch.setattr(roblaw.fit, "solve_psd", recorded)
     cell = TrialCell(regime=regime, activation=ActivationKind.RELU, n=n, d=4, k=3,
