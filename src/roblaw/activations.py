@@ -1,18 +1,21 @@
 """Activation catalog: values, a.e. derivatives, Gaussian curvature
-coefficients, and the scalar kernel profiles they induce on the sphere.
+coefficients, and the scalar kernel profiles they induce on the sphere;
+the panel Gauss-Legendre rule that their reference integrals (and the
+Marchenko-Pastur integrals of `spectral`) are computed with.
 
 Conventions pinned here:
   * erf activation is sigma(t) = erf(t / sqrt(2)).
   * kink derivative sigma'(0) = 0 for ReLU and abs (measure-zero set).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 from scipy.special import erf
 
 from .errors import InvalidArgument, NumericFailure, UnsupportedActivation
@@ -78,6 +81,75 @@ def act_deriv(kind: ActivationKind, t, out=None):
     return out if out.ndim else out[()]
 
 
+#: orders of the Gauss-Legendre rule: a panel's integral is the higher
+#: order's, and the two must agree for the panel to be accepted
+GAUSS_ORDERS = (24, 48)
+#: relative tolerance of that agreement, see `integrate`
+GAUSS_RTOL = 1e-14
+#: panels one integral may be bisected into before NumericFailure
+GAUSS_MAX_PANELS = 1000
+
+
+def _legendre(order: int, x: np.ndarray) -> tuple:
+    """(P_order(x), P_order'(x)) by the three-term recurrence."""
+    prev, p = np.ones_like(x), x
+    for k in range(2, order + 1):
+        prev, p = p, ((2 * k - 1) * x * p - (k - 1) * prev) / k
+    return p, order * (x * p - prev) / (x * x - 1)
+
+
+@functools.cache
+def _gauss_rule(order: int) -> tuple:
+    """Nodes and weights of the order-point Gauss-Legendre rule on [-1, 1]:
+    numpy's `leggauss` nodes after one more Newton step on the recurrence,
+    and the weights 2 / ((1 - x^2) P'(x)^2). Its moments are then within a
+    few ulp; `leggauss`'s own are up to 30 ulp off at order 40."""
+    x, _ = leggauss(order)
+    p, dp = _legendre(order, x)
+    x = x - p / dp
+    _, dp = _legendre(order, x)
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+def integrate(f: Callable, a, b) -> np.ndarray:
+    """The integrals of f over [a_j, b_j], for a and b of one shape, by the
+    Gauss-Legendre rule of both GAUSS_ORDERS on each panel. f must be smooth
+    on every [a_j, b_j]; it receives a float array of nodes and returns its
+    values there, of the same shape. A panel whose two orders differ by more
+    than GAUSS_RTOL times its own integral of |f| plus its width's share of
+    the whole interval's is bisected, and the halves are checked again, so
+    the error estimates of a result add up to at most 2 GAUSS_RTOL times the
+    integral of |f| over its interval. An interval that needs more than
+    GAUSS_MAX_PANELS panels raises NumericFailure."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    lo, hi = a.ravel(), b.ravel()
+    owner = np.arange(lo.size)
+    share = np.ones(lo.size)  # each panel's width over its interval's
+    total = np.zeros(lo.size)
+    panels = np.ones(lo.size, dtype=int)
+    (xc, wc), (xf, wf) = (_gauss_rule(n) for n in GAUSS_ORDERS)
+    scale = None  # the integral of |f| over each interval
+    while owner.size:
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        coarse = half * (f(mid[:, None] + half[:, None] * xc) @ wc)
+        vals = f(mid[:, None] + half[:, None] * xf)
+        fine = half * (vals @ wf)
+        size = np.abs(half) * (np.abs(vals) @ wf)
+        if scale is None:
+            scale = size
+        ok = np.abs(fine - coarse) <= GAUSS_RTOL * (size + share * scale[owner])
+        np.add.at(total, owner[ok], fine[ok])
+        bad = ~ok
+        owner, lo, mid, hi, share = owner[bad], lo[bad], mid[bad], hi[bad], share[bad] / 2
+        panels += np.bincount(owner, minlength=panels.size)
+        if owner.size and panels.max() > GAUSS_MAX_PANELS:
+            raise NumericFailure(
+                f"Gauss-Legendre quadrature did not converge in {GAUSS_MAX_PANELS} panels")
+        owner, share = np.tile(owner, 2), np.tile(share, 2)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    return total.reshape(a.shape)
+
+
 @dataclass(frozen=True)
 class CurvatureCoeffs:
     """Gaussian moments of an activation: beta0 = E[s(z)]^2,
@@ -89,16 +161,14 @@ class CurvatureCoeffs:
 
 
 def curvature_coeffs(kind: ActivationKind) -> CurvatureCoeffs:
-    """Curvature coefficients by adaptive quadrature against N(0,1); the
-    integration range is split at zero so kinked activations converge."""
+    """Curvature coefficients by `integrate` against N(0,1) on [-12, 0] and
+    [0, 12]: split at zero, so kinked activations are smooth on each panel."""
 
     def gauss_mean(f):
-        pdf = lambda z: math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
-        neg, _ = quad(lambda z: f(z) * pdf(z), -12.0, 0.0, limit=80)
-        pos, _ = quad(lambda z: f(z) * pdf(z), 0.0, 12.0, limit=80)
-        return neg + pos
+        pdf = lambda z: np.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+        return math.fsum(integrate(lambda z: f(z) * pdf(z), (-12.0, 0.0), (0.0, 12.0)))
 
-    s = lambda z: float(act_eval(kind, z))
+    s = lambda z: act_eval(kind, z)
     m0 = gauss_mean(s)
     m1 = gauss_mean(lambda z: z * s(z))
     m2 = gauss_mean(lambda z: s(z) ** 2)
@@ -120,12 +190,12 @@ def _log_cdp(d: int, p: float) -> float:
 def catalan_integral(h: Callable, t: float) -> float:
     """phi_h(t) = (1/2pi) int_0^{2pi} h(cos u) h(cos(u - arccos t)) du.
 
-    Adaptive quadrature with the interval split at the zeros of both
-    cosine arguments: a positively homogeneous h can only be non-smooth
-    where its argument vanishes, so the integrand is smooth between the
-    breakpoints and kinked activations converge at machine precision.
+    `integrate` on the panels between the zeros of both cosine arguments:
+    a positively homogeneous h can only be non-smooth where its argument
+    vanishes, so the integrand is smooth on every panel and kinked
+    activations converge at machine precision. h receives float arrays of
+    cosines and must return its values there, elementwise.
     """
-    tol = 1e-9
     theta = math.acos(min(1.0, max(-1.0, t)))
     two_pi = 2 * math.pi
     breaks = sorted(
@@ -133,15 +203,8 @@ def catalan_integral(h: Callable, t: float) -> float:
         | {b % two_pi for b in (math.pi / 2, 3 * math.pi / 2,
                                 theta + math.pi / 2, theta + 3 * math.pi / 2)}
     )
-    f = lambda u: float(np.asarray(h(math.cos(u))) * np.asarray(h(math.cos(u - theta))))
-    total, err = 0.0, 0.0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        val, e = quad(f, a, b, epsabs=tol / 10, epsrel=1e-12, limit=200)
-        total += val
-        err += e
-    if err > tol * max(1.0, abs(total)) * 10:
-        raise NumericFailure("circle quadrature did not converge")
-    return total / two_pi
+    f = lambda u: h(np.cos(u)) * h(np.cos(u - theta))
+    return math.fsum(integrate(f, breaks[:-1], breaks[1:])) / two_pi
 
 
 def induced_kappa_quadrature(h: Callable, p: float, d: int, t: float) -> float:

@@ -6,11 +6,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import cho_solve
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .activations import ActivationKind, kappa_tilde, phi_profile
+from .activations import ActivationKind, integrate, kappa_tilde, phi_profile
 from .errors import InvalidArgument, ResourceLimit
 from .fit import _ONE_SCIPY_THREAD, cholesky
 from .kernels import FeatureMap, HiddenWeights, features
@@ -207,45 +206,57 @@ def mp_density(gamma: float, t) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
+def _mp_substitution(gamma: float, theta: np.ndarray) -> tuple:
+    """(t, w) at theta in [0, pi]: t = lo + (hi - lo) sin^2(theta/2) and w
+    the MP density at t times dt/dtheta. The substitution turns the
+    square-root edges of the density into the smooth
+    w = (r sin theta)^2 / (2 pi gamma t), r = (hi - lo)/2."""
+    lo, hi = mp_edges(gamma)
+    t = lo + (hi - lo) * np.sin(theta / 2) ** 2
+    return t, ((hi - lo) / 2 * np.sin(theta)) ** 2 / (2 * math.pi * gamma * t)
+
+
 def mp_cdf(gamma: float, t) -> np.ndarray | float:
-    """CDF of the MP law including the atom at zero."""
+    """CDF of the MP law including the atom at zero, a float for a scalar
+    t and an array of t's shape otherwise; NaN entries stay NaN. The
+    continuous mass below t is `integrate` over theta in [0, theta(t)] of
+    the substituted density."""
     lo, hi = mp_edges(gamma)
     atom = mp_atom(gamma)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(t)
-    for i, ti in enumerate(t):
-        if ti < 0:
-            out[i] = 0.0
-        elif ti <= lo:
-            out[i] = atom
-        elif ti >= hi:
-            out[i] = 1.0
-        else:
-            mass, _ = quad(lambda u: mp_density(gamma, u), lo, ti, limit=200)
-            out[i] = atom + mass
-    return out if out.shape != (1,) else float(out[0])
+    t = np.asarray(t, dtype=float)
+    out = np.full_like(t, math.nan)
+    out[t < 0] = 0.0
+    out[(t >= 0) & (t <= lo)] = atom
+    out[t >= hi] = 1.0
+    inside = (t > lo) & (t < hi)
+    upper = 2 * np.arcsin(np.sqrt((t[inside] - lo) / (hi - lo)))
+    out[inside] = atom + integrate(lambda theta: _mp_substitution(gamma, theta)[1], 0.0, upper)
+    return out if out.ndim else float(out)
 
 
 def mp_integral(gamma: float, nlambda: float, which: str) -> float:
-    """Integrals of the ridge resolvents against the MP law (atom handled
+    """Integrals of the ridge resolvents against the MP law, by `integrate`
+    over theta in [0, pi] of the substituted density (atom handled
     analytically):
 
       norm: int t/(t + nl)^2 dmu   (1/t at nl = 0; +inf if the atom is
             weighted by an unbounded integrand)
-      mse:  1 - 2 int t/(t + nl) dmu + int t^2/(t + nl)^2 dmu
+      mse:  1 - 2 int t/(t + nl) dmu + int t^2/(t + nl)^2 dmu, computed
+            as atom + int (nl/(t + nl))^2 dmu over the continuous part,
+            which cancels no digits when nl is small
     """
     if gamma <= 0:
         raise InvalidArgument("gamma must be positive")
     if nlambda < 0:
         raise InvalidArgument("nlambda must be nonnegative")
-    lo, hi = mp_edges(gamma)
+    lo, _ = mp_edges(gamma)
     atom = mp_atom(gamma)
 
-    def integrate(f):
-        val, _ = quad(
-            lambda t: f(t) * mp_density(gamma, t), lo, hi, limit=400, points=[lo, hi]
-        )
-        return val
+    def against_mp(f):
+        def g(theta):
+            t, w = _mp_substitution(gamma, theta)
+            return f(t) * w
+        return float(integrate(g, 0.0, math.pi))
 
     if which == "norm":
         if nlambda == 0:
@@ -253,14 +264,8 @@ def mp_integral(gamma: float, nlambda: float, which: str) -> float:
                 return math.inf  # atom weighted by 1/t
             if lo <= 0:
                 return math.inf  # gamma = 1 edge at zero
-            return integrate(lambda t: 1.0 / t)
-        return integrate(lambda t: t / (t + nlambda) ** 2)
+            return against_mp(lambda t: 1.0 / t)
+        return against_mp(lambda t: t / (t + nlambda) ** 2)
     if which == "mse":
-        if nlambda == 0:
-            # t/t and t^2/t^2 are 1 on the continuous part, 0 on the atom
-            cont = 1.0 - atom
-            return 1.0 - 2.0 * cont + cont
-        i1 = integrate(lambda t: t / (t + nlambda))
-        i2 = integrate(lambda t: t * t / (t + nlambda) ** 2)
-        return 1.0 - 2.0 * i1 + i2
+        return atom + against_mp(lambda t: (nlambda / (t + nlambda)) ** 2)
     raise InvalidArgument(f"unknown integral kind {which}")

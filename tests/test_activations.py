@@ -6,6 +6,7 @@ import pytest
 from roblaw import (
     ActivationKind,
     InvalidArgument,
+    NumericFailure,
     UnsupportedActivation,
     act_deriv,
     act_eval,
@@ -13,7 +14,7 @@ from roblaw import (
     kappa_tilde,
     phi_profile,
 )
-from roblaw.activations import catalan_integral, induced_kappa_quadrature
+from roblaw.activations import catalan_integral, induced_kappa_quadrature, integrate
 
 
 def test_eval_and_deriv_pointwise():
@@ -75,6 +76,17 @@ def test_curvature_closed_forms():
     assert iden.beta_star == pytest.approx(0.0, abs=1e-10)
 
 
+def test_curvature_erf_closed_form():
+    # sigma(t) = erf(t / sqrt 2): E[sigma] = 0 by symmetry, E[z sigma] =
+    # E[sigma'] = 1/sqrt(pi) and E[sigma^2] = (2/pi) arcsin(1/2) = 1/3.
+    # scipy's quad, which this rule replaced, was 0, 5.6e-17 and 5.6e-17
+    # off: one ulp of 1/3
+    c = curvature_coeffs(ActivationKind.ERF)
+    assert c.beta0 == 0.0
+    assert abs(c.beta1 - 1 / math.pi) <= math.ulp(1 / 3)
+    assert abs(c.beta_star - (1 / 3 - 1 / math.pi)) <= math.ulp(1 / 3)
+
+
 def test_curvature_matches_profile_identities():
     # beta0 = phi(0), beta1 = phi'(0), beta* = phi(1) - phi(0) - phi'(0),
     # with phi the d-free profile scaled to the Gaussian normalization
@@ -95,6 +107,34 @@ def test_circle_integral_relu_closed_form():
         # so the order-1 profile comes out at half strength
         ref = (t * math.acos(-t) + math.sqrt(1 - t * t)) / (2 * math.pi)
         assert val == pytest.approx(ref / 2, abs=1e-9)
+
+
+def test_circle_integral_relu_near_the_poles():
+    # at t = +-0.999 two panels are 0.045 wide; scipy's quad was 2.6e-17
+    # (t = -0.999) and 8.3e-17 (t = 0.999) off the closed form
+    for t in (-0.999, 0.999):
+        val = catalan_integral(lambda u: np.maximum(u, 0.0), t)
+        ref = (t * math.acos(-t) + math.sqrt(1 - t * t)) / (2 * math.pi)
+        assert abs(val - ref / 2) <= 5e-17
+
+
+def test_integrate_is_vectorized_over_intervals():
+    got = integrate(np.cos, [[0.0, 0.0], [1.0, -1.0]], [[math.pi / 2, math.pi], [1.0, 1.0]])
+    assert got.shape == (2, 2)
+    np.testing.assert_allclose(got, [[1.0, 0.0], [0.0, 2 * math.sin(1.0)]], rtol=0, atol=1e-15)
+
+
+def test_integrate_bisects_a_sharp_peak():
+    # a Lorentzian of width 1e-3: neither order resolves it on [-1, 1]
+    eps = 1e-3
+    val = integrate(lambda x: 1 / (eps * eps + x * x), -1.0, 1.0)
+    ref = 2 / eps * math.atan(1 / eps)
+    assert abs(val - ref) <= 1e-13 * ref
+
+
+def test_integrate_raises_past_its_panel_budget():
+    with pytest.raises(NumericFailure):
+        integrate(lambda x: np.full_like(x, math.nan), 0.0, 1.0)
 
 
 def test_circle_integral_identity_is_half_cos():

@@ -1,11 +1,21 @@
 """Layout rules of the library source, checked on its syntax tree: imports
-sit at module level, and only the module that defines the model classes
-dispatches on them; every other module calls the models' own methods."""
+sit at module level, no module imports scipy's integrate or optimize
+packages (nor does a fresh interpreter that runs one trial of each regime
+load them), and only the module that defines the model classes dispatches
+on them; every other module calls the models' own methods."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
+import roblaw
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "roblaw").glob("*.py"))
+#: scipy packages no roblaw process loads: the library integrates with its
+#: own Gauss-Legendre rule, and scipy.integrate would pull in scipy.optimize
+BANNED_MODULES = ("scipy.integrate", "scipy.optimize")
 MODEL_CLASSES = {"LinearModel", "TwoLayerModel", "KernelModel", "FeatureModel"}
 #: (module, function) whose type check on a model class guards its argument
 MODEL_GUARDS = {("sobolev.py", "sobolev_exact_linear")}
@@ -16,6 +26,20 @@ def _functions(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     return [(node.name, node) for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _imported_modules(node):
+    """The dotted names an import statement loads: each `import a.b`, and
+    `m` and `m.name` for each name of a `from m import name`."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        return {node.module} | {f"{node.module}.{alias.name}" for alias in node.names}
+    return set()
+
+
+def _banned(name):
+    return any(name == m or name.startswith(m + ".") for m in BANNED_MODULES)
 
 
 def _checked_names(call):
@@ -47,3 +71,46 @@ def test_no_type_dispatch_on_models_outside_fit():
              for node in ast.walk(fn)
              if isinstance(node, ast.Call) and _checked_names(node) & MODEL_CLASSES]
     assert found == []
+
+
+def test_no_import_of_scipy_integrate_or_optimize():
+    found = [f"{path.name}:{node.lineno} imports {name}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             for name in sorted(_imported_modules(node)) if _banned(name)]
+    assert found == []
+
+
+def test_banned_import_check_sees_every_spelling():
+    spellings = ["import scipy.integrate", "from scipy.integrate import quad",
+                 "from scipy import optimize", "import scipy.optimize.linesearch as ls"]
+    for code in spellings:
+        [node] = ast.parse(code).body
+        assert any(_banned(name) for name in _imported_modules(node)), code
+    [node] = ast.parse("from scipy import linalg, special").body
+    assert not any(_banned(name) for name in _imported_modules(node))
+
+
+#: imports the package, its sweep and its CLI, runs one small trial of each
+#: regime, and prints the banned modules then loaded and each trial's reason
+_FRESH_PROCESS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import roblaw, roblaw.cli, roblaw.sweep
+from roblaw.sweep import REGIMES, TrialCell, run_trial
+reasons = {regime: run_trial([TrialCell(regime=regime, activation="relu", n=8, d=6, k=10,
+                                        lam=1e-3, zeta=0.1, dataset_seed=1, weight_seed=2,
+                                        mc_samples=200)])[0].reason
+           for regime in REGIMES}
+loaded = sorted(m for m in sys.modules if m.startswith(tuple(sys.argv[2:])))
+print(json.dumps({"loaded": loaded, "reasons": reasons}))
+"""
+
+
+def test_fresh_process_loads_no_scipy_integrate_or_optimize():
+    src = str(Path(roblaw.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, src, *BANNED_MODULES],
+                          capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["reasons"] == {regime: "" for regime in roblaw.sweep.REGIMES}
+    assert result["loaded"] == []
