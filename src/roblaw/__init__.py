@@ -30,7 +30,6 @@ from .fit import (
     fit_features,
     fit_kernel,
     fit_linear_ridge,
-    mse_limit,
     ridgeless_norm_limit,
     rkhs_norm,
     test_mse,

@@ -196,6 +196,8 @@ def catalan_integral(h: Callable, t: float) -> float:
     activations converge at machine precision. h receives float arrays of
     cosines and must return its values there, elementwise.
     """
+    if not abs(t) <= 1 + 1e-12:
+        raise InvalidArgument(f"|t| must be <= 1, got {t}")
     theta = math.acos(min(1.0, max(-1.0, t)))
     two_pi = 2 * math.pi
     breaks = sorted(
@@ -216,8 +218,6 @@ def induced_kappa_quadrature(h: Callable, p: float, d: int, t: float) -> float:
     """
     if d < 2 or p <= 0:
         raise InvalidArgument(f"needs d >= 2 and p > 0, got d={d}, p={p}")
-    if abs(t) > 1 + 1e-12:
-        raise InvalidArgument(f"|t| must be <= 1, got {t}")
     pref = math.exp(_log_cdp(2, 2 * p) - _log_cdp(d, 2 * p))
     return pref * catalan_integral(h, t)
 

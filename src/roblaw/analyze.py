@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .errors import InvalidArgument, IoError
-from .fit import mse_limit, ridgeless_norm_limit
+from .fit import ridgeless_norm_limit
 from .spectral import mp_integral
 
 X_EXPRS = ("sqrt_n", "sqrt_n_over_k")
@@ -156,12 +156,8 @@ def asymptotics(gamma: float, nlambda: float = 0.0) -> dict:
     if not (math.isfinite(nlambda) and nlambda >= 0):
         raise InvalidArgument(f"nlambda must be nonnegative and finite, got {nlambda}")
     mp_norm = mp_integral(gamma, nlambda, "norm")
-    if nlambda == 0:
-        norm = ridgeless_norm_limit(gamma)
-        mse = mse_limit(gamma)
-    else:
-        norm = mp_norm
-        mse = mp_integral(gamma, nlambda, "mse")
+    norm = ridgeless_norm_limit(gamma) if nlambda == 0 else mp_norm
+    mse = mp_integral(gamma, nlambda, "mse")
     return {
         "gamma": gamma,
         "nlambda": nlambda,

@@ -502,11 +502,3 @@ def ridgeless_norm_limit(gamma: float) -> float:
     if gamma == 1:
         return math.inf
     return 1.0 / abs(1.0 - gamma)
-
-
-def mse_limit(gamma: float) -> float:
-    """Asymptotic training MSE of the ridgeless regressor: (1 - 1/gamma)_+."""
-    if gamma <= 0:
-        raise InvalidArgument("gamma must be positive")
-    return max(0.0, 1.0 - 1.0 / gamma)
-

@@ -187,7 +187,8 @@ def mp_edges(gamma: float) -> tuple[float, float]:
 
 
 def mp_atom(gamma: float) -> float:
-    """Point mass at zero: (1 - 1/gamma)_+."""
+    """Point mass at zero: (1 - 1/gamma)_+, also the asymptotic training MSE
+    of the ridgeless regressor."""
     if gamma <= 0:
         raise InvalidArgument("gamma must be positive")
     return max(0.0, 1.0 - 1.0 / gamma)

@@ -102,7 +102,7 @@ def moment_cpq(p: int, q: int, d: int, s: float) -> float:
         raise InvalidArgument("p + q must be <= 12 (double-precision stability)")
     if d < 2:
         raise InvalidArgument("d must be >= 2")
-    if abs(s) > 1 + 1e-12:
+    if not abs(s) <= 1 + 1e-12:
         raise InvalidArgument(f"|s| must be <= 1, got {s}")
     s = min(1.0, max(-1.0, s))
     if (p + q) % 2 == 1:

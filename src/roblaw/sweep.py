@@ -10,8 +10,9 @@ The unit of work is a lambda path: the cells that differ only in lambda. Its
 dataset, hidden weights, gram and its spectra, train and test designs, test
 set and Monte-Carlo sample are built once and shared by all its ridge
 values, each of which pays only for its own solve, predictions and
-seminorm. Every row still equals the row of its cell run alone, byte for
-byte.
+seminorm. A path that fails is run again one cell at a time, so every row
+still equals the row of its cell run alone, byte for byte, failures
+included.
 """
 
 import csv
@@ -229,73 +230,30 @@ def _path_key(cell: TrialCell) -> TrialCell:
     return replace(cell, lam=0.0)
 
 
-class _PathRows:
-    """The records of one lambda path as they go through a trial's stages: a
-    row whose stage raises keeps that exception and skips later stages."""
-
-    ERRORS = (RoblawError, np.linalg.LinAlgError)
-
-    def __init__(self, recs: list):
-        self.recs = recs
-        self.errors = [None] * len(recs)
-        self.live = list(range(len(recs)))
-
-    def each(self, step) -> None:
-        """step(i) for every live row i."""
-        kept = []
-        for i in self.live:
-            try:
-                step(i)
-            except self.ERRORS as exc:
-                self.errors[i] = exc
-            else:
-                kept.append(i)
-        self.live = kept
-
-    def fill(self, name: str, value) -> None:
-        """Set field `name` of every live row i to value(i)."""
-        self.each(lambda i: setattr(self.recs[i], name, value(i)))
-
-    def shared(self, compute):
-        """compute() once for all live rows, or None if there are none; if
-        it raises, every live row stops with its exception."""
-        if not self.live:
-            return None
-        try:
-            return compute()
-        except self.ERRORS as exc:
-            for i in self.live:
-                self.errors[i] = exc
-            self.live = []
-            return None
-
-
-def _fill_path(recs: list, cells: list) -> list:
-    """Compute the metrics of a lambda path's cells into their records and
-    return for each row the exception that stopped it, or None.
+def _fill_path(recs: list, cells: list) -> None:
+    """Compute the metrics of a lambda path's cells into their records,
+    stage by stage for every lambda, and raise the first failure, leaving
+    in the records the metrics computed before it.
 
     The dataset, hidden weights, gram, spectra, train and test designs, test
     set and Monte-Carlo sample do not depend on lambda and are built once;
     each lambda pays for its solve, a matrix-vector product per prediction
     and its seminorm. A kernel path's gram is its train design; any other
     path builds that design after releasing the gram, an NTK dual path from
-    the sigma' its gram was built from. Every row
-    passes the stages of a lone trial in the same order and sees the same
-    values, so it ends with the metrics and the failure its cell would give
-    if run alone."""
-    rows = _PathRows(recs)
+    the sigma' its gram was built from. A path of one cell passes the same
+    stages in the same order, so a path that does not fail ends with the
+    metrics of its cells run alone."""
     cell = cells[0]
     regime = REGIME_TABLE[cell.regime]
     activation = ActivationKind(cell.activation)
-    data = rows.shared(lambda: gen_dataset(cell.n, cell.d, cell.zeta, cell.dataset_seed,
-                                           zero_signal=cell.zero_signal))
+    data = gen_dataset(cell.n, cell.d, cell.zeta, cell.dataset_seed,
+                       zero_signal=cell.zero_signal)
     fmap = None
     if regime.hidden is not None:
-        fmap = rows.shared(lambda: FeatureMap(
+        fmap = FeatureMap(
             kind=regime.hidden, activation=activation,
-            weights=HiddenWeights(sample_sphere(cell.d, cell.k, cell.weight_seed).points)))
-    path = rows.shared(lambda: regime.path(cell, data, fmap))
-    models = {}
+            weights=HiddenWeights(sample_sphere(cell.d, cell.k, cell.weight_seed).points))
+    path = regime.path(cell, data, fmap)
     # inverse Lanczos is slower than `eigvalsh` on a kernel gram's clustered
     # bottom at any side, so only feature and linear grams go to Lanczos
     spectrum = sym_eigs if regime.kernel else gram_spectrum
@@ -306,76 +264,79 @@ def _fill_path(recs: list, cells: list) -> list:
     def keep_spectrum(factor):
         spectra["gram"] = gram_spectrum(path.gram, factor)
 
-    def fit(i):
+    models = []
+    for rec, c in zip(recs, cells):
         wide = not regime.kernel and path.gram.shape[0] > DENSE_MAX_SIDE and not spectra
-        models[i] = path.fit(regime.solve_lambda(cells[i]), keep_spectrum if wide else None)
-        return bool(models[i].meta.get("fallback", False))
-
-    rows.fill("solver_fallback", fit)
-    s = rows.shared(lambda: spectra["gram"] if spectra else spectrum(path.gram))
-    rows.fill("gram_cond", lambda i: s.cond)
+        models.append(path.fit(regime.solve_lambda(c), keep_spectrum if wide else None))
+        rec.solver_fallback = bool(models[-1].meta.get("fallback", False))
+    s = spectra["gram"] if spectra else spectrum(path.gram)
+    for rec in recs:
+        rec.gram_cond = s.cond
     # a hidden layer has a closed-form C matrix and seminorm only for an
     # order-1 homogeneous activation
     closed = regime.hidden is None or HOMOGENEITY.get(activation) == 1.0
-    c_spec = s if regime.c_matrix is None else rows.shared(
-        lambda: sym_eigs(regime.c_matrix(fmap.weights, activation)) if closed else None)
+    c_spec = s if regime.c_matrix is None else (
+        sym_eigs(regime.c_matrix(fmap.weights, activation)) if closed else None)
     if c_spec is not None:
-        rows.fill("lambda_min_C", lambda i: c_spec.lambda_min)
-        rows.fill("lambda_max_C", lambda i: c_spec.lambda_max)
+        for rec in recs:
+            rec.lambda_min_C, rec.lambda_max_C = c_spec.lambda_min, c_spec.lambda_max
+    # no name may be left bound to a model that holds the gram
     if regime.kernel:
-        rows.fill("rkhs_norm", lambda i: rkhs_norm(models[i]))
+        for rec, norm in zip(recs, map(rkhs_norm, models)):
+            rec.rkhs_norm = norm
     # A kernel path's train design is its gram; any other design is built
     # once the gram is gone, so the two are never held together.
-    train_design = path.train_design if path is not None else None
+    train_design = path.train_design
     del path
-    models = {i: replace(model, gram=None) for i, model in models.items()}
-    design = rows.shared(lambda: train_design() if train_design is not None
-                         else models[rows.live[0]].design(data.X.points))
+    models = [replace(model, gram=None) for model in models]
+    design = train_design() if train_design is not None else models[0].design(data.X.points)
     del train_design
-    rows.fill("train_mse", lambda i: train_mse(models[i], data, design))
+    for rec, model in zip(recs, models):
+        rec.train_mse = train_mse(model, data, design)
     del design
-    test = rows.shared(lambda: gen_test_set(data))
-    design = rows.shared(lambda: models[rows.live[0]].design(test.X.points))
-    rows.fill("test_mse", lambda i: test_mse(models[i], test, design))
+    test = gen_test_set(data)
+    design = models[0].design(test.X.points)
+    for rec, model in zip(recs, models):
+        rec.test_mse = test_mse(model, test, design)
     del design
-    mc = rows.shared(lambda: dict(zip(rows.live, sobolev_monte_carlo(
-        [models[i] for i in rows.live], cell.d, cell.mc_samples,
-        splitmix64(cell.weight_seed, 3)))))
-    rows.fill("sobolev_mc", lambda i: mc[i].value)
-    rows.fill("sobolev_mc_stderr", lambda i: mc[i].std_error)
-    rows.fill("coef_norm", lambda i: coef_norm(models[i]))
+    mc = sobolev_monte_carlo(models, cell.d, cell.mc_samples, splitmix64(cell.weight_seed, 3))
+    for rec, model, est in zip(recs, models, mc):
+        rec.sobolev_mc, rec.sobolev_mc_stderr = est.value, est.std_error
+        rec.coef_norm = coef_norm(model)
     if regime.exact is not None and closed:
-        exact = rows.shared(lambda: dict(zip(rows.live, regime.exact(
-            [models[i] for i in rows.live]))))
-        rows.fill("sobolev_analytic", lambda i: exact[i].value)
+        for rec, exact in zip(recs, regime.exact(models)):
+            rec.sobolev_analytic = exact.value
     if regime.eta:
-        rows.fill("eta", lambda i: eta_proxy(models[i]))
-    return rows.errors
+        for rec, model in zip(recs, models):
+            rec.eta = eta_proxy(model)
 
 
 def fill_record(rec: TrialRecord, cell: TrialCell) -> TrialRecord:
     """Compute the metrics of `cell` into `rec` and return it. Raises on
     failure, leaving in `rec` the metrics computed before it."""
-    [exc] = _fill_path([rec], [cell])
-    if exc is not None:
-        raise exc
+    _fill_path([rec], [cell])
     return rec
 
 
 def run_trial(cells: list[TrialCell]) -> list[TrialRecord]:
     """Execute one lambda path, cells that differ only in lambda, and return
     their records in order. A failure while computing comes back as a
-    tagged row, never as an exception; a failure in a stage the cells
-    share tags every row it stops."""
+    tagged row, never as an exception: a lone cell keeps the metrics
+    computed before it, and a longer path is run again one cell at a time,
+    so every row is the row of its cell run alone."""
     if len({_path_key(c) for c in cells}) != 1:
         raise InvalidArgument("a lambda path needs cells that differ only in lambda")
     recs = [blank_record(c) for c in cells]
-    for rec, exc in zip(recs, _fill_path(recs, cells)):
-        if isinstance(exc, RoblawError):
-            rec.reason = f"{type(exc).__name__}: {exc}"
-        elif exc is not None:
-            rec.reason = f"LinAlgError: {exc}"
-    return recs
+    try:
+        _fill_path(recs, cells)
+        return recs
+    except (RoblawError, np.linalg.LinAlgError) as exc:
+        if len(cells) == 1:
+            recs[0].reason = f"{type(exc).__name__}: {exc}"
+            return recs
+    # rerun only here: the traceback holds the failed path's gram and
+    # designs until its `except` block ends
+    return [run_trial([cell])[0] for cell in cells]
 
 
 def iter_cells(config: SweepConfig):

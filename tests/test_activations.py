@@ -12,6 +12,7 @@ from roblaw import (
     act_eval,
     curvature_coeffs,
     kappa_tilde,
+    moment_cpq,
     phi_profile,
 )
 from roblaw.activations import catalan_integral, induced_kappa_quadrature, integrate
@@ -162,6 +163,18 @@ def test_induced_kernel_quadrature_scaling():
 def test_induced_kernel_quadrature_rejects_bad_order_or_dimension(p, d):
     with pytest.raises(InvalidArgument):
         induced_kappa_quadrature(np.abs, p, d, 0.3)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1.5, -1.5])
+@pytest.mark.parametrize("of_t", [
+    lambda t: catalan_integral(np.abs, t),
+    lambda t: induced_kappa_quadrature(np.abs, 1, 5, t),
+    lambda t: moment_cpq(2, 2, 5, t),
+], ids=["catalan_integral", "induced_kappa_quadrature", "moment_cpq"])
+def test_cosine_argument_outside_unit_interval_or_not_finite_is_rejected(of_t, t):
+    # a NaN cosine used to be clipped to -1 and give the value there
+    with pytest.raises(InvalidArgument):
+        of_t(t)
 
 
 def test_phi_profile_value_derivative_consistency():

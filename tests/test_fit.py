@@ -18,7 +18,7 @@ from roblaw import (
     fit_linear_ridge,
     gen_dataset,
     gram_dot,
-    mse_limit,
+    mp_atom,
     ridgeless_norm_limit,
     rkhs_norm,
     sample_sphere,
@@ -399,5 +399,5 @@ def test_reference_limits():
     assert ridgeless_norm_limit(0.5) == 2.0
     assert ridgeless_norm_limit(2.0) == 1.0
     assert ridgeless_norm_limit(1.0) == math.inf
-    assert mse_limit(0.5) == 0.0
-    assert mse_limit(2.0) == 0.5
+    assert mp_atom(0.5) == 0.0
+    assert mp_atom(2.0) == 0.5

@@ -301,6 +301,80 @@ def test_shared_stage_failure_tags_every_row_of_the_path(tmp_path, monkeypatch):
         assert math.isfinite(float(row[train])) and math.isnan(float(row[test]))
 
 
+def test_failure_of_one_lambda_in_a_stage_all_lambdas_share_stays_in_its_row(monkeypatch):
+    # one sobolev_analytic call serves every lambda of the path; a lone
+    # lambda = 0 cell does not fail, so its row must not be tagged
+    original = roblaw.sweep.sobolev_analytic
+
+    def fails_above_zero(models):
+        if any(model.meta["lambda"] != 0 for model in models):
+            raise NumericFailure("planted")
+        return original(models)
+
+    monkeypatch.setattr(roblaw.sweep, "sobolev_analytic", fails_above_zero)
+    cells = [TrialCell(regime="rf_finite", activation=ActivationKind.RELU, n=12, d=10,
+                       k=8, lam=lam, zeta=0.5, dataset_seed=5, weight_seed=6,
+                       mc_samples=200) for lam in (0.0, 1e-4, 1e-3)]
+    recs = run_trial(cells)
+    assert [rec.csv_row() for rec in recs] == [run_trial([c])[0].csv_row() for c in cells]
+    assert recs[0].reason == "" and math.isfinite(recs[0].sobolev_analytic)
+    assert [rec.reason for rec in recs[1:]] == ["NumericFailure: planted"] * 2
+
+
+def test_failed_path_is_rerun_only_after_its_gram_is_freed(monkeypatch):
+    # the traceback of a failure holds the failed path's frame, and with it
+    # the gram, until the `except` block that caught it ends
+    original_path, grams = roblaw.sweep.kernel_path, []
+
+    def tracked_path(kernel, data):
+        if grams:
+            assert grams[0]() is None, "rerun started while the failed gram was alive"
+        path = original_path(kernel, data)
+        grams.append(weakref.ref(path.gram))
+        return path
+
+    original_rkhs, calls = roblaw.sweep.rkhs_norm, []
+
+    def fails_first(model):
+        calls.append(model.meta["lambda"])
+        if len(calls) == 1:
+            raise NumericFailure("planted")
+        return original_rkhs(model)
+
+    monkeypatch.setattr(roblaw.sweep, "kernel_path", tracked_path)
+    monkeypatch.setattr(roblaw.sweep, "rkhs_norm", fails_first)
+    cells = [TrialCell(regime="rf_infinite", activation=ActivationKind.RELU, n=30, d=6,
+                       k=0, lam=lam, zeta=0.5, dataset_seed=5, weight_seed=6,
+                       mc_samples=200) for lam in (0.0, 1e-3)]
+    recs = run_trial(cells)
+    assert len(grams) == 3  # the path, then each cell alone
+    assert [rec.reason for rec in recs] == ["", ""]
+
+
+@pytest.mark.parametrize("n", [12, 30])  # a dual and a primal gram of width k = 20
+def test_designs_are_built_after_the_gram_is_freed(monkeypatch, n):
+    original_path, grams = roblaw.sweep.feature_path, []
+
+    def tracked_path(fmap, data):
+        path = original_path(fmap, data)
+        grams.append(weakref.ref(path.gram))
+        return path
+
+    original_design, gram_alive = roblaw.fit.FeatureModel.design, []
+
+    def checked(model, X):
+        gram_alive.append(grams[0]() is not None)
+        return original_design(model, X)
+
+    monkeypatch.setattr(roblaw.sweep, "feature_path", tracked_path)
+    monkeypatch.setattr(roblaw.fit.FeatureModel, "design", checked)
+    recs = run_trial([TrialCell(regime="rf_finite", activation=ActivationKind.RELU, n=n,
+                                d=10, k=20, lam=lam, zeta=0.5, dataset_seed=5, weight_seed=6,
+                                mc_samples=200) for lam in (0.0, 1e-3)])
+    assert [rec.reason for rec in recs] == ["", ""]
+    assert gram_alive == [False, False]  # the train and the test design
+
+
 def test_run_trial_rejects_cells_of_two_paths():
     cells = [TrialCell(regime="linear", activation=ActivationKind.RELU, n=n, d=4,
                        k=0, lam=0.0, zeta=0.5, dataset_seed=5, weight_seed=6)
