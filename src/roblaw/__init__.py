@@ -54,7 +54,6 @@ from .sobolev import (
     eta_proxy,
     poincare_lower_bound,
     sobolev_analytic,
-    sobolev_exact_linear,
     sobolev_monte_carlo,
 )
 from .spectral import (

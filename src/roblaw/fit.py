@@ -12,11 +12,11 @@ depend on that library's thread count.
 A `RidgePath` holds what a fit does not owe to lambda: the PSD matrix its
 solves factor (K(X,X), Z Z^T or X X^T for a dual solve, Z^T Z or X^T X for a
 primal one), the right-hand side and the map from a solution to a model, so
-one gram serves every lambda of a dataset. A fitted model keeps that matrix
-as `gram`; spectra and the RKHS norm read it instead of building it again,
-and a hand-built model has gram None. A lambda = 0 solve can hand the
-gram's Cholesky factor to its caller, so the spectra of a wide gram need
-no factorization of their own.
+one gram serves every lambda of a dataset. The path is the gram's only
+owner: spectra and the RKHS norm read `path.gram`, and a fitted model holds
+no reference to it. A lambda = 0 solve can hand the gram's Cholesky factor
+to its caller, so the spectra of a wide gram need no factorization of
+their own.
 
 Every model predicts through a design: `predict(x)` is `design(x) @ coef`,
 with `design(x)` the lambda-free matrix of the inputs (x itself, the
@@ -27,7 +27,8 @@ same way: `gradient(X, gradient_factor(X))` multiplies the coefficient-free
 small (factor_width, d) operand into which the model folds its
 coefficients. Both methods take an `out` array to write into. `two_layer`
 is the (hidden weights, output weights, activation) of a two-layer
-network, or None.
+network, or None; a model without one gives its closed-form Sobolev
+seminorm as `seminorm`, nan where it has none.
 """
 
 import ctypes
@@ -63,7 +64,6 @@ from .sphere import SphereSample
 class LinearModel:
     w: np.ndarray
     meta: dict = field(default_factory=dict)
-    gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     factor_key = None
     factor_width = 0
@@ -72,6 +72,11 @@ class LinearModel:
     @property
     def coef(self) -> np.ndarray:
         return self.w
+
+    @property
+    def seminorm(self) -> float:
+        """||w|| sqrt(1 - 1/d) for f(x) = w . x on the sphere."""
+        return float(np.linalg.norm(self.w)) * math.sqrt(1.0 - 1.0 / self.w.shape[0])
 
     def design(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float)
@@ -134,9 +139,9 @@ class KernelModel:
     anchors: SphereSample
     c: np.ndarray
     meta: dict = field(default_factory=dict)
-    gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     two_layer = None
+    seminorm = math.nan
 
     @property
     def coef(self) -> np.ndarray:
@@ -179,7 +184,9 @@ class FeatureModel:
     map: FeatureMap
     a: np.ndarray
     meta: dict = field(default_factory=dict)
-    gram: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    #: an NTK map's; random features get theirs through `two_layer`
+    seminorm = math.nan
 
     @property
     def coef(self) -> np.ndarray:
@@ -373,17 +380,17 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
 @dataclass(frozen=True)
 class RidgePath:
     """The part of a ridge fit that does not depend on lambda: the PSD
-    matrix every solve factors (the models' `gram`), the right-hand side,
-    and the map from a solution to a model. `fit(lam)` costs one
-    `solve_psd`, so the fits of one dataset over many lambdas share the
-    gram, which is checked finite once; dropping the path and its models
+    matrix every solve factors, the right-hand side, and the map from a
+    solution to a model. `fit(lam)` costs one `solve_psd`, so the fits of
+    one dataset over many lambdas share the gram, which is checked finite
+    once; the models hold no reference to it, so dropping the path
     releases it. `on_factor` goes to `solve_psd`: a lambda = 0 fit hands it
     the gram's Cholesky factor. `train_design()`, when set, builds the
     models' design of the training inputs from what the path holds."""
 
     gram: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
-    #: (solution, meta, gram) -> fitted model
+    #: (solution, meta) -> fitted model
     make_model: Callable = field(repr=False)
     train_design: Callable | None = field(default=None, repr=False)
 
@@ -397,7 +404,7 @@ class RidgePath:
         if not self._gram_finite:
             raise InvalidArgument("non-finite entries in solve")
         x, meta = solve_psd(self.gram, self.rhs, lam, on_factor, gram_checked=True)
-        return self.make_model(x, dict(meta, **{"lambda": lam}), self.gram)
+        return self.make_model(x, dict(meta, **{"lambda": lam}))
 
 
 def kernel_path(kernel: DotProductKernel, data: Dataset) -> RidgePath:
@@ -409,16 +416,16 @@ def kernel_path(kernel: DotProductKernel, data: Dataset) -> RidgePath:
     K = gram_dot(kernel, data.X, data.X)
     return RidgePath(
         K, data.y,
-        lambda c, meta, K: KernelModel(kernel=kernel, anchors=data.X, c=c, meta=meta, gram=K),
+        lambda c, meta: KernelModel(kernel=kernel, anchors=data.X, c=c, meta=meta),
         lambda: K,
     )
 
 
 def _ridge_path(Z: np.ndarray, y: np.ndarray, model: Callable) -> RidgePath:
     """Ridge on the rows of Z: dual (Z Z^T, coef Z^T c) when Z has no more
-    rows than columns, else primal (Z^T Z); `model(coef, meta, gram)`."""
+    rows than columns, else primal (Z^T Z); `model(coef, meta)`."""
     if Z.shape[0] <= Z.shape[1]:
-        return RidgePath(Z @ Z.T, y, lambda c, meta, G: model(Z.T @ c, meta, G))
+        return RidgePath(Z @ Z.T, y, lambda c, meta: model(Z.T @ c, meta))
     return RidgePath(Z.T @ Z, Z.T @ y, model)
 
 
@@ -431,8 +438,8 @@ def feature_path(fmap: FeatureMap, data: Dataset) -> RidgePath:
     if data.d != fmap.weights.d:
         raise InvalidArgument("sample dimension does not match weights")
 
-    def model(a, meta, G):
-        return FeatureModel(map=fmap, a=a, meta=meta, gram=G)
+    def model(a, meta):
+        return FeatureModel(map=fmap, a=a, meta=meta)
 
     if fmap.kind == "ntk" and data.n <= fmap.out_dim:
         X = data.X.points
@@ -441,9 +448,9 @@ def feature_path(fmap: FeatureMap, data: Dataset) -> RidgePath:
         # recovery of a and the train design
         S = np.asarray(act_deriv(fmap.activation, X @ W.T))
 
-        def recover(alpha, meta, G):
+        def recover(alpha, meta):
             a = ((S * alpha[:, None]).T @ X / math.sqrt(W.shape[0])).reshape(-1)
-            return model(a, meta, G)
+            return model(a, meta)
 
         return RidgePath(empirical_gram(fmap, data.X, S), data.y, recover,
                          lambda: features(fmap, X, S))
@@ -453,7 +460,7 @@ def feature_path(fmap: FeatureMap, data: Dataset) -> RidgePath:
 def linear_path(data: Dataset) -> RidgePath:
     """Linear ridge / least squares for any n, d (dual when n <= d)."""
     return _ridge_path(data.X.points, data.y,
-                       lambda w, meta, G: LinearModel(w=w, meta=meta, gram=G))
+                       lambda w, meta: LinearModel(w=w, meta=meta))
 
 
 def fit_kernel(kernel: DotProductKernel, data: Dataset, lam: float = 0.0) -> KernelModel:
@@ -484,10 +491,9 @@ def test_mse(model, test: Dataset, design=None) -> float:
     return train_mse(model, test, design)
 
 
-def rkhs_norm(model: KernelModel) -> float:
-    """sqrt(c^T K c), with K the fit's gram; a hand-built model's K is
-    built from its anchors."""
-    K = model.gram
+def rkhs_norm(model: KernelModel, K: np.ndarray | None = None) -> float:
+    """sqrt(c^T K c), with K the gram of the model's anchors: the fit's
+    `path.gram` when given, else built from the anchors."""
     if K is None:
         K = gram_dot(model.kernel, model.anchors, model.anchors)
     q = float(model.c @ K @ model.c)

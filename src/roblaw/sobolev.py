@@ -1,7 +1,6 @@
-"""Tangential-gradient (Sobolev) seminorm of fitted models: closed form
-for two-layer networks with positively homogeneous activations, a
-Monte-Carlo estimator for everything else, the Poincare lower bound, and
-the path-norm proxy."""
+"""Tangential-gradient (Sobolev) seminorm of fitted models: the closed form
+where a model has one, a Monte-Carlo estimator for every model, the
+Poincare lower bound, and the path-norm proxy."""
 
 import math
 from dataclasses import dataclass
@@ -9,50 +8,45 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import HOMOGENEITY, ActivationKind
-from .errors import InvalidArgument, NumericFailure, ResourceLimit, UnsupportedActivation
-from .fit import LinearModel
+from .errors import InvalidArgument, NumericFailure, ResourceLimit
 from .kernels import model_gradient
 from .sphere import BLOCK_ROWS, sample_sphere, sphere_blocks
 from .spectral import _MAX_COV_ELEMENTS, c_sigma_sobolev
+
+#: fewest sphere samples a Monte-Carlo seminorm takes
+MIN_MC_SAMPLES = 100
 
 
 @dataclass(frozen=True)
 class SobolevEstimate:
     value: float
-    method: str  # "analytic" | "exact" | "monte_carlo"
     samples: int = 0
     std_error: float = 0.0
 
 
-def sobolev_analytic(models) -> list[SobolevEstimate]:
-    """sqrt(v^T C v) for each model, with C the kappa-tilde matrix of their
-    common hidden layer, built once; valid for two-layer networks with
-    order-1 positively homogeneous activations."""
-    views = [getattr(model, "two_layer", None) for model in models]
-    if not views or None in views:
-        raise InvalidArgument("analytic seminorm needs two-layer models")
-    W, _, kind = views[0]
-    if any(k != kind or not np.array_equal(w.W, W.W) for w, _, k in views):
-        raise InvalidArgument("analytic seminorms share one hidden layer")
-    if HOMOGENEITY.get(ActivationKind(kind)) != 1.0:
-        raise UnsupportedActivation(f"no closed form for {kind}")
-    C = c_sigma_sobolev(W, kind, W.d)
-    out = []
-    for _, v, _ in views:
-        q = float(v @ C @ v)
+def sobolev_analytic(models) -> list[float]:
+    """The closed-form seminorm of each model, nan where it has none. A
+    two-layer network (its `two_layer` view W, v, sigma) with an order-1
+    positively homogeneous sigma gets sqrt(v^T C v), with C the kappa-tilde
+    matrix of W, built once per `factor_key` as the models of one hidden
+    layer share it; any other model gives its own `seminorm`."""
+    out, matrices = [], {}
+    for model in models:
+        view = model.two_layer
+        if view is None:
+            out.append(model.seminorm)
+            continue
+        W, v, kind = view
+        if HOMOGENEITY.get(ActivationKind(kind)) != 1.0:
+            out.append(math.nan)
+            continue
+        if model.factor_key not in matrices:
+            matrices[model.factor_key] = c_sigma_sobolev(W, kind, W.d)
+        q = float(v @ matrices[model.factor_key] @ v)
         if q < -1e-10:
             raise NumericFailure(f"negative quadratic form {q:.3g}")
-        out.append(SobolevEstimate(value=math.sqrt(max(q, 0.0)), method="analytic"))
+        out.append(math.sqrt(max(q, 0.0)))
     return out
-
-
-def sobolev_exact_linear(model: LinearModel) -> SobolevEstimate:
-    """||w|| sqrt(1 - 1/d) for f(x) = w . x on the sphere."""
-    if not isinstance(model, LinearModel):
-        raise InvalidArgument("needs a linear model")
-    d = model.w.shape[0]
-    val = float(np.linalg.norm(model.w)) * math.sqrt(1.0 - 1.0 / d)
-    return SobolevEstimate(value=val, method="exact")
 
 
 def sobolev_monte_carlo(models, d: int, m: int, seed: int) -> list[SobolevEstimate]:
@@ -70,8 +64,8 @@ def sobolev_monte_carlo(models, d: int, m: int, seed: int) -> list[SobolevEstima
     (k or n) x d operand for k hidden units or n anchors and a block-sized
     radial part, and for an ntk_infinite factor one block x n term; the
     m * d limit bounds the draw's work."""
-    if m < 100:
-        raise InvalidArgument("m must be >= 100")
+    if m < MIN_MC_SAMPLES:
+        raise InvalidArgument(f"m must be >= {MIN_MC_SAMPLES}")
     if m * d > _MAX_COV_ELEMENTS:
         raise ResourceLimit(f"sphere sample {m} x {d} too large")
     sq = np.empty((len(models), m))
@@ -107,7 +101,7 @@ def _mc_estimate(sq: np.ndarray) -> SobolevEstimate:
     se_sq = float(np.std(sq, ddof=1) / math.sqrt(m))
     value = math.sqrt(max(mean, 0.0))
     se = se_sq / (2 * value) if value > 0 else se_sq
-    return SobolevEstimate(value=value, method="monte_carlo", samples=m, std_error=se)
+    return SobolevEstimate(value=value, samples=m, std_error=se)
 
 
 def poincare_lower_bound(model, d: int, m: int, seed: int) -> float:
@@ -123,7 +117,7 @@ def poincare_lower_bound(model, d: int, m: int, seed: int) -> float:
 
 def eta_proxy(model) -> float:
     """sum_j |v_j| ||w_j||, the path-norm upper-bound proxy."""
-    view = getattr(model, "two_layer", None)
+    view = model.two_layer
     if view is None:
         raise InvalidArgument("eta proxy needs a two-layer model")
     W, v, _ = view

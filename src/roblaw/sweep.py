@@ -36,10 +36,10 @@ from .fit import (
 )
 from .kernels import DotProductKernel, FeatureMap, HiddenWeights
 from .sobolev import (
+    MIN_MC_SAMPLES,
     coef_norm,
     eta_proxy,
     sobolev_analytic,
-    sobolev_exact_linear,
     sobolev_monte_carlo,
 )
 from .spectral import DENSE_MAX_SIDE, c_sigma_cov, gram_spectrum, sym_eigs
@@ -87,6 +87,13 @@ class SweepConfig:
         _check_grid(self.regime, self.lambda_grid, self.zeta_grid)
         if self.datasets_per_cell < 1 or self.weight_draws_per_dataset < 1:
             raise InvalidArgument("repetition counts must be >= 1")
+        # a grid that can give no successful row fails before any compute
+        empty = [f.name for f in fields(self)
+                 if f.name.endswith("_grid") and not getattr(self, f.name)]
+        if empty:
+            raise InvalidArgument(f"empty grid axis: {', '.join(empty)}")
+        if self.mc_samples < MIN_MC_SAMPLES:
+            raise InvalidArgument(f"mc_samples must be >= {MIN_MC_SAMPLES}")
 
 
 @dataclass(frozen=True)
@@ -161,9 +168,8 @@ class Regime:
     solves on the n x n dual gram when n <= width, else on the primal one;
     the ridge `solve_lambda`(cell) a solve adds to the gram; the
     `c_matrix`(hidden weights, activation) of lambda_min_C and lambda_max_C,
-    if not the gram's; whether it is an infinite-width `kernel` path; the
-    `exact` seminorms of a list of models; and whether it fills `eta`. The
-    entries call library functions by their module-level names, so a
+    if not the gram's; and whether it is an infinite-width `kernel` path.
+    The entries call library functions by their module-level names, so a
     wrapper bound to such a name sees every call."""
 
     hidden: str | None = None
@@ -172,8 +178,6 @@ class Regime:
     solve_lambda: Callable = lambda cell: cell.lam
     c_matrix: Callable | None = None
     kernel: bool = False
-    exact: Callable | None = None
-    eta: bool = False
 
 
 def _kernel_path(cell: TrialCell, data: Dataset, fmap):
@@ -184,13 +188,11 @@ def _kernel_path(cell: TrialCell, data: Dataset, fmap):
 #: regime name -> how its lambda paths run
 REGIME_TABLE = {
     "linear": Regime(
-        path=lambda cell, data, fmap: linear_path(data), width=lambda cell: cell.d,
-        exact=lambda models: [sobolev_exact_linear(model) for model in models]),
+        path=lambda cell, data, fmap: linear_path(data), width=lambda cell: cell.d),
     "rf_finite": Regime(
         hidden="frozen_rf", width=lambda cell: cell.k,
         solve_lambda=lambda cell: cell.k * cell.lam / cell.d,
-        c_matrix=lambda W, kind: c_sigma_cov(W, kind),
-        exact=lambda models: sobolev_analytic(models), eta=True),
+        c_matrix=lambda W, kind: c_sigma_cov(W, kind)),
     "ntk_finite": Regime(
         hidden="ntk", width=lambda cell: cell.k * cell.d,
         c_matrix=lambda W, kind: np.asarray(phi_profile(kind, "derivative", W.cosines)) / W.k),
@@ -272,23 +274,21 @@ def _fill_path(recs: list, cells: list) -> None:
     s = spectra["gram"] if spectra else spectrum(path.gram)
     for rec in recs:
         rec.gram_cond = s.cond
-    # a hidden layer has a closed-form C matrix and seminorm only for an
-    # order-1 homogeneous activation
-    closed = regime.hidden is None or HOMOGENEITY.get(activation) == 1.0
+    # a hidden layer's C matrix has a closed form only for an order-1
+    # homogeneous activation
+    closed = HOMOGENEITY.get(activation) == 1.0
     c_spec = s if regime.c_matrix is None else (
         sym_eigs(regime.c_matrix(fmap.weights, activation)) if closed else None)
     if c_spec is not None:
         for rec in recs:
             rec.lambda_min_C, rec.lambda_max_C = c_spec.lambda_min, c_spec.lambda_max
-    # no name may be left bound to a model that holds the gram
     if regime.kernel:
-        for rec, norm in zip(recs, map(rkhs_norm, models)):
-            rec.rkhs_norm = norm
+        for rec, model in zip(recs, models):
+            rec.rkhs_norm = rkhs_norm(model, path.gram)
     # A kernel path's train design is its gram; any other design is built
     # once the gram is gone, so the two are never held together.
     train_design = path.train_design
     del path
-    models = [replace(model, gram=None) for model in models]
     design = train_design() if train_design is not None else models[0].design(data.X.points)
     del train_design
     for rec, model in zip(recs, models):
@@ -303,11 +303,9 @@ def _fill_path(recs: list, cells: list) -> None:
     for rec, model, est in zip(recs, models, mc):
         rec.sobolev_mc, rec.sobolev_mc_stderr = est.value, est.std_error
         rec.coef_norm = coef_norm(model)
-    if regime.exact is not None and closed:
-        for rec, exact in zip(recs, regime.exact(models)):
-            rec.sobolev_analytic = exact.value
-    if regime.eta:
-        for rec, model in zip(recs, models):
+    for rec, model, exact in zip(recs, models, sobolev_analytic(models)):
+        rec.sobolev_analytic = exact
+        if model.two_layer is not None:
             rec.eta = eta_proxy(model)
 
 

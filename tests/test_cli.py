@@ -286,6 +286,22 @@ def test_sweep_non_finite_grid_value_exits_2(tmp_path, capsys, monkeypatch, line
     assert code == 2 and "error" in err and calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("line, needle", [
+    ("mc_samples = 50", "mc_samples must be >= 100"),
+    ("n_grid =", "empty grid axis: n_grid"),
+    ("lambda_grid =", "empty grid axis: lambda_grid"),
+    ("zeta_grid = ,", "empty grid axis: zeta_grid"),
+])
+def test_sweep_that_can_give_no_row_exits_2_before_compute(tmp_path, capsys, monkeypatch,
+                                                           line, needle):
+    calls = []
+    monkeypatch.setattr(roblaw.sweep, "run_trial", calls.append)
+    out = tmp_path / "none.csv"
+    code, _, err = run_cli(capsys, "sweep", "--config", _sweep_config_file(tmp_path, line + "\n"),
+                           "--out", str(out))
+    assert code == 2 and needle in err and calls == [] and not out.exists()
+
+
 def test_sweep_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("regime = rf_finite\nwidgets = 3\n")

@@ -2,7 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+import weakref
 
 import numpy as np
 import pytest
@@ -98,7 +98,7 @@ def test_ridge_path_with_a_non_finite_gram_fails_every_lambda_unfactored(monkeyp
     monkeypatch.setattr(roblaw.fit, "cholesky", lambda *args, **kwargs: factored.append(1))
     gram = np.eye(3)
     gram[0, 0] = math.nan
-    path = roblaw.fit.RidgePath(gram, np.ones(3), lambda c, meta, G: c)
+    path = roblaw.fit.RidgePath(gram, np.ones(3), lambda c, meta: c)
     for lam in (0.0, 1e-3):
         with pytest.raises(InvalidArgument, match="non-finite"):
             path.fit(lam)
@@ -325,9 +325,10 @@ def test_dual_rf_fit_builds_features_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(roblaw.kernels, "rf_features", counted)
-    model = fit_features(fmap, data, 0.0)
+    path = roblaw.fit.feature_path(fmap, data)
+    model = path.fit(0.0)
     assert len(calls) == 1
-    np.testing.assert_array_equal(model.gram, model.gram.T)
+    np.testing.assert_array_equal(path.gram, path.gram.T)
     assert train_mse(model, data) < 1e-12
 
 
@@ -388,11 +389,30 @@ def test_every_model_predicts_through_its_design():
 def test_rkhs_norm_quadratic_form():
     data = gen_dataset(10, 16, 0.1, 13)
     kernel = DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU)
-    model = fit_kernel(kernel, data, 0.0)
+    path = roblaw.fit.kernel_path(kernel, data)
+    model = path.fit(0.0)
     K = gram_dot(kernel, data.X, data.X)
-    np.testing.assert_array_equal(model.gram, K)
-    assert rkhs_norm(model) == pytest.approx(math.sqrt(model.c @ K @ model.c))
-    assert rkhs_norm(replace(model, gram=None)) == rkhs_norm(model)
+    np.testing.assert_array_equal(path.gram, K)
+    assert rkhs_norm(model, path.gram) == pytest.approx(math.sqrt(model.c @ K @ model.c))
+    assert rkhs_norm(model) == rkhs_norm(model, path.gram)
+
+
+@pytest.mark.parametrize("n", [8, 40])  # an NTK dual and primal path, k d = 20
+def test_fitted_models_do_not_keep_their_path_gram_alive(n):
+    d, k = 5, 4
+    W = HiddenWeights(sample_sphere(d, k, 3).points)
+    data = gen_dataset(n, d, 0.5, 4)
+    kernel = DotProductKernel(name="ntk_infinite", activation=ActivationKind.RELU)
+    paths = [roblaw.fit.kernel_path(kernel, data), roblaw.fit.linear_path(data)] + [
+        roblaw.fit.feature_path(FeatureMap(kind=kind, weights=W), data)
+        for kind in ("frozen_rf", "ntk")]
+    models, grams = [], []
+    for path in paths:
+        models += [path.fit(lam) for lam in (0.0, 1e-3)]
+        grams.append(weakref.ref(path.gram))
+    del paths, path
+    assert [gram() for gram in grams] == [None] * 4
+    assert all(math.isfinite(train_mse(model, data)) for model in models)
 
 
 def test_reference_limits():

@@ -15,7 +15,6 @@ from roblaw import (
     InvalidArgument,
     ResourceLimit,
     SphereSample,
-    UnsupportedActivation,
     c_sigma_sobolev,
     coef_norm,
     eta_proxy,
@@ -23,7 +22,6 @@ from roblaw import (
     poincare_lower_bound,
     sample_sphere,
     sobolev_analytic,
-    sobolev_exact_linear,
     sobolev_monte_carlo,
 )
 from roblaw.fit import FeatureModel, KernelModel, LinearModel, TwoLayerModel
@@ -39,13 +37,13 @@ def _relu_two_layer(d, k, seed):
 def test_analytic_single_neuron():
     W = HiddenWeights(sample_sphere(10, 1, 0).points)
     m = TwoLayerModel(W=W, v=np.array([1.0]), activation=ActivationKind.RELU)
-    assert sobolev_analytic([m])[0].value == pytest.approx(math.sqrt(0.45), abs=1e-12)
+    assert sobolev_analytic([m])[0] == pytest.approx(math.sqrt(0.45), abs=1e-12)
 
 
 def test_analytic_zero_output_weights():
     W = HiddenWeights(sample_sphere(6, 4, 1).points)
     m = TwoLayerModel(W=W, v=np.zeros(4), activation=ActivationKind.RELU)
-    assert sobolev_analytic([m])[0].value == 0.0
+    assert sobolev_analytic([m])[0] == 0.0
 
 
 def test_analytic_orthonormal_pair():
@@ -55,21 +53,21 @@ def test_analytic_orthonormal_pair():
     )
     # diagonal terms 1/2 - 1/4 each, cross terms -phi(0)/d each
     ref = math.sqrt(2 * 0.25 + 2 * (-1 / (4 * math.pi)))
-    assert sobolev_analytic([m])[0].value == pytest.approx(ref, abs=1e-12)
+    assert sobolev_analytic([m])[0] == pytest.approx(ref, abs=1e-12)
 
 
-def test_analytic_rejects_nonhomogeneous():
+def test_analytic_is_nan_for_a_nonhomogeneous_activation(monkeypatch):
     W = HiddenWeights(sample_sphere(5, 2, 2).points)
     m = TwoLayerModel(W=W, v=np.ones(2), activation=ActivationKind.TANH)
-    with pytest.raises(UnsupportedActivation):
-        sobolev_analytic([m])
+    monkeypatch.setattr(roblaw.sobolev, "c_sigma_sobolev", None)  # never built
+    assert math.isnan(sobolev_analytic([m])[0])
 
 
 def test_analytic_scale_equivariance():
     m = _relu_two_layer(12, 7, 3)
-    base = sobolev_analytic([m])[0].value
+    base = sobolev_analytic([m])[0]
     scaled = TwoLayerModel(W=m.W, v=3.5 * m.v, activation=m.activation)
-    assert sobolev_analytic([scaled])[0].value == pytest.approx(3.5 * base, rel=1e-12)
+    assert sobolev_analytic([scaled])[0] == pytest.approx(3.5 * base, rel=1e-12)
 
 
 def test_analytic_models_of_one_layer_share_its_matrix_bitwise():
@@ -79,18 +77,37 @@ def test_analytic_models_of_one_layer_share_its_matrix_bitwise():
         map=FeatureMap(kind="frozen_rf", weights=m.W, activation=ActivationKind.RELU),
         a=m.v * 3.0))
     C = c_sigma_sobolev(m.W, ActivationKind.RELU, 12)
-    together = [e.value for e in sobolev_analytic(models)]
-    alone = [sobolev_analytic([model])[0].value for model in models]
+    together = sobolev_analytic(models)
+    alone = [sobolev_analytic([model])[0] for model in models]
     reference = [math.sqrt(max(float(v @ C @ v), 0.0))
                  for v in [x.v for x in models[:3]] + [models[3].a / 3.0]]
     assert together == alone == reference
 
 
-def test_analytic_rejects_models_of_different_layers():
-    with pytest.raises(InvalidArgument):
-        sobolev_analytic([_relu_two_layer(8, 5, 1), _relu_two_layer(8, 5, 2)])
-    with pytest.raises(InvalidArgument):
-        sobolev_analytic([])
+def test_analytic_of_a_mixed_list_equals_each_model_alone(monkeypatch):
+    # every model class in one list: a closed form for linear models and
+    # order-1 homogeneous two-layer views, nan for the rest
+    d = 8
+    erf = FeatureMap(kind="frozen_rf", weights=HiddenWeights(sample_sphere(d, 6, 40).points),
+                     activation=ActivationKind.ERF)
+    models = _path_models(d, 41) + [
+        _relu_two_layer(d, 5, 42), FeatureModel(map=erf, a=np.ones(6))]
+    original, built = roblaw.sobolev.c_sigma_sobolev, []
+
+    def counted(W, kind, dim):
+        built.append(id(W.W))
+        return original(W, kind, dim)
+
+    monkeypatch.setattr(roblaw.sobolev, "c_sigma_sobolev", counted)
+    together = sobolev_analytic(models)
+    # the rf map, the first and the second two-layer model: three layers
+    assert len(built) == len(set(built)) == 3
+    alone = [sobolev_analytic([model])[0] for model in models]
+    assert np.array_equal(together, alone, equal_nan=True)
+    # relu rf x3, ntk x3, kernel x3, two-layer, linear, two-layer, erf rf
+    has_form = [True] * 3 + [False] * 6 + [True] * 3 + [False]
+    assert [math.isfinite(x) for x in together] == has_form
+    assert sobolev_analytic([]) == []
 
 
 def test_poincare_refuses_oversized_sample_before_drawing(monkeypatch):
@@ -104,26 +121,27 @@ def test_poincare_refuses_oversized_sample_before_drawing(monkeypatch):
 
 def test_exact_linear_values():
     e1 = LinearModel(w=np.eye(100)[0])
-    assert sobolev_exact_linear(e1).value == pytest.approx(math.sqrt(0.99), abs=1e-12)
+    assert e1.seminorm == pytest.approx(math.sqrt(0.99), abs=1e-12)
     zero = LinearModel(w=np.zeros(5))
-    assert sobolev_exact_linear(zero).value == 0.0
+    assert zero.seminorm == 0.0
     w2 = LinearModel(w=np.array([3.0, 4.0]))
-    assert sobolev_exact_linear(w2).value == pytest.approx(5.0 / math.sqrt(2), rel=1e-12)
+    assert sobolev_analytic([w2]) == [w2.seminorm]
+    assert w2.seminorm == pytest.approx(5.0 / math.sqrt(2), rel=1e-12)
 
 
 def test_monte_carlo_matches_exact_linear():
     m = LinearModel(w=np.random.default_rng(4).normal(size=20))
-    exact = sobolev_exact_linear(m).value
+    [exact] = sobolev_analytic([m])
     [est] = sobolev_monte_carlo([m], 20, 100000, 5)
     assert abs(est.value - exact) < 3 * max(est.std_error, 1e-12)
 
 
 def test_monte_carlo_matches_analytic_two_layer():
     m = _relu_two_layer(30, 25, 6)
-    ref = sobolev_analytic([m])[0].value
+    ref = sobolev_analytic([m])[0]
     [est] = sobolev_monte_carlo([m], 30, 20000, 7)
     assert est.value == pytest.approx(ref, rel=0.05)
-    assert est.method == "monte_carlo" and est.samples == 20000
+    assert est.samples == 20000
 
 
 def test_monte_carlo_stderr_shrinks_with_samples():
@@ -295,7 +313,7 @@ def test_poincare_equality_for_linear():
     # (d-1) Var(x.w) = (d-1)|w|^2/d equals the squared seminorm exactly
     m = LinearModel(w=np.random.default_rng(12).normal(size=40))
     bound = poincare_lower_bound(m, 40, 200000, 13)
-    exact_sq = sobolev_exact_linear(m).value ** 2
+    exact_sq = m.seminorm ** 2
     assert bound == pytest.approx(exact_sq, rel=0.05)
     assert bound <= exact_sq * 1.05
 
@@ -340,12 +358,12 @@ def test_only_two_layer_networks_have_a_two_layer_view():
     assert v.tobytes() == (rf.a / math.sqrt(rf.map.weights.k)).tobytes()
     assert eta_proxy(rf) == eta_proxy(TwoLayerModel(W=W, v=v, activation=activation))
     assert two_layer.two_layer == (two_layer.W, two_layer.v, two_layer.activation)
-    for model in (ntk, kernel, linear, object()):
-        assert getattr(model, "two_layer", None) is None
+    for model in (ntk, kernel, linear):
+        assert model.two_layer is None
         with pytest.raises(InvalidArgument):
             eta_proxy(model)
-        with pytest.raises(InvalidArgument):
-            sobolev_analytic([model])
+    assert [math.isnan(x) for x in sobolev_analytic([ntk, kernel, linear])] == [
+        True, True, False]
     with pytest.raises(InvalidArgument, match="unknown model type object"):
         coef_norm(object())
 
@@ -354,5 +372,5 @@ def test_analytic_over_v_norm_band_at_proportional_width():
     # seminorm and output-weight norm are equivalent at k ~ d
     for seed in range(20):
         m = _relu_two_layer(40, 40, 100 + seed)
-        ratio = sobolev_analytic([m])[0].value / np.linalg.norm(m.v)
+        ratio = sobolev_analytic([m])[0] / np.linalg.norm(m.v)
         assert 0.2 <= ratio <= 3.0

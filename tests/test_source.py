@@ -17,8 +17,6 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "roblaw").glob("
 #: own Gauss-Legendre rule, and scipy.integrate would pull in scipy.optimize
 BANNED_MODULES = ("scipy.integrate", "scipy.optimize")
 MODEL_CLASSES = {"LinearModel", "TwoLayerModel", "KernelModel", "FeatureModel"}
-#: (module, function) whose type check on a model class guards its argument
-MODEL_GUARDS = {("sobolev.py", "sobolev_exact_linear")}
 
 
 def _functions(path):
@@ -67,7 +65,7 @@ def test_no_import_inside_a_function():
 def test_no_type_dispatch_on_models_outside_fit():
     found = [f"{path.name}:{node.lineno} in {name}"
              for path in SOURCES if path.name != "fit.py"
-             for name, fn in _functions(path) if (path.name, name) not in MODEL_GUARDS
+             for name, fn in _functions(path)
              for node in ast.walk(fn)
              if isinstance(node, ast.Call) and _checked_names(node) & MODEL_CLASSES]
     assert found == []

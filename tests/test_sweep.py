@@ -1,6 +1,7 @@
 import csv
 import math
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -221,12 +222,21 @@ def test_csv_row_formats_fields_by_type():
     assert (row["solver_fallback"], row["reason"]) == ("true", "a; b")
 
 
-def test_empty_grid_writes_header_only(tmp_path):
-    cfg = small_config(tmp_path, n_grid=())
-    path = run_sweep(cfg)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    assert len(lines) == 1
+@pytest.mark.parametrize("axis", ["n_grid", "d_grid", "k_grid", "lambda_grid", "zeta_grid"])
+def test_empty_grid_axis_is_rejected(tmp_path, axis):
+    with pytest.raises(InvalidArgument, match=f"empty grid axis: {axis}"):
+        small_config(tmp_path, **{axis: ()})
+
+
+def test_too_few_monte_carlo_samples_are_rejected_by_the_config_only(tmp_path):
+    with pytest.raises(InvalidArgument, match="mc_samples must be >= 100"):
+        small_config(tmp_path, mc_samples=99)
+    small_config(tmp_path, mc_samples=100)
+    # a lone cell still takes them, and fails after its fit
+    [cell] = iter_cells(small_config(tmp_path, lambda_grid=(0.0,)))
+    [rec] = run_trial([replace(cell, mc_samples=99)])
+    assert rec.reason == "InvalidArgument: m must be >= 100"
+    assert math.isfinite(rec.train_mse)
 
 
 def test_presets_shapes():
@@ -335,11 +345,11 @@ def test_failed_path_is_rerun_only_after_its_gram_is_freed(monkeypatch):
 
     original_rkhs, calls = roblaw.sweep.rkhs_norm, []
 
-    def fails_first(model):
+    def fails_first(model, K):
         calls.append(model.meta["lambda"])
         if len(calls) == 1:
             raise NumericFailure("planted")
-        return original_rkhs(model)
+        return original_rkhs(model, K)
 
     monkeypatch.setattr(roblaw.sweep, "kernel_path", tracked_path)
     monkeypatch.setattr(roblaw.sweep, "rkhs_norm", fails_first)
