@@ -18,6 +18,7 @@ from .analyze import analyze_descent, analyze_law, asymptotics
 from .data import gen_dataset
 from .errors import InvalidArgument, IoError, NumericFailure, RoblawError, SingularKernel
 from .kernels import HiddenWeights
+from .sobolev import MIN_MC_SAMPLES
 from .spectral import c_sigma_cov, sym_eigs
 from .sphere import sample_sphere
 from .sweep import (
@@ -110,6 +111,9 @@ def cmd_eigs(args):
 
 
 def _cell_from_args(args) -> TrialCell:
+    # a lone cell takes fewer samples and fails after its fit; a command fails first
+    if args.mc_samples < MIN_MC_SAMPLES:
+        raise InvalidArgument(f"--mc-samples must be >= {MIN_MC_SAMPLES}")
     return TrialCell(
         regime=args.regime, activation=ActivationKind(args.activation),
         n=args.n, d=args.d, k=args.k, lam=getattr(args, "lam", 0.0),

@@ -2,6 +2,7 @@
 y_i = w0.x_i + z_i, z_i ~ N(0, zeta^2). Bayes error is zeta^2."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -11,11 +12,20 @@ from .sphere import SphereSample, sample_sphere
 
 @dataclass(frozen=True)
 class Dataset:
+    """Inputs X, signal vector w0 and one N(0, 1) noise draw g, labelled at
+    noise level zeta: y = X w0 + zeta g. `replace(data, zeta=z)` labels the
+    same draw at level z (common random numbers); each level keeps the law
+    of a draw of its own."""
+
     X: SphereSample
-    y: np.ndarray
     w0: np.ndarray
+    noise: np.ndarray
     zeta: float
     seed: int
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        return self.X.points @ self.w0 + self.noise * self.zeta
 
     @property
     def n(self) -> int:
@@ -32,7 +42,7 @@ class Dataset:
 
 def gen_dataset(n: int, d: int, zeta: float, seed: int, zero_signal: bool = False) -> Dataset:
     """Draw X ~ tau_d^n, w0 uniform on the sphere (or 0 when zero_signal,
-    the noise-only setup of the ridge analysis), z ~ N(0, zeta^2)^n."""
+    the noise-only setup of the ridge analysis), g ~ N(0, 1)^n."""
     if n < 1 or d < 2:
         raise InvalidArgument(f"need n >= 1 and d >= 2, got n={n}, d={d}")
     if zeta < 0:
@@ -43,6 +53,4 @@ def gen_dataset(n: int, d: int, zeta: float, seed: int, zero_signal: bool = Fals
     w0 /= np.linalg.norm(w0)
     if zero_signal:
         w0 = np.zeros(d)
-    z = rng.standard_normal(n) * zeta
-    y = X.points @ w0 + z
-    return Dataset(X=X, y=y, w0=w0, zeta=float(zeta), seed=seed)
+    return Dataset(X=X, w0=w0, noise=rng.standard_normal(n), zeta=float(zeta), seed=seed)

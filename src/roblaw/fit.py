@@ -11,17 +11,17 @@ depend on that library's thread count.
 
 A `RidgePath` holds what a fit does not owe to lambda: the PSD matrix its
 solves factor (K(X,X), Z Z^T or X X^T for a dual solve, Z^T Z or X^T X for a
-primal one), the right-hand side and the map from a solution to a model, so
-one gram serves every lambda of a dataset. The path is the gram's only
-owner: spectra and the RKHS norm read `path.gram`, and a fitted model holds
-no reference to it. A lambda = 0 solve can hand the gram's Cholesky factor
-to its caller, so the spectra of a wide gram need no factorization of
-their own.
+primal one), the right-hand sides and the map from a solution to a model,
+so one gram serves every lambda, and one factor per lambda every label
+vector, of one input draw. The path is the gram's only owner: spectra and
+the RKHS norm read `path.gram`, and a fitted model holds no reference to
+it. A lambda = 0 solve can hand the gram's Cholesky factor to its caller,
+so the spectra of a wide gram need no factorization of their own.
 
 Every model predicts through a design: `predict(x)` is `design(x) @ coef`,
 with `design(x)` the lambda-free matrix of the inputs (x itself, the
 activations, the kernel at the anchors or the features), so the models of
-one lambda path can share one design of a point set. Gradients split the
+one ridge path can share one design of a point set. Gradients split the
 same way: `gradient(X, gradient_factor(X))` multiplies the coefficient-free
 (m, factor_width) factor, which the models of one `factor_key` share, by a
 small (factor_width, d) operand into which the model folds its
@@ -320,17 +320,27 @@ def cholesky(M: np.ndarray, overwrite_a: bool = False):
         return scipy.linalg.cho_factor(M, lower=True, check_finite=False)
 
 
+def _each_row(f, y: np.ndarray) -> np.ndarray:
+    """f of each vector of y, one vector or a stack of them in rows, stacked
+    as y is. One call per vector: a product or solve of several columns at
+    once may round differently from the same work on each vector."""
+    out = np.stack([f(v) for v in np.reshape(y, (-1, np.shape(y)[-1]))])
+    return out.reshape(np.shape(y)[:-1] + out.shape[1:])
+
+
 def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
               on_factor: Callable | None = None, *,
               gram_checked: bool = False) -> tuple[np.ndarray, dict]:
     """Solve (K + lam*I) c = y for exactly symmetric PSD K (K == K.T bit
     for bit, as every path builder makes its gram), with jitter escalation
-    and a pseudo-inverse fallback. Returns (c, meta). K, y and lam are
-    checked finite here, so scipy does not check them again; a caller that
-    has checked K already, as a `RidgePath` does once for all its lambdas,
-    passes `gram_checked`. Each attempt copies K into one buffer, adds lam
-    and then the jitter to its diagonal and factors it in place: a solve
-    holds one array besides K.
+    and a pseudo-inverse fallback. y is one right-hand side or a stack of
+    them in rows; c is stacked as y is, and each row has the bits of its
+    own solve with the one factor of K + lam*I. Returns (c, meta). K, y and
+    lam are checked finite here, so scipy does not check them again; a
+    caller that has checked K already, as a `RidgePath` does once for all
+    its lambdas, passes `gram_checked`. Each attempt copies K into one
+    buffer, adds lam and then the jitter to its diagonal and factors it in
+    place: a solve holds one array besides K.
 
     When lam is 0 and K itself factors, `on_factor(factor)` is called with
     its `cholesky` factor before the solve returns: a caller can reuse the
@@ -358,7 +368,7 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
         try:
             with _ONE_SCIPY_THREAD:
                 cf = cholesky(M, overwrite_a=True)
-                c = scipy.linalg.cho_solve(cf, y, check_finite=False)
+                c = _each_row(lambda b: scipy.linalg.cho_solve(cf, b, check_finite=False), y)
         except np.linalg.LinAlgError:  # scipy.linalg raises this same class
             continue
         if on_factor is not None and not lam > 0 and not jitter:
@@ -372,7 +382,8 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
     if top <= 0:
         raise SingularKernel("kernel matrix has no positive eigenvalue")
     keep = evals > 1e-10 * top
-    c = evecs[:, keep] @ ((evecs[:, keep].T @ y) / evals[keep])
+    V = evecs[:, keep]
+    c = _each_row(lambda b: V @ ((V.T @ b) / evals[keep]), y)
     return c, {"solver": "pinv", "jitter": 0.0, "fallback": True,
                "rank": int(keep.sum())}
 
@@ -380,13 +391,15 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
 @dataclass(frozen=True)
 class RidgePath:
     """The part of a ridge fit that does not depend on lambda: the PSD
-    matrix every solve factors, the right-hand side, and the map from a
-    solution to a model. `fit(lam)` costs one `solve_psd`, so the fits of
-    one dataset over many lambdas share the gram, which is checked finite
-    once; the models hold no reference to it, so dropping the path
-    releases it. `on_factor` goes to `solve_psd`: a lambda = 0 fit hands it
-    the gram's Cholesky factor. `train_design()`, when set, builds the
-    models' design of the training inputs from what the path holds."""
+    matrix every solve factors, the right-hand side (one, or the label
+    vectors of one input draw stacked in rows) and the map from a solution
+    to a model. `fit(lam)` costs one `solve_psd`, one factorization for
+    every right-hand side, and returns a model, or a list of one per row of
+    a stacked rhs. The fits over many lambdas share the gram, checked finite
+    once; the models hold no reference to it, so dropping the path releases
+    it. `on_factor` goes to `solve_psd`: a lambda = 0 fit hands it the
+    gram's Cholesky factor. `train_design()`, when set, builds the models'
+    design of the training inputs from what the path holds."""
 
     gram: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
@@ -404,19 +417,20 @@ class RidgePath:
         if not self._gram_finite:
             raise InvalidArgument("non-finite entries in solve")
         x, meta = solve_psd(self.gram, self.rhs, lam, on_factor, gram_checked=True)
-        return self.make_model(x, dict(meta, **{"lambda": lam}))
+        models = [self.make_model(c, dict(meta, **{"lambda": lam}))
+                  for c in np.reshape(x, (-1, x.shape[-1]))]
+        return models if x.ndim > 1 else models[0]
 
 
-def kernel_path(kernel: DotProductKernel, data: Dataset) -> RidgePath:
-    """Ridge(less) fits in the representer subspace:
-    c = (K(X,X) + lam I)^-1 y."""
-    if not np.all(np.isfinite(data.y)):
+def kernel_path(kernel: DotProductKernel, X: SphereSample, y: np.ndarray) -> RidgePath:
+    """Ridge(less) fits in the representer subspace of inputs X, for labels
+    y (a vector or a stack of them in rows): c = (K(X,X) + lam I)^-1 y."""
+    if not np.all(np.isfinite(y)):
         raise InvalidArgument("NaN targets")
     # K(X, X) is the models' design of X bit for bit
-    K = gram_dot(kernel, data.X, data.X)
+    K = gram_dot(kernel, X, X)
     return RidgePath(
-        K, data.y,
-        lambda c, meta: KernelModel(kernel=kernel, anchors=data.X, c=c, meta=meta),
+        K, y, lambda c, meta: KernelModel(kernel=kernel, anchors=X, c=c, meta=meta),
         lambda: K,
     )
 
@@ -426,56 +440,55 @@ def _ridge_path(Z: np.ndarray, y: np.ndarray, model: Callable) -> RidgePath:
     rows than columns, else primal (Z^T Z); `model(coef, meta)`."""
     if Z.shape[0] <= Z.shape[1]:
         return RidgePath(Z @ Z.T, y, lambda c, meta: model(Z.T @ c, meta))
-    return RidgePath(Z.T @ Z, Z.T @ y, model)
+    return RidgePath(Z.T @ Z, _each_row(lambda v: Z.T @ v, y), model)
 
 
-def feature_path(fmap: FeatureMap, data: Dataset) -> RidgePath:
-    """Feature-space ridge. Dual solve when n <= feature dim (NTK feature
-    vectors are recovered blockwise, never materialized), else primal
-    normal equations."""
-    if not np.all(np.isfinite(data.y)):
+def feature_path(fmap: FeatureMap, X: SphereSample, y: np.ndarray) -> RidgePath:
+    """Feature-space ridge on inputs X for labels y (a vector or a stack of
+    them in rows). Dual solve when n <= feature dim (NTK feature vectors
+    are recovered blockwise, never materialized), else primal normal
+    equations."""
+    if not np.all(np.isfinite(y)):
         raise InvalidArgument("NaN targets")
-    if data.d != fmap.weights.d:
+    if X.dim != fmap.weights.d:
         raise InvalidArgument("sample dimension does not match weights")
 
     def model(a, meta):
         return FeatureModel(map=fmap, a=a, meta=meta)
 
-    if fmap.kind == "ntk" and data.n <= fmap.out_dim:
-        X = data.X.points
+    P = X.points
+    if fmap.kind == "ntk" and X.count <= fmap.out_dim:
         W = fmap.weights.W
         # sigma'(X W^T) of the training set, shared by the gram, the
         # recovery of a and the train design
-        S = np.asarray(act_deriv(fmap.activation, X @ W.T))
+        S = np.asarray(act_deriv(fmap.activation, P @ W.T))
 
         def recover(alpha, meta):
-            a = ((S * alpha[:, None]).T @ X / math.sqrt(W.shape[0])).reshape(-1)
+            a = ((S * alpha[:, None]).T @ P / math.sqrt(W.shape[0])).reshape(-1)
             return model(a, meta)
 
-        return RidgePath(empirical_gram(fmap, data.X, S), data.y, recover,
-                         lambda: features(fmap, X, S))
-    return _ridge_path(features(fmap, data.X.points), data.y, model)
+        return RidgePath(empirical_gram(fmap, X, S), y, recover, lambda: features(fmap, P, S))
+    return _ridge_path(features(fmap, P), y, model)
 
 
-def linear_path(data: Dataset) -> RidgePath:
+def linear_path(X: SphereSample, y: np.ndarray) -> RidgePath:
     """Linear ridge / least squares for any n, d (dual when n <= d)."""
-    return _ridge_path(data.X.points, data.y,
-                       lambda w, meta: LinearModel(w=w, meta=meta))
+    return _ridge_path(X.points, y, lambda w, meta: LinearModel(w=w, meta=meta))
 
 
 def fit_kernel(kernel: DotProductKernel, data: Dataset, lam: float = 0.0) -> KernelModel:
     """One fit of `kernel_path`."""
-    return kernel_path(kernel, data).fit(lam)
+    return kernel_path(kernel, data.X, data.y).fit(lam)
 
 
 def fit_features(fmap: FeatureMap, data: Dataset, lam: float = 0.0) -> FeatureModel:
     """One fit of `feature_path`."""
-    return feature_path(fmap, data).fit(lam)
+    return feature_path(fmap, data.X, data.y).fit(lam)
 
 
 def fit_linear_ridge(data: Dataset, lam: float = 0.0) -> LinearModel:
     """One fit of `linear_path`."""
-    return linear_path(data).fit(lam)
+    return linear_path(data.X, data.y).fit(lam)
 
 
 def train_mse(model, data: Dataset, design=None) -> float:

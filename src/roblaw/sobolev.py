@@ -57,7 +57,7 @@ def sobolev_monte_carlo(models, d: int, m: int, seed: int) -> list[SobolevEstima
     The sample is drawn in blocks of BLOCK_ROWS rows into one buffer. Each
     block computes the coefficient-free gradient factor once for every group
     of models that shares a hidden layer, or a kernel and anchor set, as the
-    models of one lambda path do; a model's gradient is then one product of
+    models of one (X, W) group do; a model's gradient is then one product of
     that factor with a small operand into which the model folds its
     coefficients. Memory: the drawn block, the workspace below and an (L, m)
     array of squared norms for L models, plus, for one model at a time, a

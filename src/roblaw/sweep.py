@@ -3,22 +3,25 @@ deterministic CSV output.
 
 Seeding: per-trial seeds derive from (base_seed, flattened grid index) via
 splitmix64, so reruns of the same config are byte-identical and any cell
-can be recomputed in isolation. Dataset seeds are shared across weight
-draws and ridge values within a cell, matching the experimental protocol.
+can be recomputed in isolation. A dataset seed indexes (n, d, k, dataset)
+without the noise level: every zeta of a dataset labels one draw of its
+inputs, signal and noise, y = X w0 + zeta g (common random numbers), and
+its weight draws and ridge values share it too.
 
-The unit of work is a lambda path: the cells that differ only in lambda. Its
-dataset, hidden weights, gram and its spectra, train and test designs, test
-set and Monte-Carlo sample are built once and shared by all its ridge
-values, each of which pays only for its own solve, predictions and
-seminorm. A path that fails is run again one cell at a time, so every row
-still equals the row of its cell run alone, byte for byte, failures
-included.
+The unit of work is an (X, W) group: the cells that differ only in lambda
+and zeta. Its inputs, hidden weights, gram and its spectra, train and test
+designs, test inputs and Monte-Carlo sample are built once for all its
+rows; each lambda factors once and solves for every zeta's labels, and each
+row pays only for its own solve, predictions and seminorm. A group that
+fails is run again one cell at a time, so every row still equals the row
+of its cell run alone, byte for byte, failures included.
 """
 
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -162,33 +165,34 @@ CSV_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(TrialReco
 
 @dataclass(frozen=True)
 class Regime:
-    """How a sweep runs the lambda paths of one regime: the FeatureMap kind
-    of its `hidden` layer, if it has one; its `path`(cell, dataset, hidden
-    layer), a RidgePath; the feature `width`(cell), n for a kernel: a path
-    solves on the n x n dual gram when n <= width, else on the primal one;
-    the ridge `solve_lambda`(cell) a solve adds to the gram; the
-    `c_matrix`(hidden weights, activation) of lambda_min_C and lambda_max_C,
-    if not the gram's; and whether it is an infinite-width `kernel` path.
+    """How a sweep runs the (X, W) groups of one regime: the FeatureMap kind
+    of its `hidden` layer, if it has one; its `path`(cell, inputs, stacked
+    labels, hidden layer), a RidgePath; the feature `width`(cell), n for a
+    kernel: a path solves on the n x n dual gram when n <= width, else on
+    the primal one; the ridge `solve_lambda`(cell) a solve adds to the gram;
+    the `c_matrix`(hidden weights, activation) of lambda_min_C and
+    lambda_max_C, if not the gram's; and whether it is an infinite-width
+    `kernel` path.
     The entries call library functions by their module-level names, so a
     wrapper bound to such a name sees every call."""
 
     hidden: str | None = None
-    path: Callable = lambda cell, data, fmap: feature_path(fmap, data)
+    path: Callable = lambda cell, X, y, fmap: feature_path(fmap, X, y)
     width: Callable = lambda cell: cell.n
     solve_lambda: Callable = lambda cell: cell.lam
     c_matrix: Callable | None = None
     kernel: bool = False
 
 
-def _kernel_path(cell: TrialCell, data: Dataset, fmap):
+def _kernel_path(cell: TrialCell, X, y, fmap):
     kernel = DotProductKernel(name=cell.regime, activation=ActivationKind(cell.activation))
-    return kernel_path(kernel, data)
+    return kernel_path(kernel, X, y)
 
 
-#: regime name -> how its lambda paths run
+#: regime name -> how its (X, W) groups run
 REGIME_TABLE = {
     "linear": Regime(
-        path=lambda cell, data, fmap: linear_path(data), width=lambda cell: cell.d),
+        path=lambda cell, X, y, fmap: linear_path(X, y), width=lambda cell: cell.d),
     "rf_finite": Regime(
         hidden="frozen_rf", width=lambda cell: cell.k,
         solve_lambda=lambda cell: cell.k * cell.lam / cell.d,
@@ -207,8 +211,8 @@ def gen_test_set(data: Dataset) -> Dataset:
     seed = data.seed + TEST_SEED_OFFSET
     X = sample_sphere(data.d, TEST_SET_SIZE, seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
-    y = X.points @ data.w0 + data.zeta * rng.standard_normal(TEST_SET_SIZE)
-    return Dataset(X=X, y=y, w0=data.w0, zeta=data.zeta, seed=seed)
+    return Dataset(X=X, w0=data.w0, noise=rng.standard_normal(TEST_SET_SIZE),
+                   zeta=data.zeta, seed=seed)
 
 
 def blank_record(cell: TrialCell) -> TrialRecord:
@@ -221,33 +225,36 @@ def blank_record(cell: TrialCell) -> TrialRecord:
 
 
 def _gram_side(cell: TrialCell) -> int:
-    """Side of the gram the lambda path of `cell` builds, factors and
+    """Side of the gram the (X, W) group of `cell` builds, factors and
     decomposes: the smaller of n and the regime's width, as `fit._ridge_path`
     chooses the dual or primal solve."""
     return min(cell.n, REGIME_TABLE[cell.regime].width(cell))
 
 
-def _path_key(cell: TrialCell) -> TrialCell:
-    """Cells with one key differ only in lambda: they form one lambda path."""
-    return replace(cell, lam=0.0)
+def _group_key(cell: TrialCell) -> TrialCell:
+    """Cells with one key differ only in lambda and zeta: one (X, W) group."""
+    return replace(cell, lam=0.0, zeta=0.0)
 
 
 def _fill_path(recs: list, cells: list) -> None:
-    """Compute the metrics of a lambda path's cells into their records,
-    stage by stage for every lambda, and raise the first failure, leaving
-    in the records the metrics computed before it.
+    """Compute the metrics of an (X, W) group's cells into their records,
+    stage by stage, and raise the first failure, leaving in the records the
+    metrics computed before it.
 
-    The dataset, hidden weights, gram, spectra, train and test designs, test
-    set and Monte-Carlo sample do not depend on lambda and are built once;
-    each lambda pays for its solve, a matrix-vector product per prediction
-    and its seminorm. A kernel path's gram is its train design; any other
-    path builds that design after releasing the gram, an NTK dual path from
-    the sigma' its gram was built from. A path of one cell passes the same
-    stages in the same order, so a path that does not fail ends with the
+    The dataset draw, hidden weights, gram, spectra, train and test designs,
+    test inputs and Monte-Carlo sample are built once; each zeta adds a
+    label vector of the training and of the test inputs, each lambda one
+    factorization that solves for every zeta's labels, and each row a
+    solve, a product per prediction and its seminorm. A kernel group's gram
+    is its train design; any other group builds that design after releasing
+    the gram, an NTK dual group from the sigma' its gram was built from.
+    Every solve, product and seminorm runs on one row's vectors, in the
+    stages a lone cell passes, so a group that does not fail ends with the
     metrics of its cells run alone."""
     cell = cells[0]
     regime = REGIME_TABLE[cell.regime]
     activation = ActivationKind(cell.activation)
+    zetas = list(dict.fromkeys(c.zeta for c in cells))
     data = gen_dataset(cell.n, cell.d, cell.zeta, cell.dataset_seed,
                        zero_signal=cell.zero_signal)
     fmap = None
@@ -255,7 +262,8 @@ def _fill_path(recs: list, cells: list) -> None:
         fmap = FeatureMap(
             kind=regime.hidden, activation=activation,
             weights=HiddenWeights(sample_sphere(cell.d, cell.k, cell.weight_seed).points))
-    path = regime.path(cell, data, fmap)
+    draws = {z: replace(data, zeta=z) for z in zetas}
+    path = regime.path(cell, data.X, np.stack([draws[z].y for z in zetas]), fmap)
     # inverse Lanczos is slower than `eigvalsh` on a kernel gram's clustered
     # bottom at any side, so only feature and linear grams go to Lanczos
     spectrum = sym_eigs if regime.kernel else gram_spectrum
@@ -266,11 +274,14 @@ def _fill_path(recs: list, cells: list) -> None:
     def keep_spectrum(factor):
         spectra["gram"] = gram_spectrum(path.gram, factor)
 
-    models = []
-    for rec, c in zip(recs, cells):
-        wide = not regime.kernel and path.gram.shape[0] > DENSE_MAX_SIDE and not spectra
-        models.append(path.fit(regime.solve_lambda(c), keep_spectrum if wide else None))
-        rec.solver_fallback = bool(models[-1].meta.get("fallback", False))
+    fits = {}
+    for c in cells:
+        if c.lam not in fits:
+            wide = not regime.kernel and path.gram.shape[0] > DENSE_MAX_SIDE and not spectra
+            fits[c.lam] = path.fit(regime.solve_lambda(c), keep_spectrum if wide else None)
+    models = [fits[c.lam][zetas.index(c.zeta)] for c in cells]
+    for rec, model in zip(recs, models):
+        rec.solver_fallback = bool(model.meta.get("fallback", False))
     s = spectra["gram"] if spectra else spectrum(path.gram)
     for rec in recs:
         rec.gram_cond = s.cond
@@ -285,19 +296,20 @@ def _fill_path(recs: list, cells: list) -> None:
     if regime.kernel:
         for rec, model in zip(recs, models):
             rec.rkhs_norm = rkhs_norm(model, path.gram)
-    # A kernel path's train design is its gram; any other design is built
+    # A kernel group's train design is its gram; any other design is built
     # once the gram is gone, so the two are never held together.
     train_design = path.train_design
     del path
     design = train_design() if train_design is not None else models[0].design(data.X.points)
     del train_design
-    for rec, model in zip(recs, models):
-        rec.train_mse = train_mse(model, data, design)
+    for rec, c, model in zip(recs, cells, models):
+        rec.train_mse = train_mse(model, draws[c.zeta], design)
     del design
     test = gen_test_set(data)
+    tests = {z: replace(test, zeta=z) for z in zetas}
     design = models[0].design(test.X.points)
-    for rec, model in zip(recs, models):
-        rec.test_mse = test_mse(model, test, design)
+    for rec, c, model in zip(recs, cells, models):
+        rec.test_mse = test_mse(model, tests[c.zeta], design)
     del design
     mc = sobolev_monte_carlo(models, cell.d, cell.mc_samples, splitmix64(cell.weight_seed, 3))
     for rec, model, est in zip(recs, models, mc):
@@ -317,13 +329,13 @@ def fill_record(rec: TrialRecord, cell: TrialCell) -> TrialRecord:
 
 
 def run_trial(cells: list[TrialCell]) -> list[TrialRecord]:
-    """Execute one lambda path, cells that differ only in lambda, and return
-    their records in order. A failure while computing comes back as a
-    tagged row, never as an exception: a lone cell keeps the metrics
-    computed before it, and a longer path is run again one cell at a time,
+    """Execute one (X, W) group, cells that differ only in lambda and zeta,
+    and return their records in order. A failure while computing comes back
+    as a tagged row, never as an exception: a lone cell keeps the metrics
+    computed before it, and a larger group is run again one cell at a time,
     so every row is the row of its cell run alone."""
-    if len({_path_key(c) for c in cells}) != 1:
-        raise InvalidArgument("a lambda path needs cells that differ only in lambda")
+    if len({_group_key(c) for c in cells}) != 1:
+        raise InvalidArgument("an (X, W) group needs cells that differ only in lambda and zeta")
     recs = [blank_record(c) for c in cells]
     try:
         _fill_path(recs, cells)
@@ -332,56 +344,48 @@ def run_trial(cells: list[TrialCell]) -> list[TrialRecord]:
         if len(cells) == 1:
             recs[0].reason = f"{type(exc).__name__}: {exc}"
             return recs
-    # rerun only here: the traceback holds the failed path's gram and
+    # rerun only here: the traceback holds the failed group's gram and
     # designs until its `except` block ends
     return [run_trial([cell])[0] for cell in cells]
 
 
 def iter_cells(config: SweepConfig):
     """Cells in deterministic cell-major order (n, d, k, lambda, zeta,
-    dataset, weight draw). Dataset and weight seeds do not depend on
-    lambda, so the cells that differ only in lambda form a lambda path that
-    `run_sweep` computes as one unit on one dataset, weight draw and gram."""
-    data_axes = (
-        len(config.n_grid), len(config.d_grid), len(config.k_grid),
-        len(config.zeta_grid), config.datasets_per_cell,
-    )
-    for i_n, n in enumerate(config.n_grid):
-        for i_d, d in enumerate(config.d_grid):
-            for i_k, k in enumerate(config.k_grid):
-                for lam in config.lambda_grid:
-                    for i_z, zeta in enumerate(config.zeta_grid):
-                        for i_ds in range(config.datasets_per_cell):
-                            flat = int(np.ravel_multi_index(
-                                (i_n, i_d, i_k, i_z, i_ds), data_axes
-                            ))
-                            ds_seed = splitmix64(config.base_seed, flat)
-                            for i_w in range(config.weight_draws_per_dataset):
-                                yield TrialCell(
-                                    regime=config.regime,
-                                    activation=config.activation,
-                                    n=n, d=d, k=k, lam=lam, zeta=zeta,
-                                    dataset_seed=ds_seed,
-                                    weight_seed=splitmix64(ds_seed, i_w),
-                                    mc_samples=config.mc_samples,
-                                    zero_signal=config.zero_signal,
-                                )
+    dataset, weight draw). Dataset seeds index (n, d, k, dataset) and weight
+    seeds follow from them, neither depending on lambda or zeta, so the
+    cells that differ only in lambda and zeta form an (X, W) group that
+    `run_sweep` computes as one unit on one draw of inputs, weights and
+    noise and one gram. A grid of one zeta keeps the seeds of an index that
+    also counted the zeta axis, which then has size 1."""
+    data_axes = (len(config.n_grid), len(config.d_grid), len(config.k_grid),
+                 config.datasets_per_cell)
+    for (i_n, n), (i_d, d), (i_k, k), lam, zeta, i_ds, i_w in product(
+            enumerate(config.n_grid), enumerate(config.d_grid), enumerate(config.k_grid),
+            config.lambda_grid, config.zeta_grid, range(config.datasets_per_cell),
+            range(config.weight_draws_per_dataset)):
+        ds_seed = splitmix64(config.base_seed,
+                             int(np.ravel_multi_index((i_n, i_d, i_k, i_ds), data_axes)))
+        yield TrialCell(
+            regime=config.regime, activation=config.activation, n=n, d=d, k=k, lam=lam,
+            zeta=zeta, dataset_seed=ds_seed, weight_seed=splitmix64(ds_seed, i_w),
+            mc_samples=config.mc_samples, zero_signal=config.zero_signal,
+        )
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> str:
-    """Run the full grid, one `run_trial` per lambda path, and write the CSV
-    rows in `iter_cells` order; returns the output path. The output is
-    opened before the first trial, so a bad path costs no compute. A path
-    costs about the cube of its gram side, so paths start largest gram
+    """Run the full grid, one `run_trial` per (X, W) group, and write the
+    CSV rows in `iter_cells` order; returns the output path. The output is
+    opened before the first trial, so a bad path costs no compute. A group
+    costs about the cube of its gram side, so groups start largest gram
     first, the longest-processing-time order (Graham 1969): a pool then
-    does not end on one long path while a worker idles."""
+    does not end on one long group while a worker idles."""
     if workers < 1:
         raise InvalidArgument(f"workers must be >= 1, got {workers}")
     cells = list(iter_cells(config))
-    paths: dict = {}
+    groups: dict = {}
     for i, cell in enumerate(cells):
-        paths.setdefault(_path_key(cell), []).append(i)
-    order = sorted(paths.values(), key=lambda rows: -_gram_side(cells[rows[0]]))
+        groups.setdefault(_group_key(cell), []).append(i)
+    order = sorted(groups.values(), key=lambda rows: -_gram_side(cells[rows[0]]))
     units = [[cells[i] for i in rows] for rows in order]
     try:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fh:

@@ -80,6 +80,16 @@ def test_unsupported_trial_arguments_exit_2(capsys, command, bad):
     assert code == 2 and out == "" and "error" in err
 
 
+@pytest.mark.parametrize("command", ["fit", "sobolev"])
+def test_too_few_monte_carlo_samples_exit_2_before_any_compute(capsys, monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(roblaw.sweep, "gen_dataset", lambda *args, **kwargs: calls.append(args))
+    code, out, err = run_cli(capsys, command, "--regime", "rf_infinite", "--n", "1500",
+                             "--d", "100", "--mc-samples", "99")
+    assert code == 2 and out == "" and "--mc-samples must be >= 100" in err
+    assert calls == []
+
+
 def test_fit_numeric_failure_exits_4(capsys, monkeypatch):
     for exc in (SingularKernel("forced"), np.linalg.LinAlgError("forced")):
         def failing_solve(*args, **kwargs):

@@ -81,7 +81,7 @@ def _count_gram_checks(monkeypatch, side) -> list:
 
 def test_ridge_path_checks_its_gram_once_for_all_lambdas(monkeypatch):
     data = gen_dataset(6, 10, 0.5, 1)
-    path = roblaw.fit.linear_path(data)
+    path = roblaw.fit.linear_path(data.X, data.y)
     checks = _count_gram_checks(monkeypatch, 6)
     lams = (0.0, 1e-4, 1e-3)
     fits = [path.fit(lam) for lam in lams]
@@ -107,7 +107,8 @@ def test_ridge_path_with_a_non_finite_gram_fails_every_lambda_unfactored(monkeyp
 
 @pytest.mark.parametrize("lam", [math.inf, math.nan])
 def test_ridge_path_rejects_non_finite_lambda(lam):
-    path = roblaw.fit.linear_path(gen_dataset(6, 10, 0.5, 1))
+    data = gen_dataset(6, 10, 0.5, 1)
+    path = roblaw.fit.linear_path(data.X, data.y)
     with pytest.raises(InvalidArgument, match="lambda must be finite"):
         path.fit(lam)
 
@@ -181,15 +182,16 @@ def test_every_path_builds_an_exactly_symmetric_gram():
     small, large = gen_dataset(20, d, 0.5, 1), gen_dataset(400, d, 0.5, 2)
     paths = {
         f"kernel {name}": roblaw.fit.kernel_path(
-            DotProductKernel(name=name, activation=ActivationKind.RELU), large)
+            DotProductKernel(name=name, activation=ActivationKind.RELU), large.X, large.y)
         for name in ("rf_infinite", "ntk_infinite")
     }
     for kind in ("frozen_rf", "ntk"):
         fmap = FeatureMap(kind=kind, weights=W, activation=ActivationKind.RELU)
-        paths[f"{kind} dual"] = roblaw.fit.feature_path(fmap, small)
-        paths[f"{kind} primal"] = roblaw.fit.feature_path(fmap, large)
-    paths["linear dual"] = roblaw.fit.linear_path(gen_dataset(6, d, 0.5, 3))
-    paths["linear primal"] = roblaw.fit.linear_path(large)
+        paths[f"{kind} dual"] = roblaw.fit.feature_path(fmap, small.X, small.y)
+        paths[f"{kind} primal"] = roblaw.fit.feature_path(fmap, large.X, large.y)
+    tiny = gen_dataset(6, d, 0.5, 3)
+    paths["linear dual"] = roblaw.fit.linear_path(tiny.X, tiny.y)
+    paths["linear primal"] = roblaw.fit.linear_path(large.X, large.y)
     sides = {name: len(path.gram) for name, path in paths.items()}
     assert sides == {"kernel rf_infinite": 400, "kernel ntk_infinite": 400,
                      "frozen_rf dual": 20, "frozen_rf primal": k,
@@ -325,7 +327,7 @@ def test_dual_rf_fit_builds_features_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(roblaw.kernels, "rf_features", counted)
-    path = roblaw.fit.feature_path(fmap, data)
+    path = roblaw.fit.feature_path(fmap, data.X, data.y)
     model = path.fit(0.0)
     assert len(calls) == 1
     np.testing.assert_array_equal(path.gram, path.gram.T)
@@ -389,7 +391,7 @@ def test_every_model_predicts_through_its_design():
 def test_rkhs_norm_quadratic_form():
     data = gen_dataset(10, 16, 0.1, 13)
     kernel = DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU)
-    path = roblaw.fit.kernel_path(kernel, data)
+    path = roblaw.fit.kernel_path(kernel, data.X, data.y)
     model = path.fit(0.0)
     K = gram_dot(kernel, data.X, data.X)
     np.testing.assert_array_equal(path.gram, K)
@@ -403,8 +405,9 @@ def test_fitted_models_do_not_keep_their_path_gram_alive(n):
     W = HiddenWeights(sample_sphere(d, k, 3).points)
     data = gen_dataset(n, d, 0.5, 4)
     kernel = DotProductKernel(name="ntk_infinite", activation=ActivationKind.RELU)
-    paths = [roblaw.fit.kernel_path(kernel, data), roblaw.fit.linear_path(data)] + [
-        roblaw.fit.feature_path(FeatureMap(kind=kind, weights=W), data)
+    paths = [roblaw.fit.kernel_path(kernel, data.X, data.y),
+             roblaw.fit.linear_path(data.X, data.y)] + [
+        roblaw.fit.feature_path(FeatureMap(kind=kind, weights=W), data.X, data.y)
         for kind in ("frozen_rf", "ntk")]
     models, grams = [], []
     for path in paths:

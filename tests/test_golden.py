@@ -1,7 +1,8 @@
 """Golden SHA-256 hashes of small sweep CSVs, one grid per regime, and
-counts of the work a trial does: one gram per trial, and one gram, one
-train and one test design, one Monte-Carlo sample, one Sobolev matrix and
-one solve per lambda for each lambda path of a sweep.
+counts of the work a trial does: one gram per trial, and one dataset draw,
+one test set, one gram, one train and one test design, one Monte-Carlo
+sample, one Sobolev matrix and one solve and factorization per lambda for
+each (X, W) group of a sweep, whatever its number of noise levels.
 
 Together the grids run the dual (n <= feature dim) and primal (n > feature
 dim) solves of `linear`, `rf_finite` and `ntk_finite` and the kernel solve
@@ -15,8 +16,11 @@ recorded again after the Monte-Carlo estimator folded each model's
 coefficients into its gradient operand and projected blocks in its
 workspace, once its blocks were held to the whole-sample projection
 (tests/test_sobolev.py); only `sobolev_mc` and `sobolev_mc_stderr` moved,
-by at most 4.1e-16 relative. A change that alters any number a sweep
-writes, down to the last bit, changes a hash.
+by at most 4.1e-16 relative. `GOLDEN_ZETAS` runs each golden grid at two
+noise levels, so its groups solve stacked label vectors; it was recorded
+once the rows of such groups were held to their cells run alone
+(tests/test_sweep.py), on a SkylakeX kernel. A change that alters any
+number a sweep writes, down to the last bit, changes a hash.
 
 The hashes were recorded with Python 3.11.7, numpy 2.4.6 (scipy-openblas64
 0.3.31.188.0) and scipy 1.17.1 (OpenBLAS 0.3.30), DYNAMIC_ARCH on an x86-64
@@ -29,12 +33,14 @@ import csv
 import hashlib
 import io
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import roblaw
 import roblaw.activations
+import roblaw.data
 import roblaw.fit
 import roblaw.spectral
 import roblaw.sphere
@@ -58,12 +64,12 @@ GOLDEN = {
 }
 
 
-def _sweep_hash(regime, mc_samples, tmp_path, grid=None) -> str:
-    """sha256 of the CSV of `grid` (by default the golden grid of `regime`),
-    every row successful."""
+def _sweep_hash(regime, mc_samples, tmp_path, grid=None, zetas=(0.5,)) -> str:
+    """sha256 of the CSV of `grid` (by default the golden grid of `regime`)
+    at noise levels `zetas`, every row successful."""
     cfg = SweepConfig(
         regime=regime, activation=ActivationKind.RELU, lambda_grid=(0.0, 1e-3),
-        zeta_grid=(0.5,), mc_samples=mc_samples, base_seed=3,
+        zeta_grid=zetas, mc_samples=mc_samples, base_seed=3,
         output_path=str(tmp_path / f"{regime}.csv"), **(grid or GRIDS[regime]),
     )
     with open(run_sweep(cfg), "rb") as fh:
@@ -75,6 +81,23 @@ def _sweep_hash(regime, mc_samples, tmp_path, grid=None) -> str:
 @pytest.mark.parametrize("regime", sorted(GRIDS))
 def test_sweep_csv_matches_golden_hash(regime, tmp_path):
     assert _sweep_hash(regime, 200, tmp_path) == GOLDEN[regime]
+
+
+#: the golden grids at two noise levels: each (X, W) group labels one draw at
+#: both, and factors its gram once per lambda for the two label vectors
+ZETAS = (0.2, 0.7)
+GOLDEN_ZETAS = {
+    "linear": "92286a5da8e1961db9d0a3ca25879cac4bc3b19d1658ff054d5a2322b190c332",
+    "rf_finite": "32a64511e6794239344dd209d89b0ad3d844591f595a74fc9d5d1f7467aac48f",
+    "ntk_finite": "db365a5a9379b4412809ae7c399ba8bcd50df8a7baa8ba85ac76a5230baece35",
+    "rf_infinite": "5bf96b567a8ef2a98dd2ffb17ac626aafa8f03ed9647546663596c10286b3439",
+    "ntk_infinite": "6703ac14d614114c896be81a5252a1c0225e3ce75fd31b40432502f34346ea95",
+}
+
+
+@pytest.mark.parametrize("regime", sorted(GRIDS))
+def test_two_zeta_sweep_csv_matches_golden_hash(regime, tmp_path):
+    assert _sweep_hash(regime, 200, tmp_path, zetas=ZETAS) == GOLDEN_ZETAS[regime]
 
 
 #: grids whose Monte-Carlo sample spans two full blocks of
@@ -151,37 +174,53 @@ def test_ntk_dual_path_takes_sigma_prime_of_its_training_set_once(monkeypatch):
     assert [rec.csv_row() for rec in recs] == [run_trial([c])[0].csv_row() for c in cells]
 
 
+@pytest.mark.parametrize("zetas", [(0.5,), (0.0, 0.5, 1.0)])
 @pytest.mark.parametrize("regime, n_grid, d, k", [
     ("ntk_finite", (10, 30), 4, 5),  # n=10 <= kd: empirical_gram; n=30: Z^T Z
     ("rf_finite", (8,), 6, 16),      # Z Z^T
 ])
 def test_sweep_builds_one_gram_and_one_sample_per_lambda_path(
-        monkeypatch, tmp_path, regime, n_grid, d, k):
+        monkeypatch, tmp_path, regime, n_grid, d, k, zetas):
     lams, mc = (0.0, 1e-4, 1e-3), 200
     cfg = SweepConfig(
         regime=regime, activation=ActivationKind.RELU, n_grid=n_grid, d_grid=(d,),
-        k_grid=(k,), lambda_grid=lams, zeta_grid=(0.5,), mc_samples=mc,
+        k_grid=(k,), lambda_grid=lams, zeta_grid=zetas, mc_samples=mc,
         base_seed=3, output_path=str(tmp_path / "path.csv"),
     )
     grams = _count_calls(monkeypatch, "empirical_gram")
     feats = _count_calls(monkeypatch, "features")
     solves = _count_calls(monkeypatch, "solve_psd", roblaw.fit)
+    factors = _count_calls(monkeypatch, "cholesky", roblaw.fit)
+    datasets = _count_calls(monkeypatch, "gen_dataset", roblaw.data)
+    tests = _count_calls(monkeypatch, "gen_test_set", roblaw.sweep)
     # every sphere draw, whole or block by block, goes through the drawer
     samples = _count_calls(monkeypatch, "sphere_blocks", roblaw.sphere)
     sobolev_mats = _count_calls(monkeypatch, "c_sigma_sobolev", roblaw.spectral)
+    # a singular gram's jitter retries factor again, as often for one zeta
+    run_sweep(replace(cfg, zeta_grid=zetas[:1]))
+    factors_one_zeta = len(factors)
+    for calls in (grams, feats, solves, factors, datasets, tests, samples, sobolev_mats):
+        calls.clear()
     run_sweep(cfg)
+    # one (X, W) group per n serves every lambda and zeta
+    groups = len(n_grid)
     ntk_dual = [n for n in n_grid if regime == "ntk_finite" and n <= k * d]
     assert len(grams) == len(ntk_dual)
     for n in n_grid:
         # features of the training points: one for a gram built from them,
-        # and one train design for the predictions of every lambda
+        # and one train design for the predictions of every lambda and zeta
         on_train = sum(len(args[1]) == n for args in feats)
         assert on_train == (n not in ntk_dual) + 1
-    assert sum(len(args[1]) == TEST_SET_SIZE for args in feats) == len(n_grid)
-    assert len(solves) == len(n_grid) * len(lams)
-    assert len({id(args[0]) for args in solves}) == len(n_grid)
-    assert sum(args[1] == mc for args in samples) == len(n_grid)
-    assert len(sobolev_mats) == (len(n_grid) if regime == "rf_finite" else 0)
+    assert sum(len(args[1]) == TEST_SET_SIZE for args in feats) == groups
+    assert len(datasets) == len(tests) == groups
+    # one factorization per lambda solves the labels of every zeta
+    assert len(solves) == groups * len(lams)
+    assert len(factors) == factors_one_zeta >= len(solves)
+    assert [np.shape(args[1]) for args in solves] == [
+        (len(zetas), args[0].shape[0]) for args in solves]
+    assert len({id(args[0]) for args in solves}) == groups
+    assert sum(args[1] == mc for args in samples) == groups
+    assert len(sobolev_mats) == (groups if regime == "rf_finite" else 0)
 
 
 @pytest.mark.parametrize("regime", ["rf_infinite", "ntk_infinite"])

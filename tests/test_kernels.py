@@ -218,7 +218,8 @@ def test_kernel_profiles_reject_out_of_range_dot_products(t):
 @pytest.mark.parametrize("n", [1, 37, 400])
 def test_kernel_gram_is_the_train_design_bit_for_bit(name, n):
     data = gen_dataset(n, 30, 0.5, n)
-    path = kernel_path(DotProductKernel(name=name, activation=ActivationKind.RELU), data)
+    path = kernel_path(DotProductKernel(name=name, activation=ActivationKind.RELU), data.X,
+                       data.y)
     model = path.fit(1e-3)
     design = model.design(data.X.points)
     assert design.tobytes() == path.gram.tobytes()

@@ -240,13 +240,14 @@ def test_mp_invalid_arguments():
 def _ntk_gram(n, d, k):
     """The gram an ntk_finite path factors: Z^T Z for n > kd, else Z Z^T."""
     W = HiddenWeights(sample_sphere(d, k, 2).points)
-    return feature_path(FeatureMap("ntk", W), gen_dataset(n, d, 0.5, 1)).gram
+    data = gen_dataset(n, d, 0.5, 1)
+    return feature_path(FeatureMap("ntk", W), data.X, data.y).gram
 
 
 WIDE_GRAMS = {
     "ntk_primal": lambda: _ntk_gram(1045, 26, 40),  # 1040 x 1040, cond 1.3e7
     "ntk_dual": lambda: _ntk_gram(1100, 50, 40),    # 1100 x 1100
-    "linear_dual": lambda: linear_path(gen_dataset(1050, 1100, 0.5, 1)).gram,
+    "linear_dual": lambda: linear_path(sample_sphere(1100, 1050, 1), np.zeros(1050)).gram,
 }
 
 

@@ -97,16 +97,42 @@ def test_test_set_shares_signal_vector():
     ).max() > 1e-6
 
 
-def test_iter_cells_counts_and_seed_sharing():
-    cfg = small_config(Path("/tmp"), n_grid=(10, 20), lambda_grid=(0.0, 1e-3),
+def _seeds_with_zeta_axis(cfg):
+    """(dataset seed, weight seed) of each cell when the flat index of a
+    dataset seed also counts the zeta axis, in `iter_cells` order."""
+    axes = (len(cfg.n_grid), len(cfg.d_grid), len(cfg.k_grid), len(cfg.zeta_grid),
+            cfg.datasets_per_cell)
+    out = []
+    for i_n, i_d, i_k in np.ndindex(*axes[:3]):
+        for _ in cfg.lambda_grid:
+            for i_z in range(axes[3]):
+                for i_ds in range(axes[4]):
+                    flat = int(np.ravel_multi_index((i_n, i_d, i_k, i_z, i_ds), axes))
+                    seed = splitmix64(cfg.base_seed, flat)
+                    out += [(seed, splitmix64(seed, i_w))
+                            for i_w in range(cfg.weight_draws_per_dataset)]
+    return out
+
+
+@pytest.mark.parametrize("zetas", [(0.5,), (0.0, 0.5, 1.0)])
+def test_iter_cells_counts_and_seed_sharing(zetas):
+    cfg = small_config(Path("/tmp"), n_grid=(10, 20), d_grid=(10, 12),
+                       lambda_grid=(0.0, 1e-3), zeta_grid=zetas,
                        datasets_per_cell=2, weight_draws_per_dataset=3)
     cells = list(iter_cells(cfg))
-    assert len(cells) == 2 * 2 * 2 * 3
-    # dataset seeds repeat across lambda but not across dataset index
+    assert len(cells) == 2 * 2 * 2 * len(zetas) * 2 * 3
+    # dataset seeds repeat across lambda and zeta but not across dataset index
     by_key = {}
     for c in cells:
-        by_key.setdefault((c.n, c.dataset_seed), set()).add(c.lam)
-    assert all(len(lams) == 2 for lams in by_key.values())
+        by_key.setdefault((c.n, c.d, c.dataset_seed), set()).add((c.lam, c.zeta))
+    assert len(by_key) == 2 * 2 * 2
+    assert all(len(grid) == 2 * len(zetas) for grid in by_key.values())
+    assert len({seed for _, _, seed in by_key}) == len(by_key)
+    seeds = [(c.dataset_seed, c.weight_seed) for c in cells]
+    if len(zetas) == 1:
+        assert seeds == _seeds_with_zeta_axis(cfg)
+    else:
+        assert seeds != _seeds_with_zeta_axis(cfg)
 
 
 def test_run_trial_populates_metrics():
@@ -270,8 +296,46 @@ def _csv_rows(path):
 
 
 def _alone(cfg):
-    """The CSV rows of cfg's cells, each run as a lambda path of its own."""
+    """The CSV rows of cfg's cells, each run as an (X, W) group of its own."""
     return [run_trial([c])[0].csv_row() for c in iter_cells(cfg)]
+
+
+@pytest.mark.parametrize("regime, n_grid, d, k", [
+    ("linear", (7, 23), 10, 0),        # dual and primal
+    ("rf_finite", (9, 31), 6, 16),     # dual and primal
+    ("ntk_finite", (11, 33), 4, 5),    # dual (n <= kd = 20) and primal
+    ("rf_infinite", (13,), 6, 0),
+])
+def test_multi_zeta_sweep_rows_equal_their_cells_run_alone(tmp_path, regime, n_grid, d, k):
+    # odd sides, so a row of a stacked solve is not aligned as a lone solve is
+    cfg = small_config(tmp_path, regime=regime, n_grid=n_grid, d_grid=(d,), k_grid=(k,),
+                       lambda_grid=(0.0, 1e-4, 1e-3), zeta_grid=(0.0, 0.3, 1.0),
+                       datasets_per_cell=2, weight_draws_per_dataset=2, mc_samples=150)
+    rows = _csv_rows(run_sweep(cfg))
+    assert len(rows) == len(n_grid) * 3 * 3 * 2 * 2
+    assert all(row[-1] == "" for row in rows)
+    assert rows == _alone(cfg)
+
+
+def test_failure_at_one_zeta_stays_in_its_rows(tmp_path, monkeypatch):
+    clean = _csv_rows(run_sweep(_path_config(tmp_path, "clean.csv")))
+    original = roblaw.sweep.test_mse
+
+    def fails_at_one_zeta(model, test, design):
+        if test.zeta == 0.6:
+            raise NumericFailure("planted")
+        return original(model, test, design)
+
+    monkeypatch.setattr(roblaw.sweep, "test_mse", fails_at_one_zeta)
+    cfg = _path_config(tmp_path, "planted.csv")
+    rows = _csv_rows(run_sweep(cfg))
+    assert rows == _alone(cfg)
+    zeta = CSV_COLUMNS.index("zeta")
+    for row, ref in zip(rows, clean):
+        if float(row[zeta]) == 0.6:
+            assert row[-1] == "NumericFailure: planted"
+        else:
+            assert row == ref
 
 
 def test_solve_failure_at_one_lambda_stays_in_its_row(tmp_path, monkeypatch):
@@ -336,10 +400,10 @@ def test_failed_path_is_rerun_only_after_its_gram_is_freed(monkeypatch):
     # the gram, until the `except` block that caught it ends
     original_path, grams = roblaw.sweep.kernel_path, []
 
-    def tracked_path(kernel, data):
+    def tracked_path(kernel, X, y):
         if grams:
             assert grams[0]() is None, "rerun started while the failed gram was alive"
-        path = original_path(kernel, data)
+        path = original_path(kernel, X, y)
         grams.append(weakref.ref(path.gram))
         return path
 
@@ -365,8 +429,8 @@ def test_failed_path_is_rerun_only_after_its_gram_is_freed(monkeypatch):
 def test_designs_are_built_after_the_gram_is_freed(monkeypatch, n):
     original_path, grams = roblaw.sweep.feature_path, []
 
-    def tracked_path(fmap, data):
-        path = original_path(fmap, data)
+    def tracked_path(fmap, X, y):
+        path = original_path(fmap, X, y)
         grams.append(weakref.ref(path.gram))
         return path
 
@@ -464,7 +528,8 @@ def test_wide_kernel_path_takes_its_spectrum_from_eigvalsh(monkeypatch):
     assert [r.reason for r in recs] == ["", ""]
     assert factored == [(1100, 1100)] * 2  # the two solves
     kernel = DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU)
-    s = sym_eigs(roblaw.fit.kernel_path(kernel, gen_dataset(1100, 500, 0.5, 5)).gram)
+    data = gen_dataset(1100, 500, 0.5, 5)
+    s = sym_eigs(roblaw.fit.kernel_path(kernel, data.X, data.y).gram)
     for r in recs:
         assert (r.gram_cond, r.lambda_min_C, r.lambda_max_C) == (s.cond, s.lambda_min,
                                                                 s.lambda_max)
