@@ -144,18 +144,18 @@ def cmd_sobolev(args):
 def cmd_sweep(args):
     """An explicit --seed or --out overrides the config file, which
     overrides the SweepConfig defaults."""
+    if (args.preset is None) == (args.config is None):
+        raise InvalidArgument("sweep needs exactly one of --preset and --config")
     if args.preset:
         cfg = preset(args.preset)
-    elif args.config:
+    else:
         try:
             cfg = SweepConfig(**parse_config_file(args.config))
         except TypeError as exc:
             raise InvalidArgument(f"bad config: {exc}") from exc
-    else:
-        raise InvalidArgument("sweep needs --preset or --config")
     flags = {"base_seed": args.seed, "output_path": args.out}
     cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-    path = run_sweep(cfg, workers=args.workers)
+    path = run_sweep(cfg)
     print(f"wrote {path}")
 
 
@@ -221,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config")
     sp.add_argument("--seed", type=int)
     sp.add_argument("--out")
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("analyze-law", help="robustness-law regression per group")

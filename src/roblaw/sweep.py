@@ -19,7 +19,6 @@ of its cell run alone, byte for byte, failures included.
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import product
 from typing import Callable
@@ -60,10 +59,16 @@ def splitmix64(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & 0x7FFFFFFFFFFFFFFF
 
 
-def _check_grid(regime: str, lambdas, zetas) -> None:
+def _check_grid(regime: str, ns, ds, ks, lambdas, zetas) -> None:
     """The checks a sweep grid and a single trial share."""
     if regime not in REGIMES:
         raise InvalidArgument(f"unknown regime {regime}")
+    sizes = {"n": (ns, 1), "d": (ds, 2)}
+    if REGIME_TABLE[regime].hidden is not None:
+        sizes["k"] = (ks, 1)
+    for name, (values, least) in sizes.items():
+        if not all(v >= least for v in values):
+            raise InvalidArgument(f"{regime} needs {name} >= {least}")
     if not all(0 <= z <= 1 for z in zetas):
         raise InvalidArgument("zeta values must lie in [0, 1]")
     if not all(0 <= l < math.inf for l in lambdas):
@@ -87,7 +92,8 @@ class SweepConfig:
     zero_signal: bool = False
 
     def __post_init__(self):
-        _check_grid(self.regime, self.lambda_grid, self.zeta_grid)
+        _check_grid(self.regime, self.n_grid, self.d_grid, self.k_grid,
+                    self.lambda_grid, self.zeta_grid)
         if self.datasets_per_cell < 1 or self.weight_draws_per_dataset < 1:
             raise InvalidArgument("repetition counts must be >= 1")
         # a grid that can give no successful row fails before any compute
@@ -97,6 +103,9 @@ class SweepConfig:
             raise InvalidArgument(f"empty grid axis: {', '.join(empty)}")
         if self.mc_samples < MIN_MC_SAMPLES:
             raise InvalidArgument(f"mc_samples must be >= {MIN_MC_SAMPLES}")
+        # a lone cell of this pair comes back as a tagged row; a grid fails first
+        if REGIME_TABLE[self.regime].kernel:
+            DotProductKernel(name=self.regime, activation=ActivationKind(self.activation))
 
 
 @dataclass(frozen=True)
@@ -116,7 +125,7 @@ class TrialCell:
     zero_signal: bool = False
 
     def __post_init__(self):
-        _check_grid(self.regime, (self.lam,), (self.zeta,))
+        _check_grid(self.regime, (self.n,), (self.d,), (self.k,), (self.lam,), (self.zeta,))
 
 
 #: how csv_row writes a TrialRecord field of each declared type
@@ -167,9 +176,8 @@ CSV_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(TrialReco
 class Regime:
     """How a sweep runs the (X, W) groups of one regime: the FeatureMap kind
     of its `hidden` layer, if it has one; its `path`(cell, inputs, stacked
-    labels, hidden layer), a RidgePath; the feature `width`(cell), n for a
-    kernel: a path solves on the n x n dual gram when n <= width, else on
-    the primal one; the ridge `solve_lambda`(cell) a solve adds to the gram;
+    labels, hidden layer), a RidgePath; the ridge `solve_lambda`(cell) a
+    solve adds to the gram;
     the `c_matrix`(hidden weights, activation) of lambda_min_C and
     lambda_max_C, if not the gram's; and whether it is an infinite-width
     `kernel` path.
@@ -178,7 +186,6 @@ class Regime:
 
     hidden: str | None = None
     path: Callable = lambda cell, X, y, fmap: feature_path(fmap, X, y)
-    width: Callable = lambda cell: cell.n
     solve_lambda: Callable = lambda cell: cell.lam
     c_matrix: Callable | None = None
     kernel: bool = False
@@ -191,14 +198,12 @@ def _kernel_path(cell: TrialCell, X, y, fmap):
 
 #: regime name -> how its (X, W) groups run
 REGIME_TABLE = {
-    "linear": Regime(
-        path=lambda cell, X, y, fmap: linear_path(X, y), width=lambda cell: cell.d),
+    "linear": Regime(path=lambda cell, X, y, fmap: linear_path(X, y)),
     "rf_finite": Regime(
-        hidden="frozen_rf", width=lambda cell: cell.k,
-        solve_lambda=lambda cell: cell.k * cell.lam / cell.d,
+        hidden="frozen_rf", solve_lambda=lambda cell: cell.k * cell.lam / cell.d,
         c_matrix=lambda W, kind: c_sigma_cov(W, kind)),
     "ntk_finite": Regime(
-        hidden="ntk", width=lambda cell: cell.k * cell.d,
+        hidden="ntk",
         c_matrix=lambda W, kind: np.asarray(phi_profile(kind, "derivative", W.cosines)) / W.k),
     "rf_infinite": Regime(path=_kernel_path, kernel=True),
     "ntk_infinite": Regime(path=_kernel_path, kernel=True),
@@ -222,13 +227,6 @@ def blank_record(cell: TrialCell) -> TrialRecord:
         n=cell.n, d=cell.d, k=cell.k, lam=cell.lam, zeta=cell.zeta,
         dataset_seed=cell.dataset_seed, weight_seed=cell.weight_seed,
     )
-
-
-def _gram_side(cell: TrialCell) -> int:
-    """Side of the gram the (X, W) group of `cell` builds, factors and
-    decomposes: the smaller of n and the regime's width, as `fit._ridge_path`
-    chooses the dual or primal solve."""
-    return min(cell.n, REGIME_TABLE[cell.regime].width(cell))
 
 
 def _group_key(cell: TrialCell) -> TrialCell:
@@ -373,34 +371,26 @@ def iter_cells(config: SweepConfig):
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> str:
-    """Run the full grid, one `run_trial` per (X, W) group, and write the
-    CSV rows in `iter_cells` order; returns the output path. The output is
-    opened before the first trial, so a bad path costs no compute. A group
-    costs about the cube of its gram side, so groups start largest gram
-    first, the longest-processing-time order (Graham 1969): a pool then
-    does not end on one long group while a worker idles."""
+    """Run the full grid, one `run_trial` per (X, W) group in grid order on
+    the calling thread, and write the CSV rows in `iter_cells` order;
+    returns the output path. The output is opened before the first trial,
+    so a bad path costs no compute. `workers` (at least 1) does not change
+    the run: a group's linear algebra already runs in BLAS, where a second
+    thread only competed for the cores; ROADMAP plans worker processes."""
     if workers < 1:
         raise InvalidArgument(f"workers must be >= 1, got {workers}")
     cells = list(iter_cells(config))
+    keys = [_group_key(cell) for cell in cells]
     groups: dict = {}
-    for i, cell in enumerate(cells):
-        groups.setdefault(_group_key(cell), []).append(i)
-    order = sorted(groups.values(), key=lambda rows: -_gram_side(cells[rows[0]]))
-    units = [[cells[i] for i in rows] for rows in order]
+    for key, cell in zip(keys, cells):
+        groups.setdefault(key, []).append(cell)
     try:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(run_trial, units))
-            else:
-                results = [run_trial(u) for u in units]
-            records = [None] * len(cells)
-            for rows, recs in zip(order, results):
-                for i, rec in zip(rows, recs):
-                    records[i] = rec
+            # a group's records come back in the order of its cells
+            records = {key: iter(run_trial(group)) for key, group in groups.items()}
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            writer.writerows(rec.csv_row() for rec in records)
+            writer.writerows(next(records[key]).csv_row() for key in keys)
     except OSError as exc:
         raise IoError(f"cannot write {config.output_path}: {exc}") from exc
     return config.output_path

@@ -80,6 +80,18 @@ def test_unsupported_trial_arguments_exit_2(capsys, command, bad):
     assert code == 2 and out == "" and "error" in err
 
 
+@pytest.mark.parametrize("sizes, needle", [
+    (("--n", "5", "--d", "6"), "rf_finite needs k >= 1"),  # --k defaults to 0
+    (("--n", "0", "--d", "6", "--k", "4"), "rf_finite needs n >= 1"),
+    (("--n", "5", "--d", "1", "--k", "4"), "rf_finite needs d >= 2"),
+])
+def test_trial_names_the_size_it_rejects_before_any_compute(capsys, monkeypatch, sizes, needle):
+    calls = []
+    monkeypatch.setattr(roblaw.sweep, "gen_dataset", lambda *args, **kwargs: calls.append(args))
+    code, out, err = run_cli(capsys, "fit", "--regime", "rf_finite", *sizes)
+    assert code == 2 and out == "" and needle in err and calls == []
+
+
 @pytest.mark.parametrize("command", ["fit", "sobolev"])
 def test_too_few_monte_carlo_samples_exit_2_before_any_compute(capsys, monkeypatch, command):
     calls = []
@@ -137,6 +149,7 @@ def test_fit_out_of_range_exits_2(capsys, bad):
     ("eigs", "--d", "12", "--k", "8", "--out", "x"),
     ("fit", "--regime", "linear", "--n", "10", "--d", "20", "--workers", "2"),
     ("analyze-law", "--csv", "x.csv", "--seed", "1"),
+    ("sweep", "--preset", "exp3-mini", "--workers", "2"),
 ])
 def test_removed_flags_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -275,16 +288,6 @@ def test_sweep_unwritable_out_exits_3_before_compute(tmp_path, capsys, monkeypat
     assert code == 3 and "error" in err and calls == []
 
 
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_sweep_fewer_than_one_worker_exits_2(tmp_path, capsys, monkeypatch, workers):
-    calls = []
-    monkeypatch.setattr(roblaw.sweep, "run_trial", calls.append)
-    out = tmp_path / "w.csv"
-    code, _, err = run_cli(capsys, "sweep", "--config", _sweep_config_file(tmp_path),
-                           "--out", str(out), "--workers", workers)
-    assert code == 2 and "workers" in err and calls == [] and not out.exists()
-
-
 @pytest.mark.parametrize("line", ["lambda_grid = 0, nan", "lambda_grid = inf",
                                   "zeta_grid = nan"])
 def test_sweep_non_finite_grid_value_exits_2(tmp_path, capsys, monkeypatch, line):
@@ -301,6 +304,11 @@ def test_sweep_non_finite_grid_value_exits_2(tmp_path, capsys, monkeypatch, line
     ("n_grid =", "empty grid axis: n_grid"),
     ("lambda_grid =", "empty grid axis: lambda_grid"),
     ("zeta_grid = ,", "empty grid axis: zeta_grid"),
+    ("n_grid = 6, 0", "linear needs n >= 1"),
+    ("d_grid = 1", "linear needs d >= 2"),
+    ("regime = rf_finite", "rf_finite needs k >= 1"),  # k_grid = 0
+    # no infinite-width kernel profile for erf; a lone cell gives a tagged row
+    ("regime = rf_infinite\nactivation = erf", "order-1 homogeneous"),
 ])
 def test_sweep_that_can_give_no_row_exits_2_before_compute(tmp_path, capsys, monkeypatch,
                                                            line, needle):
@@ -322,6 +330,15 @@ def test_sweep_unknown_config_key_exits_2(tmp_path, capsys):
 def test_sweep_without_source_exits_2(capsys):
     code, _, _ = run_cli(capsys, "sweep")
     assert code == 2
+
+
+def test_sweep_with_preset_and_config_exits_2(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(roblaw.sweep, "run_trial", calls.append)
+    out = tmp_path / "both.csv"
+    code, _, err = run_cli(capsys, "sweep", "--preset", "exp3-mini", "--config",
+                           _sweep_config_file(tmp_path), "--out", str(out))
+    assert code == 2 and "exactly one of" in err and calls == [] and not out.exists()
 
 
 def _write_planted_csv(path, slope):

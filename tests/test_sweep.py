@@ -1,5 +1,6 @@
 import csv
 import math
+import threading
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -224,16 +225,16 @@ def test_sweep_bytes_do_not_depend_on_scipy_blas_threads(tmp_path, scipy_blas_th
     assert out[0] == out[1]
 
 
-def test_sweep_starts_largest_gram_first(tmp_path, monkeypatch):
+def test_sweep_runs_its_groups_in_grid_order_on_the_calling_thread(tmp_path, monkeypatch):
     started, original = [], roblaw.sweep.run_trial
 
     def recorded(cells):
-        started.append(cells[0].n)
+        started.append((threading.get_ident(), cells[0].n))
         return original(cells)
 
     monkeypatch.setattr(roblaw.sweep, "run_trial", recorded)
-    run_sweep(small_config(tmp_path, n_grid=(6, 12, 40), k_grid=(16,)))
-    assert started == [40, 12, 6]  # gram sides 16, 12, 6
+    run_sweep(small_config(tmp_path, n_grid=(6, 40, 12), k_grid=(16,)), workers=3)
+    assert started == [(threading.get_ident(), n) for n in (6, 40, 12)]
 
 
 def test_csv_row_formats_fields_by_type():
@@ -578,7 +579,9 @@ def test_each_regime_and_activation_fills_its_columns(regime, activation):
 @pytest.mark.parametrize("n", [2, 3, 4, 12, 20])
 @pytest.mark.parametrize("regime", roblaw.sweep.REGIMES)
 def test_gram_side_is_the_side_of_the_gram_the_path_solves(monkeypatch, regime, n):
-    # widths d = 4, k = 3 and k * d = 12: n runs below, at and above each
+    # widths d = 4, k = 3 and k * d = 12: n runs below, at and above each;
+    # a path solves on the n x n dual gram when n <= width, else on the primal
+    width = {"linear": 4, "rf_finite": 3, "ntk_finite": 12}.get(regime, n)
     sides, original = [], roblaw.fit.solve_psd
 
     def recorded(K, *args, **kwargs):
@@ -590,4 +593,4 @@ def test_gram_side_is_the_side_of_the_gram_the_path_solves(monkeypatch, regime, 
                      lam=0.0, zeta=0.3, dataset_seed=15, weight_seed=16, mc_samples=100)
     [rec] = run_trial([cell])
     assert rec.reason == ""
-    assert sides == [roblaw.sweep._gram_side(cell)]
+    assert sides == [min(n, width)]
