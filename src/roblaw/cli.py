@@ -101,6 +101,9 @@ def cmd_gen_data(args):
 
 
 def cmd_eigs(args):
+    for name, least in (("k", 1), ("d", 2)):
+        if getattr(args, name) < least:
+            raise InvalidArgument(f"eigs needs {name} >= {least}")
     W = HiddenWeights(sample_sphere(args.d, args.k, args.seed).points)
     s = sym_eigs(c_sigma_cov(W, ActivationKind(args.activation)))
     _json_print({

@@ -1,6 +1,7 @@
 """The generic dataset: unit-sphere inputs with noisy-linear labels
 y_i = w0.x_i + z_i, z_i ~ N(0, zeta^2). Bayes error is zeta^2."""
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,8 +46,8 @@ def gen_dataset(n: int, d: int, zeta: float, seed: int, zero_signal: bool = Fals
     the noise-only setup of the ridge analysis), g ~ N(0, 1)^n."""
     if n < 1 or d < 2:
         raise InvalidArgument(f"need n >= 1 and d >= 2, got n={n}, d={d}")
-    if zeta < 0:
-        raise InvalidArgument("zeta must be nonnegative")
+    if not 0 <= zeta < math.inf:
+        raise InvalidArgument(f"zeta must be finite and nonnegative, got {zeta}")
     X = sample_sphere(d, n, seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     w0 = rng.standard_normal(d)

@@ -60,8 +60,16 @@ from .kernels import (
 from .sphere import SphereSample
 
 
+class _Model:
+    """What every model class shares: its prediction at one point or a
+    batch, `design(x) @ coef`."""
+
+    def predict(self, x):
+        return self.design(x) @ self.coef
+
+
 @dataclass(frozen=True)
-class LinearModel:
+class LinearModel(_Model):
     w: np.ndarray
     meta: dict = field(default_factory=dict)
 
@@ -90,12 +98,9 @@ class LinearModel:
         out[...] = self.w
         return out
 
-    def predict(self, x):
-        return self.design(x) @ self.w
-
 
 @dataclass(frozen=True)
-class TwoLayerModel:
+class TwoLayerModel(_Model):
     W: HiddenWeights
     v: np.ndarray
     activation: ActivationKind
@@ -129,12 +134,9 @@ class TwoLayerModel:
     def gradient(self, X, factor, out=None) -> np.ndarray:
         return np.matmul(factor, self.v[:, None] * self.W.W, out=out)
 
-    def predict(self, x):
-        return self.design(x) @ self.v
-
 
 @dataclass(frozen=True)
-class KernelModel:
+class KernelModel(_Model):
     kernel: DotProductKernel
     anchors: SphereSample
     c: np.ndarray
@@ -174,13 +176,9 @@ class KernelModel:
     def gradient(self, X, factor, out=None) -> np.ndarray:
         return np.matmul(factor, self.c[:, None] * self.anchors.points, out=out)
 
-    def predict(self, x):
-        out = self.design(np.atleast_2d(np.asarray(x, dtype=float))) @ self.c
-        return float(out[0]) if np.ndim(x) == 1 else out
-
 
 @dataclass(frozen=True)
-class FeatureModel:
+class FeatureModel(_Model):
     map: FeatureMap
     a: np.ndarray
     meta: dict = field(default_factory=dict)
@@ -227,10 +225,6 @@ class FeatureModel:
         else:
             operand = self.a.reshape(k, -1) / math.sqrt(k)  # (k, d) blocks
         return np.matmul(factor, operand, out=out)
-
-    def predict(self, x):
-        out = self.design(np.atleast_2d(np.asarray(x, dtype=float))) @ self.a
-        return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def _scipy_blas_threads() -> tuple:
@@ -459,15 +453,14 @@ def feature_path(fmap: FeatureMap, X: SphereSample, y: np.ndarray) -> RidgePath:
     P = X.points
     if fmap.kind == "ntk" and X.count <= fmap.out_dim:
         W = fmap.weights.W
-        # sigma'(X W^T) of the training set, shared by the gram, the
-        # recovery of a and the train design
+        # sigma'(X W^T) of the training set, for the recovery of a
         S = np.asarray(act_deriv(fmap.activation, P @ W.T))
 
         def recover(alpha, meta):
             a = ((S * alpha[:, None]).T @ P / math.sqrt(W.shape[0])).reshape(-1)
             return model(a, meta)
 
-        return RidgePath(empirical_gram(fmap, X, S), y, recover, lambda: features(fmap, P, S))
+        return RidgePath(empirical_gram(fmap, X), y, recover, lambda: features(fmap, P))
     return _ridge_path(features(fmap, P), y, model)
 
 

@@ -167,9 +167,8 @@ def rf_features(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
     return np.asarray(act_eval(fmap.activation, pre)) / math.sqrt(W.shape[0])
 
 
-def ntk_features(fmap: FeatureMap, x: np.ndarray, S: np.ndarray | None = None) -> np.ndarray:
-    """(1/sqrt(k)) sigma'(W x) (x) x, blocks j = sigma'(x.w_j) * x. `S` is
-    sigma'(x W^T) when the caller has it already."""
+def ntk_features(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
+    """(1/sqrt(k)) sigma'(W x) (x) x, blocks j = sigma'(x.w_j) * x."""
     if fmap.kind != "ntk":
         raise InvalidArgument("ntk_features requires an ntk map")
     W = fmap.weights.W
@@ -177,29 +176,27 @@ def ntk_features(fmap: FeatureMap, x: np.ndarray, S: np.ndarray | None = None) -
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     X = x[None, :] if single else x
-    if S is None:
-        S = np.asarray(act_deriv(fmap.activation, X @ W.T))  # (m, k)
+    S = np.asarray(act_deriv(fmap.activation, X @ W.T))  # (m, k)
     Z = (S[:, :, None] * X[:, None, :]).reshape(X.shape[0], k * d)
     Z /= math.sqrt(k)
     return Z[0] if single else Z
 
 
-def features(fmap: FeatureMap, x: np.ndarray, S: np.ndarray | None = None) -> np.ndarray:
-    """The feature rows of x; `S` as in `ntk_features`, for an NTK map."""
-    return rf_features(fmap, x) if fmap.kind == "frozen_rf" else ntk_features(fmap, x, S)
+def features(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
+    """The feature rows of x."""
+    return rf_features(fmap, x) if fmap.kind == "frozen_rf" else ntk_features(fmap, x)
 
 
-def empirical_gram(fmap: FeatureMap, X: SphereSample, S: np.ndarray | None = None) -> np.ndarray:
+def empirical_gram(fmap: FeatureMap, X: SphereSample) -> np.ndarray:
     """G = Z Z^T with Z the feature rows, exactly symmetric. NTK uses the
     Hadamard identity K_ntk = (X X^T) o ((1/k) S S^T), S = sigma'(X W^T),
-    so the k*d-dim features are never materialized; the caller may pass S."""
+    so the k*d-dim features are never materialized."""
     if X.dim != fmap.weights.d:
         raise InvalidArgument("sample dimension does not match weights")
     if fmap.kind == "frozen_rf":
         Z = rf_features(fmap, X.points)
         return Z @ Z.T
-    if S is None:
-        S = np.asarray(act_deriv(fmap.activation, X.points @ fmap.weights.W.T))
+    S = np.asarray(act_deriv(fmap.activation, X.points @ fmap.weights.W.T))
     return (X.points @ X.points.T) * (S @ S.T) / fmap.weights.k
 
 

@@ -41,7 +41,7 @@ def sobolev_analytic(models) -> list[float]:
             out.append(math.nan)
             continue
         if model.factor_key not in matrices:
-            matrices[model.factor_key] = c_sigma_sobolev(W, kind, W.d)
+            matrices[model.factor_key] = c_sigma_sobolev(W, kind)
         q = float(v @ matrices[model.factor_key] @ v)
         if q < -1e-10:
             raise NumericFailure(f"negative quadratic form {q:.3g}")
@@ -116,10 +116,11 @@ def poincare_lower_bound(model, d: int, m: int, seed: int) -> float:
 
 
 def eta_proxy(model) -> float:
-    """sum_j |v_j| ||w_j||, the path-norm upper-bound proxy."""
+    """sum_j |v_j| ||w_j||, the path-norm upper-bound proxy of a two-layer
+    view; nan for a model without one."""
     view = model.two_layer
     if view is None:
-        raise InvalidArgument("eta proxy needs a two-layer model")
+        return math.nan
     W, v, _ = view
     return float(np.sum(np.abs(v) * np.linalg.norm(W.W, axis=1)))
 

@@ -112,11 +112,11 @@ def op_distance(A: np.ndarray, B: np.ndarray) -> float:
     return max(abs(s.lambda_min), abs(s.lambda_max))
 
 
-def c_sigma_sobolev(W: HiddenWeights, kind: ActivationKind, d: int) -> np.ndarray:
+def c_sigma_sobolev(W: HiddenWeights, kind: ActivationKind) -> np.ndarray:
     """The Sobolev quadratic-form matrix: entries are the kappa-tilde
     profile evaluated at w_j . w_l (finite-d correction included). Exactly
     symmetric, as W W^T is."""
-    return np.asarray(kappa_tilde(kind, d, W.cosines))
+    return np.asarray(kappa_tilde(kind, W.d, W.cosines))
 
 
 def c_sigma_cov(W: HiddenWeights, kind: ActivationKind) -> np.ndarray:

@@ -49,9 +49,11 @@ class SphereSample:
         return self.points.shape[0]
 
 
-def _check_size(d: int, n: int) -> None:
+def _check_draw(d: int, n: int, seed: int) -> None:
     if d < 2 or n < 1:
         raise InvalidArgument(f"a sphere sample needs d >= 2 and n >= 1, got d={d}, n={n}")
+    if seed < 0:
+        raise InvalidArgument(f"seeds must be >= 0, got {seed}")
 
 
 def sphere_blocks(d: int, n: int, seed: int, out: np.ndarray | None = None):
@@ -59,7 +61,7 @@ def sphere_blocks(d: int, n: int, seed: int, out: np.ndarray | None = None):
     BLOCK_ROWS rows (PCG64 fills an array in row-major order). Each block is
     drawn into its own rows of an (n, d) `out`, or by default into one
     (BLOCK_ROWS, d) buffer that the next block overwrites."""
-    _check_size(d, n)
+    _check_draw(d, n, seed)
     rng = np.random.default_rng(seed)
     if out is None:
         out = np.empty((min(n, BLOCK_ROWS), d))
@@ -74,7 +76,7 @@ def sphere_blocks(d: int, n: int, seed: int, out: np.ndarray | None = None):
 def sample_sphere(d: int, n: int, seed: int) -> SphereSample:
     """n iid uniform points on S^{d-1}: normalized standard-Gaussian rows,
     deterministic given the seed (PCG64 stream)."""
-    _check_size(d, n)
+    _check_draw(d, n, seed)
     points = np.empty((n, d))
     for _ in sphere_blocks(d, n, seed, points):
         pass

@@ -245,7 +245,7 @@ def _fill_path(recs: list, cells: list) -> None:
     factorization that solves for every zeta's labels, and each row a
     solve, a product per prediction and its seminorm. A kernel group's gram
     is its train design; any other group builds that design after releasing
-    the gram, an NTK dual group from the sigma' its gram was built from.
+    the gram.
     Every solve, product and seminorm runs on one row's vectors, in the
     stages a lone cell passes, so a group that does not fail ends with the
     metrics of its cells run alone."""
@@ -314,9 +314,7 @@ def _fill_path(recs: list, cells: list) -> None:
         rec.sobolev_mc, rec.sobolev_mc_stderr = est.value, est.std_error
         rec.coef_norm = coef_norm(model)
     for rec, model, exact in zip(recs, models, sobolev_analytic(models)):
-        rec.sobolev_analytic = exact
-        if model.two_layer is not None:
-            rec.eta = eta_proxy(model)
+        rec.sobolev_analytic, rec.eta = exact, eta_proxy(model)
 
 
 def fill_record(rec: TrialRecord, cell: TrialCell) -> TrialRecord:

@@ -59,6 +59,39 @@ def test_eigs_json(capsys):
     assert obj["cond"] == pytest.approx(obj["lambda_max"] / obj["lambda_min"])
 
 
+@pytest.mark.parametrize("sizes, needle", [
+    (("--d", "5", "--k", "0"), "eigs needs k >= 1"),
+    (("--d", "1", "--k", "3"), "eigs needs d >= 2"),
+])
+def test_eigs_names_the_size_it_rejects(capsys, sizes, needle):
+    code, out, err = run_cli(capsys, "eigs", *sizes)
+    assert code == 2 and out == "" and needle in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-data", "--n", "5", "--d", "3"),
+    ("eigs", "--d", "5", "--k", "3"),
+    ("fit", "--regime", "linear", "--n", "5", "--d", "6"),
+    ("sobolev", "--regime", "linear", "--n", "5", "--d", "6"),
+])
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    out_path = tmp_path / "data.csv"
+    extra = ("--out", str(out_path)) if argv[0] == "gen-data" else ()
+    code, out, err = run_cli(capsys, *argv, *extra, "--seed", "-1")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "seeds must be >= 0" in err and "Traceback" not in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("zeta", ["nan", "inf", "-1"])
+def test_gen_data_non_finite_or_negative_zeta_exits_2(tmp_path, capsys, zeta):
+    path = tmp_path / "data.csv"
+    code, out, err = run_cli(capsys, "gen-data", "--n", "5", "--d", "3",
+                             "--zeta", zeta, "--out", str(path))
+    assert code == 2 and out == "" and "zeta must be finite and nonnegative" in err
+    assert not path.exists()
+
+
 def test_fit_prints_full_record(capsys):
     code, out, _ = run_cli(capsys, "fit", "--regime", "linear", "--n", "10",
                            "--d", "20", "--zeta", "0.2", "--mc-samples", "300")

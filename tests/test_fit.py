@@ -48,6 +48,12 @@ def test_solve_psd_rejects_non_finite_lambda(lam):
         solve_psd(K, np.ones(4), lam)
 
 
+@pytest.mark.parametrize("zeta", [math.nan, math.inf, -0.5])
+def test_gen_dataset_rejects_a_noise_level_outside_zero_to_infinity(zeta):
+    with pytest.raises(InvalidArgument, match="zeta must be finite and nonnegative"):
+        gen_dataset(5, 3, zeta, 0)
+
+
 def test_solve_psd_rejects_a_shift_that_overflows():
     K = np.eye(3) * 1e308 + 1.0
     with np.errstate(over="ignore"), pytest.raises(InvalidArgument, match="overflows"):
@@ -386,6 +392,10 @@ def test_every_model_predicts_through_its_design():
         assert design.shape[0] == 13
         assert model.predict(X).tobytes() == (design @ model.coef).tobytes()
         assert train_mse(model, data, model.design(data.X.points)) == train_mse(model, data)
+        # one point: the same product, a numpy scalar from every class
+        one = model.predict(X[0])
+        assert type(one) is np.float64
+        assert one.tobytes() == (model.design(X[0]) @ model.coef).tobytes()
 
 
 def test_rkhs_norm_quadratic_form():

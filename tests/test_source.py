@@ -2,7 +2,8 @@
 sit at module level, no module imports scipy's integrate or optimize
 packages (nor does a fresh interpreter that runs one trial of each regime
 load them), and only the module that defines the model classes dispatches
-on them; every other module calls the models' own methods."""
+on them; every other module calls the models' own methods. The model
+classes share one `predict`."""
 
 import ast
 import json
@@ -69,6 +70,11 @@ def test_no_type_dispatch_on_models_outside_fit():
              for node in ast.walk(fn)
              if isinstance(node, ast.Call) and _checked_names(node) & MODEL_CLASSES]
     assert found == []
+
+
+def test_model_classes_share_one_predict():
+    assert [name for path in SOURCES for name, _ in _functions(path)].count("predict") == 1
+    assert len({getattr(roblaw.fit, name).predict for name in MODEL_CLASSES}) == 1
 
 
 def test_no_import_of_scipy_integrate_or_optimize():

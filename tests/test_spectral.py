@@ -89,7 +89,7 @@ def test_op_distance_basic():
 def test_c_sigma_sobolev_entries():
     d = 8
     W = HiddenWeights(sample_sphere(d, 4, 1).points)
-    C = c_sigma_sobolev(W, ActivationKind.RELU, d)
+    C = c_sigma_sobolev(W, ActivationKind.RELU)
     T = W.W @ W.W.T
     for i in range(4):
         for j in range(4):
@@ -336,7 +336,7 @@ def test_every_c_matrix_is_exactly_symmetric(kind, k):
     # sym_eigs takes it as it is
     d = 17
     W = HiddenWeights(sample_sphere(d, k, k).points)
-    mats = {"c_sigma_sobolev": c_sigma_sobolev(W, kind, d), "c_sigma_cov": c_sigma_cov(W, kind)}
+    mats = {"c_sigma_sobolev": c_sigma_sobolev(W, kind), "c_sigma_cov": c_sigma_cov(W, kind)}
     mats.update((name, regime.c_matrix(W, kind)) for name, regime in REGIME_TABLE.items()
                 if regime.c_matrix is not None)
     assert set(mats) == {"c_sigma_sobolev", "c_sigma_cov", "rf_finite", "ntk_finite"}

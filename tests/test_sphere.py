@@ -48,6 +48,13 @@ def test_sphere_draws_reject_bad_sizes(d, n):
         next(sphere_blocks(d, n, 0))
 
 
+def test_sphere_draws_reject_a_negative_seed():
+    with pytest.raises(InvalidArgument, match="seeds must be >= 0, got -1"):
+        sample_sphere(3, 5, -1)
+    with pytest.raises(InvalidArgument, match="seeds must be >= 0"):
+        next(sphere_blocks(3, 5, -1))
+
+
 def test_sample_sphere_deterministic():
     a = sample_sphere(8, 50, 123).points
     b = sample_sphere(8, 50, 123).points
