@@ -14,7 +14,7 @@ import typing
 import numpy as np
 
 from .activations import ActivationKind
-from .analyze import analyze_descent, analyze_law, asymptotics
+from .analyze import THRESHOLD_EXPRS, X_EXPRS, analyze_descent, analyze_law, asymptotics
 from .data import gen_dataset
 from .errors import InvalidArgument, IoError, NumericFailure, RoblawError, SingularKernel
 from .kernels import HiddenWeights
@@ -228,14 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze-law", help="robustness-law regression per group")
     sp.add_argument("--csv", required=True)
-    sp.add_argument("--x-expr", default="sqrt_n", choices=("sqrt_n", "sqrt_n_over_k"))
+    sp.add_argument("--x-expr", default="sqrt_n", choices=X_EXPRS)
     sp.add_argument("--group-by", default="")
     sp.set_defaults(func=cmd_analyze_law)
 
     sp = sub.add_parser("analyze-descent", help="interpolation-threshold peaks")
     sp.add_argument("--csv", required=True)
-    sp.add_argument("--threshold", default="n_eq_k",
-                    choices=("n_eq_k", "n_eq_d", "n_eq_kd"))
+    sp.add_argument("--threshold", default="n_eq_k", choices=THRESHOLD_EXPRS)
     sp.set_defaults(func=cmd_analyze_descent)
 
     sp = sub.add_parser("asymptotics", help="ridge(less) reference limits")

@@ -329,20 +329,20 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
     for bit, as every path builder makes its gram), with jitter escalation
     and a pseudo-inverse fallback. y is one right-hand side or a stack of
     them in rows; c is stacked as y is, and each row has the bits of its
-    own solve with the one factor of K + lam*I. Returns (c, meta). K, y and
-    lam are checked finite here, so scipy does not check them again; a
-    caller that has checked K already, as a `RidgePath` does once for all
-    its lambdas, passes `gram_checked`. Each attempt copies K into one
-    buffer, adds lam and then the jitter to its diagonal and factors it in
-    place: a solve holds one array besides K.
+    own solve with the one factor of K + lam*I. Returns (c, meta). K and y
+    are checked finite and lam finite and nonnegative here, so scipy does
+    not check them again; a caller that has checked K already, as a
+    `RidgePath` does once for all its lambdas, passes `gram_checked`. Each
+    attempt copies K into one buffer, adds lam and then the jitter to its
+    diagonal and factors it in place: a solve holds one array besides K.
 
     When lam is 0 and K itself factors, `on_factor(factor)` is called with
     its `cholesky` factor before the solve returns: a caller can reuse the
     factor without holding it past the call."""
+    if not 0 <= lam < math.inf:
+        raise InvalidArgument(f"lambda must be finite and nonnegative, got {lam}")
     if (not gram_checked and not np.all(np.isfinite(K))) or not np.all(np.isfinite(y)):
         raise InvalidArgument("non-finite entries in solve")
-    if not math.isfinite(lam):
-        raise InvalidArgument(f"lambda must be finite, got {lam}")
     lmax = float(np.max(np.abs(np.diag(K))))
     if lmax <= 0:
         lmax = float(np.max(np.abs(K), initial=0.0))
@@ -365,7 +365,7 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
                 c = _each_row(lambda b: scipy.linalg.cho_solve(cf, b, check_finite=False), y)
         except np.linalg.LinAlgError:  # scipy.linalg raises this same class
             continue
-        if on_factor is not None and not lam > 0 and not jitter:
+        if on_factor is not None and lam == 0 and not jitter:
             on_factor(cf)
         return c, {"solver": "cholesky", "jitter": jitter, "fallback": jitter > 0}
     del M, diag
@@ -392,25 +392,20 @@ class RidgePath:
     a stacked rhs. The fits over many lambdas share the gram, checked finite
     once; the models hold no reference to it, so dropping the path releases
     it. `on_factor` goes to `solve_psd`: a lambda = 0 fit hands it the
-    gram's Cholesky factor. `train_design()`, when set, builds the models'
-    design of the training inputs from what the path holds."""
+    gram's Cholesky factor. `solve_psd` checks every argument."""
 
     gram: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
     #: (solution, meta) -> fitted model
     make_model: Callable = field(repr=False)
-    train_design: Callable | None = field(default=None, repr=False)
 
     @cached_property
     def _gram_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.gram)))
 
     def fit(self, lam: float, on_factor: Callable | None = None):
-        if lam < 0:
-            raise InvalidArgument("lambda must be nonnegative")
-        if not self._gram_finite:
-            raise InvalidArgument("non-finite entries in solve")
-        x, meta = solve_psd(self.gram, self.rhs, lam, on_factor, gram_checked=True)
+        x, meta = solve_psd(self.gram, self.rhs, lam, on_factor,
+                            gram_checked=self._gram_finite)
         models = [self.make_model(c, dict(meta, **{"lambda": lam}))
                   for c in np.reshape(x, (-1, x.shape[-1]))]
         return models if x.ndim > 1 else models[0]
@@ -421,12 +416,8 @@ def kernel_path(kernel: DotProductKernel, X: SphereSample, y: np.ndarray) -> Rid
     y (a vector or a stack of them in rows): c = (K(X,X) + lam I)^-1 y."""
     if not np.all(np.isfinite(y)):
         raise InvalidArgument("NaN targets")
-    # K(X, X) is the models' design of X bit for bit
-    K = gram_dot(kernel, X, X)
-    return RidgePath(
-        K, y, lambda c, meta: KernelModel(kernel=kernel, anchors=X, c=c, meta=meta),
-        lambda: K,
-    )
+    return RidgePath(gram_dot(kernel, X, X), y,
+                     lambda c, meta: KernelModel(kernel=kernel, anchors=X, c=c, meta=meta))
 
 
 def _ridge_path(Z: np.ndarray, y: np.ndarray, model: Callable) -> RidgePath:
@@ -460,7 +451,7 @@ def feature_path(fmap: FeatureMap, X: SphereSample, y: np.ndarray) -> RidgePath:
             a = ((S * alpha[:, None]).T @ P / math.sqrt(W.shape[0])).reshape(-1)
             return model(a, meta)
 
-        return RidgePath(empirical_gram(fmap, X), y, recover, lambda: features(fmap, P))
+        return RidgePath(empirical_gram(fmap, X), y, recover)
     return _ridge_path(features(fmap, P), y, model)
 
 

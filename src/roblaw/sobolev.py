@@ -10,7 +10,7 @@ import numpy as np
 from .activations import HOMOGENEITY, ActivationKind
 from .errors import InvalidArgument, NumericFailure, ResourceLimit
 from .kernels import model_gradient
-from .sphere import BLOCK_ROWS, sample_sphere, sphere_blocks
+from .sphere import BLOCK_ROWS, sphere_blocks
 from .spectral import _MAX_COV_ELEMENTS, c_sigma_sobolev
 
 #: fewest sphere samples a Monte-Carlo seminorm takes
@@ -105,13 +105,18 @@ def _mc_estimate(sq: np.ndarray) -> SobolevEstimate:
 
 
 def poincare_lower_bound(model, d: int, m: int, seed: int) -> float:
-    """(d-1) Var f, the spherical-Poincare lower bound on S(f)^2."""
+    """(d-1) Var f, the spherical-Poincare lower bound on S(f)^2, over the
+    m-point sample of `sample_sphere(d, m, seed)`. The sample is drawn and
+    predicted in blocks of BLOCK_ROWS rows, so besides the m-vector of
+    values it holds one block and its design; the m * d limit bounds the
+    draw's work."""
     if m < 10**3:
         raise InvalidArgument("m must be >= 1000")
     if m * d > _MAX_COV_ELEMENTS:
         raise ResourceLimit(f"sphere sample {m} x {d} too large")
-    X = sample_sphere(d, m, seed)
-    fvals = np.asarray(model.predict(X.points), dtype=float)
+    fvals = np.empty(m)
+    for start, Xb in zip(range(0, m, BLOCK_ROWS), sphere_blocks(d, m, seed)):
+        fvals[start:start + len(Xb)] = model.predict(Xb)
     return (d - 1) * float(np.var(fvals))
 
 

@@ -263,24 +263,21 @@ def _fill_path(recs: list, cells: list) -> None:
     draws = {z: replace(data, zeta=z) for z in zetas}
     path = regime.path(cell, data.X, np.stack([draws[z].y for z in zetas]), fmap)
     # inverse Lanczos is slower than `eigvalsh` on a kernel gram's clustered
-    # bottom at any side, so only feature and linear grams go to Lanczos
-    spectrum = sym_eigs if regime.kernel else gram_spectrum
-    # a wide gram's spectrum is taken from the lambda = 0 solve's Cholesky
-    # factor while that solve holds it, so no factor outlives its solve
-    spectra = {}
-
-    def keep_spectrum(factor):
-        spectra["gram"] = gram_spectrum(path.gram, factor)
-
+    # bottom at any side, so only wide feature and linear grams go to Lanczos,
+    # from the lambda = 0 solve's Cholesky factor while that solve holds it:
+    # no factor outlives its solve
+    lanczos = not regime.kernel and path.gram.shape[0] > DENSE_MAX_SIDE
+    spectra = []
+    on_factor = ((lambda factor: spectra.append(gram_spectrum(path.gram, factor)))
+                 if lanczos else None)
     fits = {}
     for c in cells:
         if c.lam not in fits:
-            wide = not regime.kernel and path.gram.shape[0] > DENSE_MAX_SIDE and not spectra
-            fits[c.lam] = path.fit(regime.solve_lambda(c), keep_spectrum if wide else None)
+            fits[c.lam] = path.fit(regime.solve_lambda(c), on_factor)
     models = [fits[c.lam][zetas.index(c.zeta)] for c in cells]
     for rec, model in zip(recs, models):
         rec.solver_fallback = bool(model.meta.get("fallback", False))
-    s = spectra["gram"] if spectra else spectrum(path.gram)
+    s = spectra[0] if spectra else (gram_spectrum if lanczos else sym_eigs)(path.gram)
     for rec in recs:
         rec.gram_cond = s.cond
     # a hidden layer's C matrix has a closed form only for an order-1
@@ -294,12 +291,13 @@ def _fill_path(recs: list, cells: list) -> None:
     if regime.kernel:
         for rec, model in zip(recs, models):
             rec.rkhs_norm = rkhs_norm(model, path.gram)
-    # A kernel group's train design is its gram; any other design is built
-    # once the gram is gone, so the two are never held together.
-    train_design = path.train_design
+    # A kernel group's train design is its gram, K(X, X) bit for bit; any
+    # other design is built once the gram is gone, so the two are never
+    # held together.
+    design = path.gram if regime.kernel else None
     del path
-    design = train_design() if train_design is not None else models[0].design(data.X.points)
-    del train_design
+    if design is None:
+        design = models[0].design(data.X.points)
     for rec, c, model in zip(recs, cells, models):
         rec.train_mse = train_mse(model, draws[c.zeta], design)
     del design

@@ -41,7 +41,7 @@ def test_solve_psd_matches_direct_solve():
     assert meta["solver"] == "cholesky" and not meta["fallback"]
 
 
-@pytest.mark.parametrize("lam", [math.inf, math.nan, -math.inf])
+@pytest.mark.parametrize("lam", [math.inf, math.nan, -math.inf, -1.0, -1e-300])
 def test_solve_psd_rejects_non_finite_lambda(lam):
     K = np.eye(4) + 0.5
     with pytest.raises(InvalidArgument, match="lambda must be finite"):
@@ -111,7 +111,7 @@ def test_ridge_path_with_a_non_finite_gram_fails_every_lambda_unfactored(monkeyp
     assert factored == []
 
 
-@pytest.mark.parametrize("lam", [math.inf, math.nan])
+@pytest.mark.parametrize("lam", [math.inf, math.nan, -1.0, -1e-300])
 def test_ridge_path_rejects_non_finite_lambda(lam):
     data = gen_dataset(6, 10, 0.5, 1)
     path = roblaw.fit.linear_path(data.X, data.y)

@@ -22,11 +22,17 @@ once the rows of such groups were held to their cells run alone
 (tests/test_sweep.py), on a SkylakeX kernel. A change that alters any
 number a sweep writes, down to the last bit, changes a hash.
 
-The hashes were recorded with Python 3.11.7, numpy 2.4.6 (scipy-openblas64
-0.3.31.188.0) and scipy 1.17.1 (OpenBLAS 0.3.30), DYNAMIC_ARCH on an x86-64
-Haswell kernel (`GOLDEN_BLOCKS` on a SkylakeX kernel, where `GOLDEN` holds
-too). Another BLAS build or CPU kernel may round differently and
-change the hashes without any change to the program.
+The bytes depend on the CPU kernel OpenBLAS picks at run time and on the
+thread count of numpy's OpenBLAS, not only on the program. Every hash here
+holds with Python 3.11.7, numpy 2.4.6 (scipy-openblas64 0.3.31.188.0) and
+scipy 1.17.1 (OpenBLAS 0.3.30), both DYNAMIC_ARCH builds picking their
+SkylakeX kernel, on a 2-CPU x86-64 host with no BLAS variable set (numpy's
+OpenBLAS on 2 threads). On that host, under `OPENBLAS_CORETYPE=Haswell`
+every hash test here fails and the other tests of this file pass; at
+`OPENBLAS_NUM_THREADS=1` only the wide-gram hash fails, its grams being
+large enough for numpy's threaded GEMM to split them differently. Another
+BLAS build, CPU kernel or thread count may so change a hash without any
+change to the program.
 """
 
 import csv

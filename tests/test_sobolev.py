@@ -114,7 +114,7 @@ def test_poincare_refuses_oversized_sample_before_drawing(monkeypatch):
     def no_draw(d, n, seed):
         raise AssertionError(f"drew a {n} x {d} sample")
 
-    monkeypatch.setattr(roblaw.sobolev, "sample_sphere", no_draw)
+    monkeypatch.setattr(roblaw.sobolev, "sphere_blocks", no_draw)
     with pytest.raises(ResourceLimit, match="too large"):
         poincare_lower_bound(LinearModel(w=np.ones(1000)), 1000, 10**6, 0)
 
@@ -316,6 +316,21 @@ def test_poincare_equality_for_linear():
     exact_sq = m.seminorm ** 2
     assert bound == pytest.approx(exact_sq, rel=0.05)
     assert bound <= exact_sq * 1.05
+
+
+def test_poincare_holds_no_sample_sized_array():
+    d, m = 20, 200_000
+    model = _relu_two_layer(d, 30, 17)
+    tracemalloc.start()
+    try:
+        poincare_lower_bound(model, d, m, 18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the m x d sample is 32 MB and its m x k design 48 MB: the whole-sample
+    # bound peaked at 128 MB here, 1024-row blocks at 3.4 MB (the m values
+    # 1.6 MB)
+    assert peak < 8e6
 
 
 def test_poincare_below_seminorm_two_layer():
