@@ -11,8 +11,17 @@ from .errors import InvalidArgument, IoError
 from .fit import ridgeless_norm_limit
 from .spectral import mp_integral
 
-X_EXPRS = ("sqrt_n", "sqrt_n_over_k")
-THRESHOLD_EXPRS = ("n_eq_k", "n_eq_d", "n_eq_kd")
+#: law -> (the columns its factor reads besides n, the factor of a row)
+X_EXPRS = {
+    "sqrt_n": ((), lambda v: math.sqrt(v["n"])),
+    "sqrt_n_over_k": (("k",), lambda v: math.sqrt(v["n"] / v["k"]) if v["k"] > 0 else math.nan),
+}
+#: threshold -> the coordinate of a row that is 1 at the threshold
+THRESHOLD_EXPRS = {
+    "n_eq_k": lambda v: v["n"] / v["k"] if v["k"] > 0 else math.nan,
+    "n_eq_d": lambda v: v["n"] / v["d"],
+    "n_eq_kd": lambda v: v["n"] / (v["k"] * v["d"]) if v["k"] > 0 else math.nan,
+}
 
 
 def read_sweep_csv(path: str, columns) -> list[dict]:
@@ -40,16 +49,6 @@ def _floats(path: str, line: int, row: dict, columns) -> dict:
     return out
 
 
-def _xfactor(v: dict, x_expr: str) -> float:
-    n = v["n"]
-    if x_expr == "sqrt_n":
-        return math.sqrt(n)
-    k = v["k"]
-    if k <= 0:
-        return math.nan
-    return math.sqrt(n / k)
-
-
 def analyze_law(
     csv_path: str,
     x_expr: str = "sqrt_n",
@@ -57,18 +56,18 @@ def analyze_law(
 ) -> dict:
     """Per group: least-squares slope/intercept and Pearson correlation of
     sobolev_mc against (zeta^2 - train_mse) * x_expr. Groups with fewer
-    than 3 finite points are skipped."""
+    than 3 finite points are skipped; a group whose x is constant has
+    slope 0 and the mean of its y as intercept."""
     if x_expr not in X_EXPRS:
-        raise InvalidArgument(f"x_expr must be one of {X_EXPRS}")
-    columns = ("n", "zeta", "train_mse", "sobolev_mc")
-    if x_expr == "sqrt_n_over_k":
-        columns += ("k",)
+        raise InvalidArgument(f"x_expr must be one of {tuple(X_EXPRS)}")
+    extra, xfactor = X_EXPRS[x_expr]
+    columns = ("n", "zeta", "train_mse", "sobolev_mc", *extra)
     rows = read_sweep_csv(csv_path, (*group_by, *columns))
     groups: dict[str, list] = {}
     for line, row in enumerate(rows, 2):
         v = _floats(csv_path, line, row, columns)
         key = "|".join(f"{g}={row[g]}" for g in group_by)
-        x = (v["zeta"] ** 2 - v["train_mse"]) * _xfactor(v, x_expr)
+        x = (v["zeta"] ** 2 - v["train_mse"]) * xfactor(v)
         y = v["sobolev_mc"]
         if math.isfinite(x) and math.isfinite(y):
             groups.setdefault(key, []).append((x, y))
@@ -79,11 +78,9 @@ def analyze_law(
             continue
         x = np.array([p[0] for p in pts])
         y = np.array([p[1] for p in pts])
-        slope, intercept = np.polyfit(x, y, 1)
         sx, sy = np.std(x), np.std(y)
+        slope, intercept = np.polyfit(x, y, 1) if sx > 0 else (0.0, np.mean(y))
         corr = float(np.corrcoef(x, y)[0, 1]) if sx > 0 and sy > 0 else 0.0
-        if sx == 0:
-            slope = 0.0
         out["groups"][key] = {
             "slope": float(slope),
             "intercept": float(intercept),
@@ -93,28 +90,20 @@ def analyze_law(
     return out
 
 
-def _ratio_coord(v: dict, threshold_expr: str) -> float:
-    n, d, k = v["n"], v["d"], v["k"]
-    if threshold_expr == "n_eq_k":
-        return n / k if k > 0 else math.nan
-    if threshold_expr == "n_eq_d":
-        return n / d
-    return n / (k * d) if k > 0 else math.nan
-
-
 def analyze_descent(csv_path: str, threshold_expr: str = "n_eq_k") -> dict:
     """Median seminorm at the grid point nearest the interpolation
     threshold versus the medians at half and twice the threshold
     coordinate; peak ratio is the smaller of the two center/flank ratios.
     Reported separately per ridge value."""
     if threshold_expr not in THRESHOLD_EXPRS:
-        raise InvalidArgument(f"threshold_expr must be one of {THRESHOLD_EXPRS}")
+        raise InvalidArgument(f"threshold_expr must be one of {tuple(THRESHOLD_EXPRS)}")
+    coord = THRESHOLD_EXPRS[threshold_expr]
     columns = ("n", "d", "k", "lambda", "sobolev_mc")
     rows = read_sweep_csv(csv_path, columns)
     by_lambda: dict[str, dict[float, list]] = {}
     for line, row in enumerate(rows, 2):
         v = _floats(csv_path, line, row, columns)
-        r = _ratio_coord(v, threshold_expr)
+        r = coord(v)
         y = v["sobolev_mc"]
         if not (math.isfinite(r) and math.isfinite(y)):
             continue

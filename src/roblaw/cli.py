@@ -163,9 +163,8 @@ def cmd_sweep(args):
 
 
 def cmd_analyze_law(args):
-    group_by = tuple(args.group_by.split(",")) if args.group_by else (
-        "regime", "activation", "lambda")
-    _json_print(analyze_law(args.csv, x_expr=args.x_expr, group_by=group_by))
+    kw = {"group_by": tuple(args.group_by.split(","))} if args.group_by else {}
+    _json_print(analyze_law(args.csv, x_expr=args.x_expr, **kw))
 
 
 def cmd_analyze_descent(args):

@@ -414,8 +414,6 @@ class RidgePath:
 def kernel_path(kernel: DotProductKernel, X: SphereSample, y: np.ndarray) -> RidgePath:
     """Ridge(less) fits in the representer subspace of inputs X, for labels
     y (a vector or a stack of them in rows): c = (K(X,X) + lam I)^-1 y."""
-    if not np.all(np.isfinite(y)):
-        raise InvalidArgument("NaN targets")
     return RidgePath(gram_dot(kernel, X, X), y,
                      lambda c, meta: KernelModel(kernel=kernel, anchors=X, c=c, meta=meta))
 
@@ -433,8 +431,6 @@ def feature_path(fmap: FeatureMap, X: SphereSample, y: np.ndarray) -> RidgePath:
     them in rows). Dual solve when n <= feature dim (NTK feature vectors
     are recovered blockwise, never materialized), else primal normal
     equations."""
-    if not np.all(np.isfinite(y)):
-        raise InvalidArgument("NaN targets")
     if X.dim != fmap.weights.d:
         raise InvalidArgument("sample dimension does not match weights")
 

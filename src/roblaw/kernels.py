@@ -105,19 +105,18 @@ def gram_dot(kernel: DotProductKernel, A: SphereSample, B: SphereSample) -> np.n
 
 @dataclass(frozen=True)
 class HiddenWeights:
-    """Hidden-layer weight matrix, k rows in R^d."""
+    """Hidden-layer weight matrix, k unit rows in R^d: every closed form of
+    a hidden layer assumes its weights on the unit sphere."""
 
     W: np.ndarray
-    row_normalized: bool = True
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=float)
         if W.ndim != 2:
             raise InvalidArgument("W must be a matrix")
-        if self.row_normalized:
-            norms = np.linalg.norm(W, axis=1)
-            if not np.all(np.abs(norms - 1.0) <= 1e-9):
-                raise InvalidArgument("rows must be unit-normalized")
+        norms = np.linalg.norm(W, axis=1)
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):
+            raise InvalidArgument("rows must be unit-normalized")
         object.__setattr__(self, "W", W)
 
     @property

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import inspect
 import json
 import math
 from dataclasses import fields
@@ -11,7 +13,7 @@ import roblaw.fit
 import roblaw.sobolev
 import roblaw.sweep
 from roblaw import ActivationKind, SweepConfig
-from roblaw.cli import main, parse_config_file
+from roblaw.cli import build_parser, main, parse_config_file
 from roblaw.errors import InvalidArgument, SingularKernel
 from roblaw.sweep import CSV_COLUMNS, splitmix64
 
@@ -400,10 +402,23 @@ def test_analyze_law_recovers_planted_slope(tmp_path, capsys):
     _write_planted_csv(str(path), slope=2.0)
     code, out, _ = run_cli(capsys, "analyze-law", "--csv", str(path))
     assert code == 0
-    groups = json.loads(out)["groups"]
-    (stats,) = groups.values()
+    obj = json.loads(out)
+    default = inspect.signature(roblaw.analyze.analyze_law).parameters["group_by"].default
+    assert obj["group_by"] == list(default)
+    (stats,) = obj["groups"].values()
     assert stats["slope"] == pytest.approx(2.0, abs=1e-9)
     assert stats["correlation"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("command, dest, schema", [
+    ("analyze-law", "x_expr", roblaw.analyze.X_EXPRS),
+    ("analyze-descent", "threshold", roblaw.analyze.THRESHOLD_EXPRS),
+    ("sweep", "preset", roblaw.sweep.PRESETS),
+])
+def test_cli_choices_are_the_library_tables(command, dest, schema):
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (action,) = [a for a in sub.choices[command]._actions if a.dest == dest]
+    assert action.choices is schema
 
 
 def test_analyze_law_missing_csv_exits_3(capsys):

@@ -13,6 +13,7 @@ from roblaw import (
     FeatureMap,
     HiddenWeights,
     InvalidArgument,
+    SingularKernel,
     fit_features,
     fit_kernel,
     fit_linear_ridge,
@@ -125,6 +126,49 @@ def test_solve_psd_singular_falls_back():
     c, meta = solve_psd(K, y, 0.0)
     assert meta["fallback"]
     np.testing.assert_allclose(K @ c, y, atol=1e-8)
+
+
+def _spy_cholesky(monkeypatch, fail: bool) -> list:
+    """Record the diagonal of each matrix `solve_psd` tries to factor; with
+    `fail` every attempt fails."""
+    diags, original = [], roblaw.fit.cholesky
+
+    def spy(M, *args, **kwargs):
+        diags.append(M.diagonal().copy())
+        if fail:
+            raise np.linalg.LinAlgError("planted")
+        return original(M, *args, **kwargs)
+
+    monkeypatch.setattr(roblaw.fit, "cholesky", spy)
+    return diags
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_solve_psd_pseudo_inverse_of_an_spd_gram_is_the_direct_solve(monkeypatch, lam):
+    K, _ = _spd(20, 7)
+    y = np.random.default_rng(7).normal(size=20)
+    diags = _spy_cholesky(monkeypatch, fail=True)
+    c, meta = solve_psd(K, y, lam)
+    assert len(diags) == 3
+    np.testing.assert_allclose(c, np.linalg.solve(K + lam * np.eye(20), y), rtol=0, atol=1e-12)
+    assert meta == {"solver": "pinv", "jitter": 0.0, "fallback": True, "rank": 20}
+
+
+def test_solve_psd_scales_a_zero_diagonal_by_the_largest_entry(monkeypatch):
+    diags = _spy_cholesky(monkeypatch, fail=False)
+    K = np.array([[0.0, 2.0], [2.0, 0.0]])
+    c, meta = solve_psd(K, np.array([1.0, 1.0]), 0.0)
+    # every jitter is a multiple of max|K| = 2, not of the zero diagonal
+    assert [d.tolist() for d in diags] == [[0.0, 0.0], [2e-12, 2e-12], [2e-10, 2e-10]]
+    np.testing.assert_allclose(c, [0.5, 0.5], rtol=0, atol=1e-15)
+    assert meta["solver"] == "pinv" and meta["rank"] == 1 and meta["fallback"]
+
+
+def test_solve_psd_rejects_a_zero_gram(monkeypatch):
+    diags = _spy_cholesky(monkeypatch, fail=True)
+    with pytest.raises(SingularKernel, match="zero"):
+        solve_psd(np.zeros((3, 3)), np.ones(3), 0.0)
+    assert diags == []
 
 
 def _spd(n, seed):
@@ -319,6 +363,27 @@ def test_feature_fit_dual_primal_agree():
         Z = features(fmap, data.X.points)
         a_ref = np.linalg.solve(Z.T @ Z + lam * np.eye(k), Z.T @ data.y)
         np.testing.assert_allclose(model.a, a_ref, atol=1e-8)
+
+
+def _rf_map(kind):
+    return FeatureMap(kind=kind, weights=HiddenWeights(sample_sphere(20, 12, 3).points))
+
+
+@pytest.mark.parametrize("n, path", [
+    (8, lambda X, y: roblaw.fit.kernel_path(
+        DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU), X, y)),
+    (8, lambda X, y: roblaw.fit.feature_path(_rf_map("frozen_rf"), X, y)),
+    (40, lambda X, y: roblaw.fit.feature_path(_rf_map("frozen_rf"), X, y)),
+    (8, lambda X, y: roblaw.fit.feature_path(_rf_map("ntk"), X, y)),
+    (8, roblaw.fit.linear_path),
+    (40, roblaw.fit.linear_path),
+], ids=["kernel", "rf-dual", "rf-primal", "ntk-dual", "linear-dual", "linear-primal"])
+def test_every_path_rejects_a_nan_label_in_solve_psd(n, path):
+    data = gen_dataset(n, 20, 0.2, 4)
+    y = data.y.copy()
+    y[1] = math.nan
+    with pytest.raises(InvalidArgument, match="non-finite entries in solve"):
+        path(data.X, y).fit(0.0)
 
 
 def test_dual_rf_fit_builds_features_once(monkeypatch):

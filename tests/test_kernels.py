@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -152,6 +153,17 @@ def test_model_gradient_batched_matches_single():
     G = model_gradient(model, X)
     for i in range(4):
         np.testing.assert_allclose(G[i], model_gradient(model, X[i]), atol=1e-14)
+
+
+@pytest.mark.parametrize("scale", [3.0, 0.5, 1 + 1e-8, 0.0])
+def test_hidden_weights_are_unit_rows(scale):
+    # no field switches the check off
+    assert [f.name for f in dataclasses.fields(HiddenWeights)] == ["W"]
+    W = np.array([[1.0, 0.0], [0.6, 0.8]])
+    HiddenWeights(W)
+    W[1] *= scale
+    with pytest.raises(InvalidArgument, match="unit-normalized"):
+        HiddenWeights(W)
 
 
 def test_gram_dimension_mismatch():

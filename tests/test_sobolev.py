@@ -341,12 +341,12 @@ def test_poincare_below_seminorm_two_layer():
 
 
 def test_eta_proxy_direct_sum():
-    W = np.array([[1.0, 0.0], [0.0, 3.0]])
+    W = np.array([[1.0, 0.0], [0.6, 0.8]])
     m = TwoLayerModel(
-        W=HiddenWeights(W, row_normalized=False), v=np.array([1.0, -2.0]),
+        W=HiddenWeights(W), v=np.array([1.0, -2.0]),
         activation=ActivationKind.RELU,
     )
-    assert eta_proxy(m) == pytest.approx(7.0)
+    assert eta_proxy(m) == pytest.approx(3.0)
 
 
 def test_eta_proxy_chain_upper_bound():
