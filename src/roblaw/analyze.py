@@ -16,11 +16,12 @@ X_EXPRS = {
     "sqrt_n": ((), lambda v: math.sqrt(v["n"])),
     "sqrt_n_over_k": (("k",), lambda v: math.sqrt(v["n"] / v["k"]) if v["k"] > 0 else math.nan),
 }
-#: threshold -> the coordinate of a row that is 1 at the threshold
+#: threshold -> (the columns its coordinate reads besides n, the
+#: coordinate of a row, which is 1 at the threshold)
 THRESHOLD_EXPRS = {
-    "n_eq_k": lambda v: v["n"] / v["k"] if v["k"] > 0 else math.nan,
-    "n_eq_d": lambda v: v["n"] / v["d"],
-    "n_eq_kd": lambda v: v["n"] / (v["k"] * v["d"]) if v["k"] > 0 else math.nan,
+    "n_eq_k": (("k",), lambda v: v["n"] / v["k"] if v["k"] > 0 else math.nan),
+    "n_eq_d": (("d",), lambda v: v["n"] / v["d"]),
+    "n_eq_kd": (("k", "d"), lambda v: v["n"] / (v["k"] * v["d"]) if v["k"] > 0 else math.nan),
 }
 
 
@@ -97,8 +98,8 @@ def analyze_descent(csv_path: str, threshold_expr: str = "n_eq_k") -> dict:
     Reported separately per ridge value."""
     if threshold_expr not in THRESHOLD_EXPRS:
         raise InvalidArgument(f"threshold_expr must be one of {tuple(THRESHOLD_EXPRS)}")
-    coord = THRESHOLD_EXPRS[threshold_expr]
-    columns = ("n", "d", "k", "lambda", "sobolev_mc")
+    extra, coord = THRESHOLD_EXPRS[threshold_expr]
+    columns = ("n", "lambda", "sobolev_mc", *extra)
     rows = read_sweep_csv(csv_path, columns)
     by_lambda: dict[str, dict[float, list]] = {}
     for line, row in enumerate(rows, 2):

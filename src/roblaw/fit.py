@@ -2,12 +2,13 @@
 feature-space ridge, linear least squares, and the Marchenko-Pastur
 reference limits for ridgeless regression.
 
-Solver policy: symmetric positive-definite factorization with jitter
-escalation 0 -> 1e-12*lmax -> 1e-10*lmax, then an eigendecomposition
-pseudo-inverse (threshold 1e-10*lmax). Fallbacks are recorded in the fit
-meta for reproducibility audits. The factorization and its solves run on
-one thread of scipy's OpenBLAS (see `_ScipyBlasPin`), so their bits do not
-depend on that library's thread count.
+Solver policy: every gram is PSD, so a ridge solve is a Cholesky
+factorization with jitter escalation 0 -> 1e-12*lmax -> 1e-10*lmax (lmax
+the largest |diagonal entry|), or a `SingularKernel` error when no rung
+factors. A jittered solve is recorded in the fit meta for reproducibility
+audits. The factorization and its solves run on one thread of scipy's
+OpenBLAS (see `_ScipyBlasPin`), so their bits do not depend on that
+library's thread count.
 
 A `RidgePath` holds what a fit does not owe to lambda: the PSD matrix its
 solves factor (K(X,X), Z Z^T or X X^T for a dual solve, Z^T Z or X^T X for a
@@ -326,15 +327,19 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
               on_factor: Callable | None = None, *,
               gram_checked: bool = False) -> tuple[np.ndarray, dict]:
     """Solve (K + lam*I) c = y for exactly symmetric PSD K (K == K.T bit
-    for bit, as every path builder makes its gram), with jitter escalation
-    and a pseudo-inverse fallback. y is one right-hand side or a stack of
-    them in rows; c is stacked as y is, and each row has the bits of its
-    own solve with the one factor of K + lam*I. Returns (c, meta). K and y
-    are checked finite and lam finite and nonnegative here, so scipy does
-    not check them again; a caller that has checked K already, as a
-    `RidgePath` does once for all its lambdas, passes `gram_checked`. Each
-    attempt copies K into one buffer, adds lam and then the jitter to its
-    diagonal and factors it in place: a solve holds one array besides K.
+    for bit, as every path builder makes its gram) by Cholesky, with the
+    jitter j*lmax added to the diagonal for j = 0, 1e-12, 1e-10 in turn
+    until one factors. Raises `SingularKernel` when no rung factors, or
+    before any attempt when lmax, the largest |diagonal entry| of K, is 0
+    (the one PSD K with a zero diagonal is K = 0). y is one right-hand
+    side or a stack of them in rows; c is stacked as y is, and each row
+    has the bits of its own solve with the one factor of K + lam*I.
+    Returns (c, {"jitter", "fallback"}). K and y are checked finite and
+    lam finite and nonnegative here, so scipy does not check them again; a
+    caller that has checked K already, as a `RidgePath` does once for all
+    its lambdas, passes `gram_checked`. Each attempt copies K into one
+    buffer, adds lam and then the jitter to its diagonal and factors it in
+    place: a solve holds one array besides K.
 
     When lam is 0 and K itself factors, `on_factor(factor)` is called with
     its `cholesky` factor before the solve returns: a caller can reuse the
@@ -345,9 +350,7 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
         raise InvalidArgument("non-finite entries in solve")
     lmax = float(np.max(np.abs(np.diag(K))))
     if lmax <= 0:
-        lmax = float(np.max(np.abs(K), initial=0.0))
-    if lmax <= 0:
-        raise SingularKernel("kernel matrix is zero")
+        raise SingularKernel("kernel matrix has a zero diagonal")
     n = K.shape[0]
     M = np.empty((n, n))  # C-ordered, so its diagonal is a strided view
     diag = M.reshape(-1)[::n + 1]
@@ -367,19 +370,8 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
             continue
         if on_factor is not None and lam == 0 and not jitter:
             on_factor(cf)
-        return c, {"solver": "cholesky", "jitter": jitter, "fallback": jitter > 0}
-    del M, diag
-    # eigendecomposition pseudo-inverse
-    A = K + lam * np.eye(n) if lam > 0 else K
-    evals, evecs = np.linalg.eigh((A + A.T) / 2)
-    top = float(evals[-1])
-    if top <= 0:
-        raise SingularKernel("kernel matrix has no positive eigenvalue")
-    keep = evals > 1e-10 * top
-    V = evecs[:, keep]
-    c = _each_row(lambda b: V @ ((V.T @ b) / evals[keep]), y)
-    return c, {"solver": "pinv", "jitter": 0.0, "fallback": True,
-               "rank": int(keep.sum())}
+        return c, {"jitter": jitter, "fallback": jitter > 0}
+    raise SingularKernel(f"K + lambda I does not factor, last jitter tried {jitter:.3g}")
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,14 @@ from roblaw.errors import InvalidArgument
 from roblaw.sweep import CSV_COLUMNS
 
 
-def _write_csv(path, rows) -> str:
-    """A sweep CSV whose rows are `rows` (column -> value) over zero cells."""
+def _write_csv(path, rows, columns=CSV_COLUMNS) -> str:
+    """A CSV of `columns` whose rows are `rows` (column -> value) over zero
+    cells."""
     with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        w = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         w.writeheader()
         for row in rows:
-            rec = {c: "0" for c in CSV_COLUMNS}
+            rec = {c: "0" for c in columns}
             rec.update(regime="rf_finite", activation="relu", solver_fallback="false", reason="")
             rec.update({c: "%.17g" % v if isinstance(v, float) else str(v)
                         for c, v in row.items()})
@@ -57,17 +58,18 @@ def test_law_of_a_constant_x_group_is_the_mean_of_y(tmp_path):
     assert stats == {"slope": 0.0, "intercept": 2.0, "correlation": 0.0, "count": 3}
 
 
-@pytest.mark.parametrize("threshold, d, k, ns", [
-    ("n_eq_d", 10, 0, (5, 10, 20)),  # n / d needs no k
-    ("n_eq_kd", 10, 2, (10, 20, 40)),
+@pytest.mark.parametrize("threshold, d, k, ns, columns", [
+    ("n_eq_d", 10, 0, (5, 10, 20), CSV_COLUMNS),  # n / d needs no k
+    ("n_eq_kd", 10, 2, (10, 20, 40), CSV_COLUMNS),
+    ("n_eq_k", 0, 10, (5, 10, 20), ("n", "k", "lambda", "sobolev_mc")),  # no d column
 ])
-def test_descent_finds_a_planted_peak(tmp_path, threshold, d, k, ns):
+def test_descent_finds_a_planted_peak(tmp_path, threshold, d, k, ns, columns):
     # medians 1, 4, 2 at coordinates 0.5, 1, 2: the peak ratio is 4 / 2
     rows = [{"n": n, "d": d, "k": k, "sobolev_mc": y + e}
             for n, y in zip(ns, (1.0, 4.0, 2.0)) for e in (-0.5, 0.0, 0.5)]
-    if k:  # rows with k = 0 have no n / (k d)
+    if k:  # rows with k = 0 have no n / k or n / (k d)
         rows += [{"n": n, "d": d, "k": 0, "sobolev_mc": 1e6} for n in ns]
-    res = analyze_descent(_write_csv(tmp_path / "descent.csv", rows), threshold)
+    res = analyze_descent(_write_csv(tmp_path / "descent.csv", rows, columns), threshold)
     assert res["per_lambda"]["0"] == {
         "center_coord": 1.0,
         "flank_coords": [0.5, 2.0],

@@ -39,7 +39,7 @@ def test_solve_psd_matches_direct_solve():
     y = rng.normal(size=20)
     c, meta = solve_psd(K, y, 0.5)
     np.testing.assert_allclose(c, np.linalg.solve(K + 0.5 * np.eye(20), y), atol=1e-10)
-    assert meta["solver"] == "cholesky" and not meta["fallback"]
+    assert meta == {"jitter": 0.0, "fallback": False}
 
 
 @pytest.mark.parametrize("lam", [math.inf, math.nan, -math.inf, -1.0, -1e-300])
@@ -120,12 +120,24 @@ def test_ridge_path_rejects_non_finite_lambda(lam):
         path.fit(lam)
 
 
-def test_solve_psd_singular_falls_back():
-    K = np.outer(np.ones(5), np.ones(5))  # rank one
-    y = np.ones(5)
+def _identity_rf_gram(n, d):
+    """The identity-activation rf_infinite gram of n points on S^{d-1}: a
+    multiple of X X^T, PSD of rank d."""
+    kernel = DotProductKernel(name="rf_infinite", activation=ActivationKind.IDENTITY)
+    X = sample_sphere(d, n, 3)
+    return gram_dot(kernel, X, X)
+
+
+@pytest.mark.parametrize("K", [
+    np.outer(np.ones(5), np.ones(5)),  # rank one
+    _identity_rf_gram(200, 10),  # rank 10
+], ids=["ones", "identity_rf_infinite"])
+def test_solve_psd_singular_falls_back(K):
+    # a rank-deficient PSD gram factors at the first jitter, 1e-12 * lmax
+    y = K @ np.random.default_rng(1).normal(size=len(K))  # in the range of K
     c, meta = solve_psd(K, y, 0.0)
-    assert meta["fallback"]
-    np.testing.assert_allclose(K @ c, y, atol=1e-8)
+    assert meta == {"jitter": 1e-12 * np.max(np.diag(K)), "fallback": True}
+    np.testing.assert_allclose(K @ c, y, rtol=0, atol=1e-10 * np.max(np.abs(y)))
 
 
 def _spy_cholesky(monkeypatch, fail: bool) -> list:
@@ -144,31 +156,33 @@ def _spy_cholesky(monkeypatch, fail: bool) -> list:
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
-def test_solve_psd_pseudo_inverse_of_an_spd_gram_is_the_direct_solve(monkeypatch, lam):
+def test_solve_psd_raises_when_no_jitter_factors(monkeypatch, lam):
     K, _ = _spd(20, 7)
-    y = np.random.default_rng(7).normal(size=20)
     diags = _spy_cholesky(monkeypatch, fail=True)
-    c, meta = solve_psd(K, y, lam)
+    with pytest.raises(SingularKernel, match="does not factor"):
+        solve_psd(K, np.ones(20), lam)
+    lmax = np.max(np.diag(K))
+    expect = [np.diag(K) + lam + j * lmax for j in (0.0, 1e-12, 1e-10)]
     assert len(diags) == 3
-    np.testing.assert_allclose(c, np.linalg.solve(K + lam * np.eye(20), y), rtol=0, atol=1e-12)
-    assert meta == {"solver": "pinv", "jitter": 0.0, "fallback": True, "rank": 20}
+    for got, want in zip(diags, expect):
+        np.testing.assert_array_equal(got, want)
 
 
-def test_solve_psd_scales_a_zero_diagonal_by_the_largest_entry(monkeypatch):
-    diags = _spy_cholesky(monkeypatch, fail=False)
-    K = np.array([[0.0, 2.0], [2.0, 0.0]])
-    c, meta = solve_psd(K, np.array([1.0, 1.0]), 0.0)
-    # every jitter is a multiple of max|K| = 2, not of the zero diagonal
-    assert [d.tolist() for d in diags] == [[0.0, 0.0], [2e-12, 2e-12], [2e-10, 2e-10]]
-    np.testing.assert_allclose(c, [0.5, 0.5], rtol=0, atol=1e-15)
-    assert meta["solver"] == "pinv" and meta["rank"] == 1 and meta["fallback"]
-
-
-def test_solve_psd_rejects_a_zero_gram(monkeypatch):
+@pytest.mark.parametrize("K", [
+    np.zeros((3, 3)),
+    np.array([[0.0, 2.0], [2.0, 0.0]]),  # indefinite: eigenvalues 2, -2
+], ids=["zero", "zero_diagonal"])
+def test_solve_psd_rejects_a_zero_gram(monkeypatch, K):
     diags = _spy_cholesky(monkeypatch, fail=True)
-    with pytest.raises(SingularKernel, match="zero"):
-        solve_psd(np.zeros((3, 3)), np.ones(3), 0.0)
+    with pytest.raises(SingularKernel, match="zero diagonal"):
+        solve_psd(K, np.ones(len(K)), 0.0)
     assert diags == []
+
+
+def test_solve_psd_rejects_an_indefinite_gram():
+    # a pseudo-inverse would drop the -1 and give [1, 1, 0]
+    with pytest.raises(SingularKernel, match="does not factor, last jitter tried 1e-10"):
+        solve_psd(np.diag([1.0, 1.0, -1.0]), np.ones(3), 0.0)
 
 
 def _spd(n, seed):
