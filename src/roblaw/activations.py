@@ -39,18 +39,19 @@ HOMOGENEITY = {
 }
 
 
-def act_eval(kind: ActivationKind, t):
+def act_eval(kind: ActivationKind, t, out=None):
+    """sigma(t), into `out` when given: a float array of t's shape, possibly t."""
     t = np.asarray(t, dtype=float)
     if kind == ActivationKind.RELU:
-        return np.maximum(t, 0.0)
+        return np.maximum(t, 0.0, out=out)
     if kind == ActivationKind.ABS:
-        return np.abs(t)
+        return np.abs(t, out=out)
     if kind == ActivationKind.ERF:
-        return erf(t / math.sqrt(2))
+        return erf(np.divide(t, math.sqrt(2), out=out), out=out)
     if kind == ActivationKind.TANH:
-        return np.tanh(t)
+        return np.tanh(t, out=out)
     if kind == ActivationKind.IDENTITY:
-        return t + 0.0
+        return np.add(t, 0.0, out=out)
     raise UnsupportedActivation(str(kind))
 
 

@@ -55,7 +55,7 @@ from .kernels import (
     empirical_gram,
     features,
     gram_dot,
-    kernel_profile,
+    kernel_matrix,
     kernel_profile_deriv,
 )
 from .sphere import SphereSample
@@ -124,8 +124,9 @@ class TwoLayerModel(_Model):
         return self.W, self.v, self.activation
 
     def design(self, x) -> np.ndarray:
-        """sigma(x W^T)."""
-        return np.asarray(act_eval(self.activation, np.asarray(x, dtype=float) @ self.W.W.T))
+        """sigma(x W^T), formed in place."""
+        T = np.asarray(x, dtype=float) @ self.W.W.T
+        return act_eval(self.activation, T, T)
 
     def gradient_factor(self, X, out=None) -> np.ndarray:
         """sigma'(X W^T), formed in place (in `out` when given)."""
@@ -159,12 +160,10 @@ class KernelModel(_Model):
         return self.anchors.count
 
     def design(self, X) -> np.ndarray:
-        """K(X, anchors) for an (m, d) batch X. At the anchors themselves it
-        is the fit's gram bit for bit: `gram_dot` makes the same product,
-        clip and profile."""
-        T = np.asarray(X, dtype=float) @ self.anchors.points.T
-        np.clip(T, -1.0, 1.0, out=T)
-        return np.asarray(kernel_profile(self.kernel, T))
+        """K(X, anchors) for a point or an (m, d) batch X. At the anchors
+        themselves it is the fit's gram bit for bit: `gram_dot` builds it
+        with the same `kernel_matrix`."""
+        return kernel_matrix(self.kernel, X, self.anchors.points)
 
     def gradient_factor(self, X, out=None) -> np.ndarray:
         """phi'(X A^T) at the anchors A, (m, n), with t clamped to

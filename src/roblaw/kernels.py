@@ -15,10 +15,10 @@ import numpy as np
 from .activations import (
     ActivationKind,
     HOMOGENEITY,
+    _profile,
     act_deriv,
     act_eval,
     clip_unit,
-    phi_profile,
     sqrt_one_minus_square,
 )
 from .errors import InvalidArgument, UnsupportedActivation
@@ -51,12 +51,13 @@ class DotProductKernel:
             )
 
 
-def kernel_profile(kernel: DotProductKernel, t):
+def kernel_profile(kernel: DotProductKernel, t, out=None):
     """phi(t): 2 phi_value(t) for rf_infinite, 2 t phi_derivative(t) for
-    ntk_infinite. Doubling is exact, so 2 (t phi) has the bits of (2 t) phi."""
+    ntk_infinite. Doubling is exact, so 2 (t phi) has the bits of (2 t) phi.
+    `out`, a float array of t's shape other than t, receives it."""
     t = _clip_t(t)
     which = "value" if kernel.name == "rf_infinite" else "derivative"
-    out = np.asarray(phi_profile(kernel.activation, which, t))
+    out = _profile(kernel.activation, which, t, out)
     out *= 2.0
     if kernel.name == "ntk_infinite":
         out *= t
@@ -86,11 +87,34 @@ def kernel_profile_deriv(kernel: DotProductKernel, t, out=None):
             dphi0 = np.zeros_like(t)
         dphi0 *= t
     # d/dt of 2*phi_value = 2*phi_derivative for order-1 profiles
-    out = np.asarray(phi_profile(activation, "derivative", t, out))
+    out = _profile(activation, "derivative", t, out)
     out *= 2.0
     if dphi0 is not None:
         out += dphi0
     return out if out.ndim else float(out)
+
+
+#: elements of one row block of `kernel_matrix`; its scratch and the
+#: profile's one temporary are each this size, within L2
+PROFILE_BLOCK = 32768
+
+
+def kernel_matrix(kernel: DotProductKernel, x, anchors: np.ndarray) -> np.ndarray:
+    """K[i, j] = phi(x_i . a_j) for a point or an (m, d) batch x and the
+    (n, d) anchors, built in the array of the dot products T = x A^T: T is
+    clipped to [-1, 1] in place and overwritten with `kernel_profile` a
+    block of rows at a time. A row block of the C-ordered T is contiguous,
+    so numpy runs the loops of one whole-matrix profile and the bits equal
+    `kernel_profile(kernel, clip(x A^T))`."""
+    T = np.asarray(x, dtype=float) @ anchors.T
+    np.clip(T, -1.0, 1.0, out=T)
+    rows = np.atleast_2d(T)
+    step = max(1, PROFILE_BLOCK // max(1, rows.shape[1]))
+    scratch = np.empty((min(step, len(rows)), rows.shape[1]))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        block[...] = kernel_profile(kernel, block, scratch[:len(block)])
+    return T
 
 
 def gram_dot(kernel: DotProductKernel, A: SphereSample, B: SphereSample) -> np.ndarray:
@@ -98,9 +122,7 @@ def gram_dot(kernel: DotProductKernel, A: SphereSample, B: SphereSample) -> np.n
     is, and phi acts entrywise."""
     if A.dim != B.dim:
         raise InvalidArgument(f"dimension mismatch: {A.dim} vs {B.dim}")
-    T = A.points @ B.points.T
-    np.clip(T, -1.0, 1.0, out=T)
-    return np.asarray(kernel_profile(kernel, T))
+    return kernel_matrix(kernel, A.points, B.points)
 
 
 @dataclass(frozen=True)
@@ -161,9 +183,10 @@ def rf_features(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
     if fmap.kind != "frozen_rf":
         raise InvalidArgument("rf_features requires a frozen_rf map")
     W = fmap.weights.W
-    x = np.asarray(x, dtype=float)
-    pre = x @ W.T
-    return np.asarray(act_eval(fmap.activation, pre)) / math.sqrt(W.shape[0])
+    Z = np.asarray(x, dtype=float) @ W.T
+    act_eval(fmap.activation, Z, Z)
+    Z /= math.sqrt(W.shape[0])
+    return Z
 
 
 def ntk_features(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:

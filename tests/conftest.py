@@ -1,7 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from roblaw.fit import _scipy_blas_threads
+
+
+def peak_bytes(fn):
+    """(fn(), the tracemalloc peak of that call in bytes, its result
+    included)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from roblaw import (
     ActivationKind,
@@ -52,6 +53,30 @@ def test_deriv_equals_its_expression_bit_for_bit_in_place_or_not(kind):
     u = t.copy()
     assert act_deriv(kind, u, u) is u and u.tobytes() == want.tobytes()
     assert type(act_deriv(kind, 0.3)) is np.float64
+
+
+def _eval_reference(kind, t):
+    """act_eval as whole-array expressions."""
+    if kind == ActivationKind.RELU:
+        return np.maximum(t, 0.0)
+    if kind == ActivationKind.ABS:
+        return np.abs(t)
+    if kind == ActivationKind.ERF:
+        return erf(t / math.sqrt(2))
+    if kind == ActivationKind.TANH:
+        return np.tanh(t)
+    return t + 0.0
+
+
+@pytest.mark.parametrize("kind", list(ActivationKind))
+def test_eval_equals_its_expression_bit_for_bit_in_place_or_not(kind):
+    rng = np.random.default_rng(4)
+    t = np.concatenate([rng.normal(scale=4, size=999), [0.0, -0.0, 1e-310, 40.0, -40.0]])
+    want = _eval_reference(kind, t)
+    assert act_eval(kind, t).tobytes() == want.tobytes()
+    u = t.copy()
+    assert act_eval(kind, u, u) is u and u.tobytes() == want.tobytes()
+    assert type(act_eval(kind, 0.3)) is np.float64
 
 
 def test_deriv_matches_finite_difference_smooth_kinds():

@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -30,6 +29,8 @@ import roblaw.fit
 import roblaw.kernels
 import scipy.linalg
 from roblaw.fit import _ScipyBlasPin, solve_psd
+
+from conftest import peak_bytes
 
 
 def test_solve_psd_matches_direct_solve():
@@ -267,12 +268,7 @@ def test_every_path_builds_an_exactly_symmetric_gram():
 
 def test_a_ridge_solve_holds_one_array_of_the_gram_size():
     K, y = _spd(1100, 6)
-    tracemalloc.start()
-    try:
-        solve_psd(K, y, 1e-3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: solve_psd(K, y, 1e-3))
     # the shifted copy, factored in place, and the n x n boolean finiteness
     # check of K (an eighth of it); forming K + lam*I and letting cho_factor
     # make its transposing copy peaks at two copies

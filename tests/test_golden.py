@@ -233,9 +233,10 @@ def test_kernel_path_evaluates_one_kernel_matrix_per_point_set(monkeypatch, tmp_
         k_grid=(0,), lambda_grid=lams, zeta_grid=(0.5,), mc_samples=200,
         base_seed=3, output_path=str(tmp_path / "path.csv"),
     )
-    profiles = _count_calls(monkeypatch, "kernel_profile")
+    builds = _count_calls(monkeypatch, "kernel_matrix")
     run_sweep(cfg)
-    shapes = [np.shape(args[1]) for args in profiles]
+    # the (points, anchors) of each kernel matrix built
+    shapes = [(len(args[1]), len(args[2])) for args in builds]
     for n in n_grid:
         # the gram, which is also the train design, and one test design
         assert shapes.count((n, n)) == 1

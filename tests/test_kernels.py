@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,9 @@ from roblaw import (
     sample_sphere,
 )
 from roblaw.fit import KernelModel, LinearModel, TwoLayerModel, kernel_path, train_mse
+from roblaw.kernels import PROFILE_BLOCK, kernel_matrix
 
+from conftest import peak_bytes
 from test_activations import _phi_reference, assert_same_bits
 
 
@@ -242,14 +243,66 @@ def test_kernel_gram_is_the_train_design_bit_for_bit(name, n):
 def test_ntk_features_peak_memory_is_about_its_output():
     fmap = FeatureMap("ntk", HiddenWeights(sample_sphere(50, 40, 1).points))
     X = sample_sphere(50, 500, 2).points
-    tracemalloc.start()
-    try:
-        Z = ntk_features(fmap, X)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    Z, peak = peak_bytes(lambda: ntk_features(fmap, X))
     assert Z.shape == (500, 2000)
     assert peak < 1.25 * Z.nbytes  # one m x kd array, not two
+
+
+def _builder_inputs(rows, cols, d=5):
+    """rows points and cols anchors on the sphere in R^d, with the first
+    point and its negation among the anchors, so products of +-1 and within
+    rounding of them occur."""
+    X = sample_sphere(d, rows, rows + cols).points
+    A = sample_sphere(d, cols, cols).points.copy()
+    A[:2] = (X[0], -X[0])[:cols]
+    return X, A
+
+
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: f"{k.name}-{k.activation.value}")
+@pytest.mark.parametrize("cols", [1, 7, 1023, 1100])
+def test_kernel_matrix_is_the_profile_of_the_clipped_product_bit_for_bit(kernel, cols):
+    block_rows = PROFILE_BLOCK // cols
+    for rows in (block_rows // 2 + 1, 2 * block_rows + 3):
+        X, A = _builder_inputs(rows, cols)
+        want = kernel_profile(kernel, np.clip(X @ A.T, -1.0, 1.0))
+        assert_same_bits(kernel_matrix(kernel, X, A), want)
+    # a single point, as `predict` at one x passes it
+    want = kernel_profile(kernel, np.clip(X[0] @ A.T, -1.0, 1.0))
+    assert_same_bits(kernel_matrix(kernel, X[0], A), want)
+
+
+@pytest.mark.parametrize("kernel", ALL_KERNELS[:2], ids=lambda k: k.name)
+def test_kernel_matrix_of_no_points_or_no_anchors_is_empty(kernel):
+    X, A = _builder_inputs(4, 3)
+    for x, anchors, shape in ((X, A[:0], (4, 0)), (X[:0], A, (0, 3)), (X[0], A[:0], (0,))):
+        assert kernel_matrix(kernel, x, anchors).shape == shape
+
+
+def test_kernel_gram_holds_one_array_of_its_size():
+    X = sample_sphere(500, 1100, 3)
+    kernel = DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU)
+    G, peak = peak_bytes(lambda: gram_dot(kernel, X, X))
+    # the product, its clip and a whole-matrix profile peaked at 3.00 grams
+    assert peak < 1.25 * G.nbytes
+
+
+@pytest.mark.parametrize("name", ["rf_infinite", "ntk_infinite"])
+def test_kernel_design_holds_one_array_of_its_size(name):
+    data = gen_dataset(1000, 500, 0.5, 4)
+    model = KernelModel(kernel=DotProductKernel(name=name, activation=ActivationKind.RELU),
+                        anchors=data.X, c=data.y)
+    x = sample_sphere(500, 500, 5).points
+    D, peak = peak_bytes(lambda: model.design(x))
+    assert D.shape == (500, 1000)
+    assert peak < 1.25 * D.nbytes
+
+
+def test_rf_features_peak_memory_is_its_output():
+    fmap = FeatureMap("frozen_rf", HiddenWeights(sample_sphere(300, 1000, 6).points))
+    x = sample_sphere(300, 1000, 7).points
+    Z, peak = peak_bytes(lambda: rf_features(fmap, x))
+    assert Z.shape == (1000, 1000)
+    assert peak < 1.1 * Z.nbytes  # sigma and the scale in the product's array
 
 
 @pytest.mark.parametrize("n, d", [(7, 3), (100, 500), (1033, 17)])

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +25,8 @@ from roblaw import (
 )
 from roblaw.fit import FeatureModel, KernelModel, LinearModel, TwoLayerModel
 from roblaw.kernels import model_gradient
+
+from conftest import peak_bytes
 
 
 def _relu_two_layer(d, k, seed):
@@ -279,12 +280,7 @@ def test_monte_carlo_kernel_memory_is_bounded_by_the_block():
     data = gen_dataset(n, d, 0.5, 40)
     kernel = DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU)
     models = [KernelModel(kernel=kernel, anchors=data.X, c=data.y * s) for s in (1.0, 0.5)]
-    tracemalloc.start()
-    try:
-        sobolev_monte_carlo(models, d, m, 41)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: sobolev_monte_carlo(models, d, m, 41))
     # one m x n array is 64 MB and the m x d sample 3.2 MB; whole-sample
     # gradients peaked at 323 MB here, 1024-row blocks at 20 MB
     assert peak < 32e6
@@ -293,12 +289,7 @@ def test_monte_carlo_kernel_memory_is_bounded_by_the_block():
 def test_monte_carlo_holds_no_sample_sized_array():
     d, m = 100, 100_000
     model = LinearModel(w=np.random.default_rng(5).normal(size=d))
-    tracemalloc.start()
-    try:
-        sobolev_monte_carlo([model], d, m, 7)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: sobolev_monte_carlo([model], d, m, 7))
     # the m x d sample is 80 MB; one 1024-row block is 0.8 MB and the squared
     # norms of one model 0.8 MB
     assert peak < 8e6
@@ -321,12 +312,7 @@ def test_poincare_equality_for_linear():
 def test_poincare_holds_no_sample_sized_array():
     d, m = 20, 200_000
     model = _relu_two_layer(d, 30, 17)
-    tracemalloc.start()
-    try:
-        poincare_lower_bound(model, d, m, 18)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: poincare_lower_bound(model, d, m, 18))
     # the m x d sample is 32 MB and its m x k design 48 MB: the whole-sample
     # bound peaked at 128 MB here, 1024-row blocks at 3.4 MB (the m values
     # 1.6 MB)
