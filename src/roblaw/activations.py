@@ -29,14 +29,9 @@ class ActivationKind(str, Enum):
     IDENTITY = "identity"
 
 
-#: positive-homogeneity order, None for non-homogeneous kinds
-HOMOGENEITY = {
-    ActivationKind.RELU: 1.0,
-    ActivationKind.ABS: 1.0,
-    ActivationKind.IDENTITY: 1.0,
-    ActivationKind.ERF: None,
-    ActivationKind.TANH: None,
-}
+#: the positively homogeneous kinds of order 1, the only ones with a
+#: dimension-free profile
+ORDER_ONE = frozenset({ActivationKind.RELU, ActivationKind.ABS, ActivationKind.IDENTITY})
 
 
 def act_eval(kind: ActivationKind, t, out=None):

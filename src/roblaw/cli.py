@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--k", type=int, default=0)
         sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
         sp.add_argument("--zeta", type=float, default=0.0)
-        sp.add_argument("--mc-samples", type=int, default=500)
+        sp.add_argument("--mc-samples", type=int, default=SweepConfig.mc_samples)
         sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("fit", help="run a single trial and print the record")

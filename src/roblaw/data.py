@@ -44,8 +44,6 @@ class Dataset:
 def gen_dataset(n: int, d: int, zeta: float, seed: int, zero_signal: bool = False) -> Dataset:
     """Draw X ~ tau_d^n, w0 uniform on the sphere (or 0 when zero_signal,
     the noise-only setup of the ridge analysis), g ~ N(0, 1)^n."""
-    if n < 1 or d < 2:
-        raise InvalidArgument(f"need n >= 1 and d >= 2, got n={n}, d={d}")
     if not 0 <= zeta < math.inf:
         raise InvalidArgument(f"zeta must be finite and nonnegative, got {zeta}")
     X = sample_sphere(d, n, seed)

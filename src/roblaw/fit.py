@@ -24,12 +24,12 @@ with `design(x)` the lambda-free matrix of the inputs (x itself, the
 activations, the kernel at the anchors or the features), so the models of
 one ridge path can share one design of a point set. Gradients split the
 same way: `gradient(X, gradient_factor(X))` multiplies the coefficient-free
-(m, factor_width) factor, which the models of one `factor_key` share, by a
-small (factor_width, d) operand into which the model folds its
-coefficients. Both methods take an `out` array to write into. `two_layer`
-is the (hidden weights, output weights, activation) of a two-layer
-network, or None; a model without one gives its closed-form Sobolev
-seminorm as `seminorm`, nan where it has none.
+(m, k or n) factor, which the models of one `factor_key` share, by a small
+(k or n, d) operand into which the model folds its coefficients, for k
+hidden units or n anchors. Both methods take an `out` array to write into.
+`two_layer` is the (hidden weights, output weights, activation) of a
+two-layer network; a model without one gives its closed-form Sobolev
+seminorm as `seminorm`. `_Model` holds the defaults, None and nan.
 """
 
 import ctypes
@@ -58,12 +58,16 @@ from .kernels import (
     kernel_matrix,
     kernel_profile_deriv,
 )
-from .sphere import SphereSample
+from .sphere import SphereSample, check_unit_rows
 
 
 class _Model:
     """What every model class shares: its prediction at one point or a
-    batch, `design(x) @ coef`."""
+    batch, `design(x) @ coef`, and the defaults of a model that is no
+    two-layer network and has no closed-form seminorm."""
+
+    two_layer = None
+    seminorm = math.nan
 
     def predict(self, x):
         return self.design(x) @ self.coef
@@ -75,8 +79,6 @@ class LinearModel(_Model):
     meta: dict = field(default_factory=dict)
 
     factor_key = None
-    factor_width = 0
-    two_layer = None
 
     @property
     def coef(self) -> np.ndarray:
@@ -116,10 +118,6 @@ class TwoLayerModel(_Model):
         return self.activation, id(self.W.W)
 
     @property
-    def factor_width(self) -> int:
-        return self.W.k
-
-    @property
     def two_layer(self):
         return self.W, self.v, self.activation
 
@@ -144,9 +142,6 @@ class KernelModel(_Model):
     c: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    two_layer = None
-    seminorm = math.nan
-
     @property
     def coef(self) -> np.ndarray:
         return self.c
@@ -155,20 +150,18 @@ class KernelModel(_Model):
     def factor_key(self):
         return self.kernel, id(self.anchors.points)
 
-    @property
-    def factor_width(self) -> int:
-        return self.anchors.count
-
     def design(self, X) -> np.ndarray:
-        """K(X, anchors) for a point or an (m, d) batch X. At the anchors
-        themselves it is the fit's gram bit for bit: `gram_dot` builds it
-        with the same `kernel_matrix`."""
+        """K(X, anchors) for a point or an (m, d) batch X of unit points
+        (InvalidArgument otherwise). At the anchors it is the fit's gram
+        bit for bit: `gram_dot` builds it with the same `kernel_matrix`."""
+        check_unit_rows(X, "kernel model points must have unit norm")
         return kernel_matrix(self.kernel, X, self.anchors.points)
 
     def gradient_factor(self, X, out=None) -> np.ndarray:
-        """phi'(X A^T) at the anchors A, (m, n), with t clamped to
-        |t| <= 1 - 1e-9, where the NTK phi' of relu and abs is finite;
-        formed in place (in `out` when given)."""
+        """phi'(X A^T) at the anchors A for unit points X, (m, n), with t
+        clamped to |t| <= 1 - 1e-9, where the NTK phi' of relu and abs is
+        finite; formed in place (in `out` when given)."""
+        check_unit_rows(X, "kernel model points must have unit norm")
         T = np.matmul(X, self.anchors.points.T, out=out)
         np.clip(T, -(1 - 1e-9), 1 - 1e-9, out=T)
         return np.asarray(kernel_profile_deriv(self.kernel, T, T))
@@ -183,9 +176,6 @@ class FeatureModel(_Model):
     a: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    #: an NTK map's; random features get theirs through `two_layer`
-    seminorm = math.nan
-
     @property
     def coef(self) -> np.ndarray:
         return self.a
@@ -193,10 +183,6 @@ class FeatureModel(_Model):
     @property
     def factor_key(self):
         return self.map.activation, id(self.map.weights.W)
-
-    @property
-    def factor_width(self) -> int:
-        return self.map.weights.k
 
     @property
     def two_layer(self):
@@ -333,18 +319,20 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
     (the one PSD K with a zero diagonal is K = 0). y is one right-hand
     side or a stack of them in rows; c is stacked as y is, and each row
     has the bits of its own solve with the one factor of K + lam*I.
-    Returns (c, {"jitter", "fallback"}). K and y are checked finite and
-    lam finite and nonnegative here, so scipy does not check them again; a
-    caller that has checked K already, as a `RidgePath` does once for all
-    its lambdas, passes `gram_checked`. Each attempt copies K into one
-    buffer, adds lam and then the jitter to its diagonal and factors it in
-    place: a solve holds one array besides K.
+    Returns (c, {"jitter", "fallback"}). K and y are checked here, K square
+    and y of its side, both finite and lam finite and nonnegative, so scipy
+    does not check them again; a caller that has checked K finite, as a
+    `RidgePath` does once for all its lambdas, passes `gram_checked`. Each
+    attempt copies K into one buffer, adds lam and then the jitter to its
+    diagonal and factors it in place: a solve holds one array besides K.
 
     When lam is 0 and K itself factors, `on_factor(factor)` is called with
     its `cholesky` factor before the solve returns: a caller can reuse the
     factor without holding it past the call."""
     if not 0 <= lam < math.inf:
         raise InvalidArgument(f"lambda must be finite and nonnegative, got {lam}")
+    if K.ndim != 2 or K.shape[0] != K.shape[1] or np.shape(y)[-1:] != K.shape[:1]:
+        raise InvalidArgument(f"K {K.shape} is not square or y {np.shape(y)} does not fit it")
     if (not gram_checked and not np.all(np.isfinite(K))) or not np.all(np.isfinite(y)):
         raise InvalidArgument("non-finite entries in solve")
     lmax = float(np.max(np.abs(np.diag(K))))
@@ -405,7 +393,7 @@ class RidgePath:
 def kernel_path(kernel: DotProductKernel, X: SphereSample, y: np.ndarray) -> RidgePath:
     """Ridge(less) fits in the representer subspace of inputs X, for labels
     y (a vector or a stack of them in rows): c = (K(X,X) + lam I)^-1 y."""
-    return RidgePath(gram_dot(kernel, X, X), y,
+    return RidgePath(gram_dot(kernel, X), y,
                      lambda c, meta: KernelModel(kernel=kernel, anchors=X, c=c, meta=meta))
 
 
@@ -479,7 +467,7 @@ def rkhs_norm(model: KernelModel, K: np.ndarray | None = None) -> float:
     """sqrt(c^T K c), with K the gram of the model's anchors: the fit's
     `path.gram` when given, else built from the anchors."""
     if K is None:
-        K = gram_dot(model.kernel, model.anchors, model.anchors)
+        K = gram_dot(model.kernel, model.anchors)
     q = float(model.c @ K @ model.c)
     return math.sqrt(max(q, 0.0))
 

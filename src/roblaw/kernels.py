@@ -13,8 +13,8 @@ from functools import cached_property
 import numpy as np
 
 from .activations import (
+    ORDER_ONE,
     ActivationKind,
-    HOMOGENEITY,
     _profile,
     act_deriv,
     act_eval,
@@ -22,7 +22,7 @@ from .activations import (
     sqrt_one_minus_square,
 )
 from .errors import InvalidArgument, UnsupportedActivation
-from .sphere import SphereSample
+from .sphere import SphereSample, check_unit_rows
 
 
 def _clip_t(t):
@@ -45,7 +45,7 @@ class DotProductKernel:
     def __post_init__(self):
         if self.name not in KERNEL_NAMES:
             raise InvalidArgument(f"unknown kernel {self.name}; expected one of {KERNEL_NAMES}")
-        if HOMOGENEITY.get(self.activation) != 1.0:
+        if self.activation not in ORDER_ONE:
             raise UnsupportedActivation(
                 f"{self.name} supports order-1 homogeneous activations only"
             )
@@ -117,12 +117,10 @@ def kernel_matrix(kernel: DotProductKernel, x, anchors: np.ndarray) -> np.ndarra
     return T
 
 
-def gram_dot(kernel: DotProductKernel, A: SphereSample, B: SphereSample) -> np.ndarray:
-    """G[i, j] = phi(a_i . b_j). For B = A it is exactly symmetric: A A^T
-    is, and phi acts entrywise."""
-    if A.dim != B.dim:
-        raise InvalidArgument(f"dimension mismatch: {A.dim} vs {B.dim}")
-    return kernel_matrix(kernel, A.points, B.points)
+def gram_dot(kernel: DotProductKernel, X: SphereSample) -> np.ndarray:
+    """G[i, j] = phi(x_i . x_j), exactly symmetric: X X^T is, and phi acts
+    entrywise."""
+    return kernel_matrix(kernel, X.points, X.points)
 
 
 @dataclass(frozen=True)
@@ -136,9 +134,7 @@ class HiddenWeights:
         W = np.asarray(self.W, dtype=float)
         if W.ndim != 2:
             raise InvalidArgument("W must be a matrix")
-        norms = np.linalg.norm(W, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-9):
-            raise InvalidArgument("rows must be unit-normalized")
+        check_unit_rows(W, "rows must be unit-normalized")
         object.__setattr__(self, "W", W)
 
     @property

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import HOMOGENEITY, ActivationKind
+from .activations import ORDER_ONE, ActivationKind
 from .errors import InvalidArgument, NumericFailure, ResourceLimit
 from .kernels import model_gradient
 from .sphere import BLOCK_ROWS, sphere_blocks
@@ -37,7 +37,7 @@ def sobolev_analytic(models) -> list[float]:
             out.append(model.seminorm)
             continue
         W, v, kind = view
-        if HOMOGENEITY.get(ActivationKind(kind)) != 1.0:
+        if ActivationKind(kind) not in ORDER_ONE:
             out.append(math.nan)
             continue
         if model.factor_key not in matrices:
@@ -69,14 +69,15 @@ def sobolev_monte_carlo(models, d: int, m: int, seed: int) -> list[SobolevEstima
     if m * d > _MAX_COV_ELEMENTS:
         raise ResourceLimit(f"sphere sample {m} x {d} too large")
     sq = np.empty((len(models), m))
-    # The workspace, made once and rewritten by every block: one factor per
-    # factor_key (rows x k or n), the gradient G (rows x d) and the radial
+    # The workspace, rewritten by every block: one factor per factor_key
+    # (rows x k or n), the first block's, whose leading rows every later
+    # block writes its own into; the gradient G (rows x d) and the radial
     # components r. The radial part r x is the one block-sized array made
     # per model; freed at once, it reuses one heap chunk. A buffer held for
     # it through the estimate raised the heap's peak on kernel paths, so
     # the heap shrank after each estimate and faulted its pages back in.
     rows = min(m, BLOCK_ROWS)
-    buffers = {model.factor_key: np.empty((rows, model.factor_width)) for model in models}
+    workspace = {}
     G, r = np.empty((rows, d)), np.empty(rows)
     for start, Xb in zip(range(0, m, BLOCK_ROWS), sphere_blocks(d, m, seed)):
         b = len(Xb)
@@ -85,7 +86,9 @@ def sobolev_monte_carlo(models, d: int, m: int, seed: int) -> list[SobolevEstima
         for row, model in zip(sq, models):
             key = model.factor_key
             if key not in factors:
-                factors[key] = model.gradient_factor(Xb, buffers[key][:b])
+                held = workspace.get(key)
+                factors[key] = model.gradient_factor(Xb, None if held is None else held[:b])
+                workspace.setdefault(key, factors[key])
             model_gradient(model, Xb, factors[key], Gb)
             # |G - (G.x) x|^2 per row: the projection keeps the accuracy of a
             # nearly radial gradient, where |G|^2 - (G.x)^2 would cancel

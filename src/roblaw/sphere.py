@@ -15,6 +15,12 @@ from .errors import InvalidArgument
 BLOCK_ROWS = 1024
 
 
+def check_unit_rows(points, message: str) -> None:
+    """Raise InvalidArgument(message) unless each row of points has norm 1 within 1e-9."""
+    if not np.all(np.abs(np.linalg.norm(points, axis=-1) - 1.0) <= 1e-9):
+        raise InvalidArgument(message)
+
+
 @dataclass(frozen=True)
 class SphereSample:
     """n points on the unit sphere S^{d-1}, one per row."""
@@ -27,9 +33,7 @@ class SphereSample:
             raise InvalidArgument("points must be a 2-d array")
         if pts.shape[1] < 2:
             raise InvalidArgument("dimension must be >= 2")
-        norms = np.linalg.norm(pts, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-9):
-            raise InvalidArgument("every row must have unit norm")
+        check_unit_rows(pts, "every row must have unit norm")
         object.__setattr__(self, "points", pts)
 
     @classmethod

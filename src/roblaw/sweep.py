@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .activations import HOMOGENEITY, ActivationKind, phi_profile
+from .activations import ORDER_ONE, ActivationKind, phi_profile
 from .data import Dataset, gen_dataset
 from .errors import InvalidArgument, IoError, RoblawError
 from .fit import (
@@ -121,7 +121,7 @@ class TrialCell:
     zeta: float
     dataset_seed: int
     weight_seed: int
-    mc_samples: int = 500
+    mc_samples: int = SweepConfig.mc_samples
     zero_signal: bool = False
 
     def __post_init__(self):
@@ -282,7 +282,7 @@ def _fill_path(recs: list, cells: list) -> None:
         rec.gram_cond = s.cond
     # a hidden layer's C matrix has a closed form only for an order-1
     # homogeneous activation
-    closed = HOMOGENEITY.get(activation) == 1.0
+    closed = activation in ORDER_ONE
     c_spec = s if regime.c_matrix is None else (
         sym_eigs(regime.c_matrix(fmap.weights, activation)) if closed else None)
     if c_spec is not None:

@@ -421,6 +421,15 @@ def test_cli_choices_are_the_library_tables(command, dest, schema):
     assert action.choices is schema
 
 
+def test_mc_samples_defaults_are_the_sweep_config_default():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.default for command in ("fit", "sobolev")
+             for a in sub.choices[command]._actions if a.dest == "mc_samples"}
+    cell = {f.name: f.default for f in fields(roblaw.sweep.TrialCell)}["mc_samples"]
+    config = {f.name: f.default for f in fields(SweepConfig)}["mc_samples"]
+    assert flags == {cell} == {config}
+
+
 def test_analyze_law_missing_csv_exits_3(capsys):
     code, _, _ = run_cli(capsys, "analyze-law", "--csv", "/no/such/file.csv")
     assert code == 3

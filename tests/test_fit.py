@@ -50,6 +50,16 @@ def test_solve_psd_rejects_non_finite_lambda(lam):
         solve_psd(K, np.ones(4), lam)
 
 
+@pytest.mark.parametrize("K, y", [
+    (np.eye(4), np.ones(3)),
+    (np.ones((3, 4)), np.ones(3)),
+    (np.eye(3), np.ones((3, 4))),
+], ids=["short_y", "oblong_K", "long_rows_of_y"])
+def test_solve_psd_rejects_shapes_that_do_not_fit(K, y):
+    with pytest.raises(InvalidArgument, match="is not square or y"):
+        solve_psd(K, y, 0.1)
+
+
 @pytest.mark.parametrize("zeta", [math.nan, math.inf, -0.5])
 def test_gen_dataset_rejects_a_noise_level_outside_zero_to_infinity(zeta):
     with pytest.raises(InvalidArgument, match="zeta must be finite and nonnegative"):
@@ -126,7 +136,7 @@ def _identity_rf_gram(n, d):
     multiple of X X^T, PSD of rank d."""
     kernel = DotProductKernel(name="rf_infinite", activation=ActivationKind.IDENTITY)
     X = sample_sphere(d, n, 3)
-    return gram_dot(kernel, X, X)
+    return gram_dot(kernel, X)
 
 
 @pytest.mark.parametrize("K", [
@@ -354,7 +364,7 @@ def test_kernel_fit_ridge_normal_equations():
     kernel = DotProductKernel(name="ntk_infinite", activation=ActivationKind.RELU)
     lam = 0.1
     model = fit_kernel(kernel, data, lam)
-    K = gram_dot(kernel, data.X, data.X)
+    K = gram_dot(kernel, data.X)
     ref = np.linalg.solve(K + lam * np.eye(25), data.y)
     np.testing.assert_allclose(model.c, ref, atol=1e-10)
 
@@ -473,12 +483,26 @@ def test_every_model_predicts_through_its_design():
         assert one.tobytes() == (model.design(X[0]) @ model.coef).tobytes()
 
 
+@pytest.mark.parametrize("name", ["rf_infinite", "ntk_infinite"])
+def test_kernel_model_rejects_points_off_the_sphere(name):
+    data = gen_dataset(20, 5, 0.1, 1)
+    kernel = DotProductKernel(name=name, activation=ActivationKind.RELU)
+    model = roblaw.fit.kernel_path(kernel, data.X, data.y).fit(1e-3)
+    x = data.X.points[0]
+    assert np.isfinite(model.predict(x))
+    for point in (2 * x, np.vstack([x, 2 * x])):
+        for f in (model.design, model.predict,
+                  lambda p: roblaw.kernels.model_gradient(model, p)):
+            with pytest.raises(InvalidArgument, match="unit norm"):
+                f(point)
+
+
 def test_rkhs_norm_quadratic_form():
     data = gen_dataset(10, 16, 0.1, 13)
     kernel = DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU)
     path = roblaw.fit.kernel_path(kernel, data.X, data.y)
     model = path.fit(0.0)
-    K = gram_dot(kernel, data.X, data.X)
+    K = gram_dot(kernel, data.X)
     np.testing.assert_array_equal(path.gram, K)
     assert rkhs_norm(model, path.gram) == pytest.approx(math.sqrt(model.c @ K @ model.c))
     assert rkhs_norm(model) == rkhs_norm(model, path.gram)

@@ -222,11 +222,12 @@ def test_monte_carlo_point_at_an_anchor_matches_whole_sample():
 
 
 def test_monte_carlo_blocks_reuse_one_workspace(monkeypatch):
-    factor_outs, gradient_outs = {}, []
+    factor_calls, gradient_outs = {}, []
     for cls in (FeatureModel, KernelModel, TwoLayerModel):
         def recorded(self, X, out=None, original=cls.gradient_factor):
-            factor_outs.setdefault(self.factor_key, []).append(out)
-            return original(self, X, out)
+            factor = original(self, X, out)
+            factor_calls.setdefault(self.factor_key, []).append((out, factor))
+            return factor
 
         monkeypatch.setattr(cls, "gradient_factor", recorded)
     original_gradient = roblaw.sobolev.model_gradient
@@ -244,14 +245,19 @@ def test_monte_carlo_blocks_reuse_one_workspace(monkeypatch):
         return a.__array_interface__["data"][0]
 
     rows = [1024, 1024, 1024, 5]
-    assert len(factor_outs) == 4  # rf, ntk, kernel and two-layer
-    for key, outs in factor_outs.items():
-        assert [len(out) for out in outs] == rows
-        assert len({address(out) for out in outs}) == 1
+    assert len(factor_calls) == 4  # rf, ntk, kernel and two-layer
+    for key, calls in factor_calls.items():
+        # the first block's factor is the key's workspace: every later
+        # block writes its own into the workspace's leading rows
+        (first_out, workspace), *later = calls
+        assert first_out is None
+        assert [len(factor) for _, factor in calls] == rows
+        assert all(address(out) == address(factor) == address(workspace)
+                   for out, factor in later)
     assert [len(out) for out in gradient_outs] == [r for r in rows for _ in models]
     assert {out.shape[1] for out in gradient_outs} == {d}
     assert len({address(out) for out in gradient_outs}) == 1
-    factor_addresses = {address(outs[0]) for outs in factor_outs.values()}
+    factor_addresses = {address(calls[0][1]) for calls in factor_calls.values()}
     assert address(gradient_outs[0]) not in factor_addresses
 
 

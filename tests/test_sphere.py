@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from roblaw import InvalidArgument, SphereSample, moment_cpq, sample_sphere
+from roblaw import InvalidArgument, SphereSample, gen_dataset, moment_cpq, sample_sphere
 from roblaw.sphere import BLOCK_ROWS, sphere_blocks
 
 
@@ -46,6 +46,8 @@ def test_sphere_draws_reject_bad_sizes(d, n):
         sample_sphere(d, n, 0)
     with pytest.raises(InvalidArgument):
         next(sphere_blocks(d, n, 0))
+    with pytest.raises(InvalidArgument, match="a sphere sample needs"):
+        gen_dataset(n, d, 0.1, 0)
 
 
 def test_sphere_draws_reject_a_negative_seed():
