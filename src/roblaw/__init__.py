@@ -27,9 +27,6 @@ from .fit import (
     KernelModel,
     LinearModel,
     TwoLayerModel,
-    fit_features,
-    fit_kernel,
-    fit_linear_ridge,
     ridgeless_norm_limit,
     rkhs_norm,
     test_mse,
@@ -66,7 +63,6 @@ from .spectral import (
     linearized_c,
     mp_atom,
     mp_cdf,
-    mp_density,
     mp_edges,
     mp_integral,
     op_distance,

@@ -113,35 +113,18 @@ def cmd_eigs(args):
     })
 
 
-def _cell_from_args(args) -> TrialCell:
+def cmd_fit(args):
     # a lone cell takes fewer samples and fails after its fit; a command fails first
     if args.mc_samples < MIN_MC_SAMPLES:
         raise InvalidArgument(f"--mc-samples must be >= {MIN_MC_SAMPLES}")
-    return TrialCell(
+    cell = TrialCell(
         regime=args.regime, activation=ActivationKind(args.activation),
-        n=args.n, d=args.d, k=args.k, lam=getattr(args, "lam", 0.0),
+        n=args.n, d=args.d, k=args.k, lam=args.lam,
         zeta=args.zeta, dataset_seed=args.seed, weight_seed=args.seed + 1,
         mc_samples=args.mc_samples,
     )
-
-
-def _trial_from_args(args):
-    cell = _cell_from_args(args)
-    return fill_record(blank_record(cell), cell)
-
-
-def cmd_fit(args):
-    _json_print(dict(zip(CSV_COLUMNS, _trial_from_args(args).csv_row())))
-
-
-def cmd_sobolev(args):
-    rec = _trial_from_args(args)
-    _json_print({
-        "sobolev_mc": rec.sobolev_mc,
-        "sobolev_mc_stderr": rec.sobolev_mc_stderr,
-        "sobolev_analytic": rec.sobolev_analytic,
-        "mc_samples": args.mc_samples,
-    })
+    record = fill_record(blank_record(cell), cell)
+    _json_print(dict(zip(CSV_COLUMNS, record.csv_row())))
 
 
 def cmd_sweep(args):
@@ -199,24 +182,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_eigs)
 
-    def trial_args(sp):
-        sp.add_argument("--regime", required=True)
-        sp.add_argument("--activation", default="relu", choices=activations)
-        sp.add_argument("--n", type=int, required=True)
-        sp.add_argument("--d", type=int, required=True)
-        sp.add_argument("--k", type=int, default=0)
-        sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
-        sp.add_argument("--zeta", type=float, default=0.0)
-        sp.add_argument("--mc-samples", type=int, default=SweepConfig.mc_samples)
-        sp.add_argument("--seed", type=int, default=0)
-
     sp = sub.add_parser("fit", help="run a single trial and print the record")
-    trial_args(sp)
+    sp.add_argument("--regime", required=True)
+    sp.add_argument("--activation", default="relu", choices=activations)
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--k", type=int, default=0)
+    sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    sp.add_argument("--zeta", type=float, default=0.0)
+    sp.add_argument("--mc-samples", type=int, default=SweepConfig.mc_samples)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_fit)
-
-    sp = sub.add_parser("sobolev", help="seminorm estimates for a single trial")
-    trial_args(sp)
-    sp.set_defaults(func=cmd_sobolev)
 
     sp = sub.add_parser("sweep", help="run an experiment grid to CSV")
     sp.add_argument("--preset", choices=PRESETS)

@@ -61,6 +61,16 @@ from .kernels import (
 from .sphere import SphereSample, check_unit_rows
 
 
+def _points(x, d: int) -> np.ndarray:
+    """x, a point or a batch of points in rows, as a float array; every
+    design and gradient factor reads its points through here. Raises
+    InvalidArgument unless the points have the model's dimension d."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (d,):
+        raise InvalidArgument(f"model points must have dimension {d}, got shape {x.shape}")
+    return x
+
+
 class _Model:
     """What every model class shares: its prediction at one point or a
     batch, `design(x) @ coef`, and the defaults of a model that is no
@@ -90,9 +100,10 @@ class LinearModel(_Model):
         return float(np.linalg.norm(self.w)) * math.sqrt(1.0 - 1.0 / self.w.shape[0])
 
     def design(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float)
+        return _points(x, self.w.shape[0])
 
     def gradient_factor(self, X, out=None):
+        _points(X, self.w.shape[0])
         return None
 
     def gradient(self, X, factor, out=None) -> np.ndarray:
@@ -123,12 +134,12 @@ class TwoLayerModel(_Model):
 
     def design(self, x) -> np.ndarray:
         """sigma(x W^T), formed in place."""
-        T = np.asarray(x, dtype=float) @ self.W.W.T
+        T = _points(x, self.W.d) @ self.W.W.T
         return act_eval(self.activation, T, T)
 
     def gradient_factor(self, X, out=None) -> np.ndarray:
         """sigma'(X W^T), formed in place (in `out` when given)."""
-        T = np.matmul(X, self.W.W.T, out=out)
+        T = np.matmul(_points(X, self.W.d), self.W.W.T, out=out)
         return act_deriv(self.activation, T, T)
 
     def gradient(self, X, factor, out=None) -> np.ndarray:
@@ -154,6 +165,7 @@ class KernelModel(_Model):
         """K(X, anchors) for a point or an (m, d) batch X of unit points
         (InvalidArgument otherwise). At the anchors it is the fit's gram
         bit for bit: `gram_dot` builds it with the same `kernel_matrix`."""
+        X = _points(X, self.anchors.dim)
         check_unit_rows(X, "kernel model points must have unit norm")
         return kernel_matrix(self.kernel, X, self.anchors.points)
 
@@ -161,6 +173,7 @@ class KernelModel(_Model):
         """phi'(X A^T) at the anchors A for unit points X, (m, n), with t
         clamped to |t| <= 1 - 1e-9, where the NTK phi' of relu and abs is
         finite; formed in place (in `out` when given)."""
+        X = _points(X, self.anchors.dim)
         check_unit_rows(X, "kernel model points must have unit norm")
         T = np.matmul(X, self.anchors.points.T, out=out)
         np.clip(T, -(1 - 1e-9), 1 - 1e-9, out=T)
@@ -194,11 +207,11 @@ class FeatureModel(_Model):
 
     def design(self, X) -> np.ndarray:
         """The feature rows of an (m, d) batch X."""
-        return features(self.map, X)
+        return features(self.map, _points(X, self.map.weights.d))
 
     def gradient_factor(self, X, out=None) -> np.ndarray:
         """sigma'(X W^T), formed in place (in `out` when given)."""
-        T = np.matmul(X, self.map.weights.W.T, out=out)
+        T = np.matmul(_points(X, self.map.weights.d), self.map.weights.W.T, out=out)
         return act_deriv(self.map.activation, T, T)
 
     def gradient(self, X, factor, out=None) -> np.ndarray:
@@ -319,20 +332,25 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
     (the one PSD K with a zero diagonal is K = 0). y is one right-hand
     side or a stack of them in rows; c is stacked as y is, and each row
     has the bits of its own solve with the one factor of K + lam*I.
-    Returns (c, {"jitter", "fallback"}). K and y are checked here, K square
-    and y of its side, both finite and lam finite and nonnegative, so scipy
-    does not check them again; a caller that has checked K finite, as a
-    `RidgePath` does once for all its lambdas, passes `gram_checked`. Each
-    attempt copies K into one buffer, adds lam and then the jitter to its
-    diagonal and factors it in place: a solve holds one array besides K.
+    Returns (c, {"jitter", "fallback"}). K and y, arrays of numbers or
+    nested lists of them, are checked here, K square and y of its side, both
+    finite and lam finite and nonnegative, so scipy does not check them
+    again; a caller that has checked K finite, as a `RidgePath` does once for
+    all its lambdas, passes `gram_checked`. Each attempt copies K into one
+    buffer, adds lam and then the jitter to its diagonal and factors it in
+    place: a solve holds one array besides K.
 
     When lam is 0 and K itself factors, `on_factor(factor)` is called with
     its `cholesky` factor before the solve returns: a caller can reuse the
     factor without holding it past the call."""
     if not 0 <= lam < math.inf:
         raise InvalidArgument(f"lambda must be finite and nonnegative, got {lam}")
-    if K.ndim != 2 or K.shape[0] != K.shape[1] or np.shape(y)[-1:] != K.shape[:1]:
-        raise InvalidArgument(f"K {K.shape} is not square or y {np.shape(y)} does not fit it")
+    try:
+        K, y = np.asarray(K, dtype=float), np.asarray(y, dtype=float)
+    except (TypeError, ValueError) as exc:  # a ragged or non-numeric list
+        raise InvalidArgument(f"K and y must be arrays of numbers: {exc}") from exc
+    if K.ndim != 2 or K.shape[0] != K.shape[1] or y.shape[-1:] != K.shape[:1]:
+        raise InvalidArgument(f"K {K.shape} is not square or y {y.shape} does not fit it")
     if (not gram_checked and not np.all(np.isfinite(K))) or not np.all(np.isfinite(y)):
         raise InvalidArgument("non-finite entries in solve")
     lmax = float(np.max(np.abs(np.diag(K))))
@@ -433,21 +451,6 @@ def feature_path(fmap: FeatureMap, X: SphereSample, y: np.ndarray) -> RidgePath:
 def linear_path(X: SphereSample, y: np.ndarray) -> RidgePath:
     """Linear ridge / least squares for any n, d (dual when n <= d)."""
     return _ridge_path(X.points, y, lambda w, meta: LinearModel(w=w, meta=meta))
-
-
-def fit_kernel(kernel: DotProductKernel, data: Dataset, lam: float = 0.0) -> KernelModel:
-    """One fit of `kernel_path`."""
-    return kernel_path(kernel, data.X, data.y).fit(lam)
-
-
-def fit_features(fmap: FeatureMap, data: Dataset, lam: float = 0.0) -> FeatureModel:
-    """One fit of `feature_path`."""
-    return feature_path(fmap, data.X, data.y).fit(lam)
-
-
-def fit_linear_ridge(data: Dataset, lam: float = 0.0) -> LinearModel:
-    """One fit of `linear_path`."""
-    return linear_path(data.X, data.y).fit(lam)
 
 
 def train_mse(model, data: Dataset, design=None) -> float:

@@ -194,19 +194,6 @@ def mp_atom(gamma: float) -> float:
     return max(0.0, 1.0 - 1.0 / gamma)
 
 
-def mp_density(gamma: float, t) -> np.ndarray | float:
-    """Continuous Marchenko-Pastur density with ratio gamma, unit scale:
-    sqrt((t+ - t)(t - t-)) / (2 pi gamma t) on [t-, t+]. The atom at zero
-    (gamma > 1) is reported separately by mp_atom."""
-    lo, hi = mp_edges(gamma)
-    t = np.asarray(t, dtype=float)
-    inside = (t > lo) & (t < hi) & (t > 0)
-    out = np.zeros_like(t)
-    ts = t[inside]
-    out[inside] = np.sqrt((hi - ts) * (ts - lo)) / (2 * math.pi * gamma * ts)
-    return out if out.ndim else float(out)
-
-
 def _mp_substitution(gamma: float, theta: np.ndarray) -> tuple:
     """(t, w) at theta in [0, pi]: t = lo + (hi - lo) sin^2(theta/2) and w
     the MP density at t times dt/dtheta. The substitution turns the

@@ -24,8 +24,6 @@ from roblaw import (
     c_phi_monte_carlo,
     c_sigma_cov,
     curvature_coeffs,
-    fit_kernel,
-    fit_linear_ridge,
     gen_dataset,
     induced_kappa_quadrature,
     linearized_c,
@@ -42,7 +40,7 @@ from roblaw import (
     sym_eigs,
     train_mse,
 )
-from roblaw.fit import FeatureModel, fit_features
+from roblaw.fit import FeatureModel, feature_path, kernel_path, linear_path
 from roblaw.sweep import CSV_COLUMNS, preset
 
 
@@ -182,12 +180,12 @@ def test_criterion_07_ridgeless_norm_and_error_limits():
     norms = []
     for seed in range(10):
         data = gen_dataset(500, 1000, 1.0, 3000 + seed, zero_signal=True)
-        model = fit_linear_ridge(data, 0.0)
+        model = linear_path(data.X, data.y).fit(0.0)
         norms.append(float(np.dot(model.w, model.w)) / data.n)
     mses = []
     for seed in range(10):
         data = gen_dataset(1000, 500, 1.0, 4000 + seed, zero_signal=True)
-        model = fit_linear_ridge(data, 0.0)
+        model = linear_path(data.X, data.y).fit(0.0)
         mses.append(train_mse(model, data))
     ok = 1.8 <= float(np.median(norms)) <= 2.2 and \
         0.45 <= float(np.median(mses)) <= 0.55
@@ -197,7 +195,7 @@ def test_criterion_07_ridgeless_norm_and_error_limits():
 def test_criterion_08_large_ridge_shrinks_the_fit():
     n = 500
     data = gen_dataset(n, 1000, 1.0, 8, zero_signal=True)
-    model = fit_linear_ridge(data, 10**3 / n)
+    model = linear_path(data.X, data.y).fit(10**3 / n)
     val = float(np.dot(model.w, model.w)) / n
     report(8, "large-ridge norm decay", val <= 0.1)
 
@@ -276,13 +274,13 @@ def _random_models():
             data = gen_dataset(15, d, 0.3, seed)
             kernel = DotProductKernel(name="ntk_infinite",
                                       activation=ActivationKind.RELU)
-            yield fit_kernel(kernel, data, 1e-6), d
+            yield kernel_path(kernel, data.X, data.y).fit(1e-6), d
         else:
             data = gen_dataset(15, d, 0.3, seed)
             W = HiddenWeights(sample_sphere(d, 25, seed + 1).points)
             fmap = FeatureMap(kind="frozen_rf", weights=W,
                               activation=ActivationKind.RELU)
-            yield fit_features(fmap, data, 1e-6), d
+            yield feature_path(fmap, data.X, data.y).fit(1e-6), d
 
 
 def test_criterion_13_poincare_ordering():

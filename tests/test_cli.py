@@ -74,7 +74,6 @@ def test_eigs_names_the_size_it_rejects(capsys, sizes, needle):
     ("gen-data", "--n", "5", "--d", "3"),
     ("eigs", "--d", "5", "--k", "3"),
     ("fit", "--regime", "linear", "--n", "5", "--d", "6"),
-    ("sobolev", "--regime", "linear", "--n", "5", "--d", "6"),
 ])
 def test_negative_seed_exits_2(tmp_path, capsys, argv):
     out_path = tmp_path / "data.csv"
@@ -109,9 +108,8 @@ def test_fit_prints_full_record(capsys):
     # tanh has no infinite-width kernel profile
     ("--regime", "rf_infinite", "--activation", "tanh"),
 ])
-@pytest.mark.parametrize("command", ["fit", "sobolev"])
-def test_unsupported_trial_arguments_exit_2(capsys, command, bad):
-    code, out, err = run_cli(capsys, command, "--n", "5", "--d", "6", *bad)
+def test_unsupported_trial_arguments_exit_2(capsys, bad):
+    code, out, err = run_cli(capsys, "fit", "--n", "5", "--d", "6", *bad)
     assert code == 2 and out == "" and "error" in err
 
 
@@ -127,11 +125,10 @@ def test_trial_names_the_size_it_rejects_before_any_compute(capsys, monkeypatch,
     assert code == 2 and out == "" and needle in err and calls == []
 
 
-@pytest.mark.parametrize("command", ["fit", "sobolev"])
-def test_too_few_monte_carlo_samples_exit_2_before_any_compute(capsys, monkeypatch, command):
+def test_too_few_monte_carlo_samples_exit_2_before_any_compute(capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(roblaw.sweep, "gen_dataset", lambda *args, **kwargs: calls.append(args))
-    code, out, err = run_cli(capsys, command, "--regime", "rf_infinite", "--n", "1500",
+    code, out, err = run_cli(capsys, "fit", "--regime", "rf_infinite", "--n", "1500",
                              "--d", "100", "--mc-samples", "99")
     assert code == 2 and out == "" and "--mc-samples must be >= 100" in err
     assert calls == []
@@ -148,8 +145,7 @@ def test_fit_numeric_failure_exits_4(capsys, monkeypatch):
         assert code == 4 and out == "" and "forced" in err
 
 
-@pytest.mark.parametrize("command", ["fit", "sobolev"])
-def test_oversized_monte_carlo_sample_exits_2_before_it_is_drawn(capsys, monkeypatch, command):
+def test_oversized_monte_carlo_sample_exits_2_before_it_is_drawn(capsys, monkeypatch):
     original = roblaw.sobolev.sphere_blocks
 
     def small_only(d, n, seed, *args):
@@ -158,7 +154,7 @@ def test_oversized_monte_carlo_sample_exits_2_before_it_is_drawn(capsys, monkeyp
         return original(d, n, seed, *args)
 
     monkeypatch.setattr(roblaw.sobolev, "sphere_blocks", small_only)
-    code, out, err = run_cli(capsys, command, "--regime", "linear", "--n", "5",
+    code, out, err = run_cli(capsys, "fit", "--regime", "linear", "--n", "5",
                              "--d", "5", "--mc-samples", "100000000")
     assert code == 2 and out == "" and "too large" in err
 
@@ -185,6 +181,7 @@ def test_fit_out_of_range_exits_2(capsys, bad):
     ("fit", "--regime", "linear", "--n", "10", "--d", "20", "--workers", "2"),
     ("analyze-law", "--csv", "x.csv", "--seed", "1"),
     ("sweep", "--preset", "exp3-mini", "--workers", "2"),
+    ("sobolev", "--regime", "linear", "--n", "5", "--d", "6"),
 ])
 def test_removed_flags_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -192,13 +189,13 @@ def test_removed_flags_are_rejected(capsys, argv):
     assert exc.value.code == 2
 
 
-def test_sobolev_command(capsys):
-    code, out, _ = run_cli(capsys, "sobolev", "--regime", "rf_finite",
+def test_fit_seminorm_estimates_agree(capsys):
+    code, out, _ = run_cli(capsys, "fit", "--regime", "rf_finite",
                            "--n", "8", "--d", "10", "--k", "16",
                            "--mc-samples", "2000", "--seed", "3")
     assert code == 0
     obj = json.loads(out)
-    assert obj["sobolev_mc"] == pytest.approx(obj["sobolev_analytic"], rel=0.2)
+    assert float(obj["sobolev_mc"]) == pytest.approx(float(obj["sobolev_analytic"]), rel=0.2)
 
 
 def test_config_file_parsing(tmp_path):
@@ -423,8 +420,7 @@ def test_cli_choices_are_the_library_tables(command, dest, schema):
 
 def test_mc_samples_defaults_are_the_sweep_config_default():
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    flags = {a.default for command in ("fit", "sobolev")
-             for a in sub.choices[command]._actions if a.dest == "mc_samples"}
+    flags = {a.default for a in sub.choices["fit"]._actions if a.dest == "mc_samples"}
     cell = {f.name: f.default for f in fields(roblaw.sweep.TrialCell)}["mc_samples"]
     config = {f.name: f.default for f in fields(SweepConfig)}["mc_samples"]
     assert flags == {cell} == {config}

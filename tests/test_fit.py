@@ -13,9 +13,6 @@ from roblaw import (
     HiddenWeights,
     InvalidArgument,
     SingularKernel,
-    fit_features,
-    fit_kernel,
-    fit_linear_ridge,
     gen_dataset,
     gram_dot,
     mp_atom,
@@ -28,7 +25,7 @@ from roblaw import (
 import roblaw.fit
 import roblaw.kernels
 import scipy.linalg
-from roblaw.fit import _ScipyBlasPin, solve_psd
+from roblaw.fit import _ScipyBlasPin, feature_path, kernel_path, linear_path, solve_psd
 
 from conftest import peak_bytes
 
@@ -58,6 +55,14 @@ def test_solve_psd_rejects_non_finite_lambda(lam):
 def test_solve_psd_rejects_shapes_that_do_not_fit(K, y):
     with pytest.raises(InvalidArgument, match="is not square or y"):
         solve_psd(K, y, 0.1)
+
+
+def test_solve_psd_takes_nested_lists():
+    c, meta = solve_psd([[2.0, 0], [0, 2.0]], [1.0, 1.0], 0.0)
+    ref, ref_meta = solve_psd(np.array([[2.0, 0], [0, 2.0]]), np.array([1.0, 1.0]), 0.0)
+    assert c.tobytes() == ref.tobytes() and meta == ref_meta
+    with pytest.raises(InvalidArgument, match="arrays of numbers"):
+        solve_psd([[2.0, 0], [0]], [1.0, 1.0], 0.0)
 
 
 @pytest.mark.parametrize("zeta", [math.nan, math.inf, -0.5])
@@ -354,8 +359,8 @@ def test_solve_psd_without_setter_runs_unpinned_and_warns_once(monkeypatch):
 
 def test_kernel_fit_interpolates_at_zero_ridge():
     data = gen_dataset(30, 50, 0.5, 1)
-    model = fit_kernel(DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU),
-                       data, 0.0)
+    model = kernel_path(DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU),
+                        data.X, data.y).fit(0.0)
     assert train_mse(model, data) < 1e-12
 
 
@@ -363,7 +368,7 @@ def test_kernel_fit_ridge_normal_equations():
     data = gen_dataset(25, 40, 0.3, 2)
     kernel = DotProductKernel(name="ntk_infinite", activation=ActivationKind.RELU)
     lam = 0.1
-    model = fit_kernel(kernel, data, lam)
+    model = kernel_path(kernel, data.X, data.y).fit(lam)
     K = gram_dot(kernel, data.X)
     ref = np.linalg.solve(K + lam * np.eye(25), data.y)
     np.testing.assert_allclose(model.c, ref, atol=1e-10)
@@ -379,7 +384,7 @@ def test_feature_fit_dual_primal_agree():
     from roblaw import features
 
     for data in (data_small, data_large):
-        model = fit_features(fmap, data, lam)
+        model = feature_path(fmap, data.X, data.y).fit(lam)
         Z = features(fmap, data.X.points)
         a_ref = np.linalg.solve(Z.T @ Z + lam * np.eye(k), Z.T @ data.y)
         np.testing.assert_allclose(model.a, a_ref, atol=1e-8)
@@ -430,14 +435,14 @@ def test_ntk_feature_fit_interpolates():
     W = HiddenWeights(sample_sphere(d, k, 6).points)
     fmap = FeatureMap(kind="ntk", weights=W, activation=ActivationKind.RELU)
     data = gen_dataset(20, d, 0.4, 7)  # n < k*d: dual path
-    model = fit_features(fmap, data, 0.0)
+    model = feature_path(fmap, data.X, data.y).fit(0.0)
     assert model.a.shape == (k * d,)
     assert train_mse(model, data) < 1e-12
 
 
 def test_linear_minnorm_matches_lstsq():
     data = gen_dataset(15, 30, 0.2, 8)
-    model = fit_linear_ridge(data, 0.0)
+    model = linear_path(data.X, data.y).fit(0.0)
     ref, *_ = np.linalg.lstsq(data.X.points, data.y, rcond=None)
     np.testing.assert_allclose(model.w, ref, atol=1e-9)
     assert train_mse(model, data) < 1e-20
@@ -445,14 +450,14 @@ def test_linear_minnorm_matches_lstsq():
 
 def test_linear_ridge_overdetermined_matches_lstsq():
     data = gen_dataset(60, 20, 0.5, 10)
-    model = fit_linear_ridge(data, 0.0)
+    model = linear_path(data.X, data.y).fit(0.0)
     ref, *_ = np.linalg.lstsq(data.X.points, data.y, rcond=None)
     np.testing.assert_allclose(model.w, ref, atol=1e-8)
 
 
 def test_train_test_mse_definitions():
     data = gen_dataset(8, 12, 0.0, 11)
-    model = fit_linear_ridge(data, 0.0)
+    model = linear_path(data.X, data.y).fit(0.0)
     assert train_mse(model, data) == pytest.approx(
         float(np.mean((model.predict(data.X.points) - data.y) ** 2))
     )
@@ -465,10 +470,10 @@ def test_every_model_predicts_through_its_design():
     W = HiddenWeights(sample_sphere(5, 7, 22).points)
     kernel = DotProductKernel(name="ntk_infinite", activation=ActivationKind.ABS)
     models = [
-        fit_linear_ridge(data, 1e-3),
-        fit_kernel(kernel, data, 1e-3),
-        fit_features(FeatureMap(kind="frozen_rf", weights=W), data, 1e-3),
-        fit_features(FeatureMap(kind="ntk", weights=W), data, 1e-3),
+        linear_path(data.X, data.y).fit(1e-3),
+        kernel_path(kernel, data.X, data.y).fit(1e-3),
+        feature_path(FeatureMap(kind="frozen_rf", weights=W), data.X, data.y).fit(1e-3),
+        feature_path(FeatureMap(kind="ntk", weights=W), data.X, data.y).fit(1e-3),
         roblaw.fit.TwoLayerModel(W=W, v=np.arange(7.0), activation=ActivationKind.RELU),
     ]
     X = sample_sphere(5, 13, 23).points
@@ -495,6 +500,33 @@ def test_kernel_model_rejects_points_off_the_sphere(name):
                   lambda p: roblaw.kernels.model_gradient(model, p)):
             with pytest.raises(InvalidArgument, match="unit norm"):
                 f(point)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda model, x: model.design(x),
+    lambda model, x: model.predict(x),
+    roblaw.kernels.model_gradient,
+], ids=["design", "predict", "model_gradient"])
+@pytest.mark.parametrize("model_class", ["LinearModel", "TwoLayerModel", "KernelModel",
+                                         "FeatureModel"])
+def test_a_point_of_another_dimension_raises_invalid_argument(model_class, entry):
+    data = gen_dataset(9, 5, 0.3, 21)
+    W = HiddenWeights(sample_sphere(5, 7, 22).points)
+    model = {
+        "LinearModel": lambda: linear_path(data.X, data.y).fit(1e-3),
+        "TwoLayerModel": lambda: roblaw.fit.TwoLayerModel(
+            W=W, v=np.arange(7.0), activation=ActivationKind.RELU),
+        "KernelModel": lambda: kernel_path(
+            DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU),
+            data.X, data.y).fit(1e-3),
+        "FeatureModel": lambda: feature_path(
+            FeatureMap(kind="frozen_rf", weights=W), data.X, data.y).fit(1e-3),
+    }[model_class]()
+    assert type(model).__name__ == model_class
+    x = sample_sphere(3, 2, 23).points  # unit points of dimension 3, not 5
+    for point in (x[0], x):
+        with pytest.raises(InvalidArgument, match="must have dimension 5"):
+            entry(model, point)
 
 
 def test_rkhs_norm_quadratic_form():

@@ -13,8 +13,6 @@ from roblaw import (
     UnsupportedActivation,
     empirical_gram,
     features,
-    fit_kernel,
-    fit_features,
     gen_dataset,
     gram_dot,
     kernel_profile,
@@ -24,7 +22,9 @@ from roblaw import (
     rf_features,
     sample_sphere,
 )
-from roblaw.fit import KernelModel, LinearModel, TwoLayerModel, kernel_path, train_mse
+from roblaw.fit import (
+    KernelModel, LinearModel, TwoLayerModel, feature_path, kernel_path, train_mse,
+)
 from roblaw.kernels import PROFILE_BLOCK, kernel_matrix
 
 from conftest import peak_bytes
@@ -130,15 +130,15 @@ def test_model_gradient_matches_finite_differences():
     two_layer = TwoLayerModel(W=W, v=rng.normal(size=5), activation=ActivationKind.RELU)
     linear = LinearModel(w=rng.normal(size=d))
     data = gen_dataset(15, d, 0.2, 14)
-    kern = fit_kernel(DotProductKernel(name="ntk_infinite", activation=ActivationKind.RELU),
-                      data, 1e-6)
-    rf = fit_features(
+    kern = kernel_path(DotProductKernel(name="ntk_infinite", activation=ActivationKind.RELU),
+                       data.X, data.y).fit(1e-6)
+    rf = feature_path(
         FeatureMap(kind="frozen_rf", weights=W, activation=ActivationKind.RELU),
-        data, 1e-6,
-    )
-    ntk = fit_features(
-        FeatureMap(kind="ntk", weights=W, activation=ActivationKind.RELU), data, 1e-6
-    )
+        data.X, data.y,
+    ).fit(1e-6)
+    ntk = feature_path(
+        FeatureMap(kind="ntk", weights=W, activation=ActivationKind.RELU), data.X, data.y
+    ).fit(1e-6)
     # a kernel model predicts on the sphere only; its gradient is that of the
     # ambient extension K(x, anchors) c, which `kernel_matrix` evaluates
     kern_extension = lambda p: kernel_matrix(kern.kernel, p, kern.anchors.points) @ kern.c

@@ -3,7 +3,8 @@ sit at module level, no module imports scipy's integrate or optimize
 packages (nor does a fresh interpreter that runs one trial of each regime
 load them), and only the module that defines the model classes dispatches
 on them; every other module calls the models' own methods. The model
-classes share one `predict`."""
+classes share one `predict`. Every public top-level function and class has
+a user besides its unit tests."""
 
 import ast
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 import roblaw
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "roblaw").glob("*.py"))
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 #: scipy packages no roblaw process loads: the library integrates with its
 #: own Gauss-Legendre rule, and scipy.integrate would pull in scipy.optimize
 BANNED_MODULES = ("scipy.integrate", "scipy.optimize")
@@ -52,8 +54,42 @@ def _checked_names(call):
             for node in nodes}
 
 
+def _read_names(tree, skip=None):
+    """Every name that tree reads, as a bare name or an attribute, outside
+    the subtree `skip`."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def test_sources_are_found():
     assert {"fit.py", "kernels.py", "sobolev.py", "sweep.py"} <= {p.name for p in SOURCES}
+
+
+def test_every_public_definition_has_a_user():
+    """Each public top-level function or class is read by another module
+    (re-exports in __init__ aside), by code of its own module outside its
+    definition, or by an acceptance test."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    used_by_acceptance = _read_names(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
+    found = []
+    for module, tree in trees.items():
+        used_elsewhere = used_by_acceptance.union(
+            *(_read_names(t) for m, t in trees.items() if m not in (module, "__init__.py")))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and module != "__init__.py"
+                    and not node.name.startswith("_") and node.name not in used_elsewhere
+                    and node.name not in _read_names(tree, skip=node)):
+                found.append(f"{module}:{node.name}")
+    assert found == []
 
 
 def test_no_import_inside_a_function():
