@@ -7,8 +7,7 @@ factorization with jitter escalation 0 -> 1e-12*lmax -> 1e-10*lmax (lmax
 the largest |diagonal entry|), or a `SingularKernel` error when no rung
 factors. A jittered solve is recorded in the fit meta for reproducibility
 audits. The factorization and its solves run on one thread of scipy's
-OpenBLAS (see `_ScipyBlasPin`), so their bits do not depend on that
-library's thread count.
+OpenBLAS, so their bits do not depend on that library's thread count.
 
 A `RidgePath` holds what a fit does not owe to lambda: the PSD matrix its
 solves factor (K(X,X), Z Z^T or X X^T for a dual solve, Z^T Z or X^T X for a
@@ -35,10 +34,9 @@ seminorm as `seminorm`. `_Model` holds the defaults, None and nan.
 import ctypes
 import math
 import os
-import threading
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -254,48 +252,30 @@ def _scipy_blas_threads() -> tuple:
     raise LookupError(f"scipy loads no OpenBLAS of its own under {root}")
 
 
-class _ScipyBlasPin:
-    """Context manager that runs scipy's BLAS and LAPACK calls on one
-    thread of scipy's own OpenBLAS; numpy's OpenBLAS keeps its threads.
+@cache
+def _scipy_blas_setter() -> Callable:
+    """The thread-count setter of scipy's own OpenBLAS, looked up once. When
+    the lookup fails, the reason is warned once and the setter does nothing:
+    solves then run on scipy's default threads."""
+    try:
+        return _scipy_blas_threads()[1]
+    except LookupError as exc:
+        warnings.warn(f"ridge solves run on scipy's default BLAS threads: {exc}",
+                      RuntimeWarning, stacklevel=3)
+        return lambda count: None
+
+
+def _one_scipy_thread() -> None:
+    """Sets scipy's OpenBLAS to one thread for the scipy calls that follow,
+    and leaves it there; numpy's OpenBLAS keeps its threads.
 
     numpy and scipy wheels each bundle an OpenBLAS with its own thread
     pool. On a small machine a factorization run on scipy's pool competes
     with numpy's still-spinning threads and takes over ten times as long
-    as on one thread. The thread count belongs to the process, so one
-    instance serves every thread: the first holder to enter sets it to 1,
-    and the last to leave restores the count it found. When the count
-    cannot be set, the block runs unpinned and the reason is warned once."""
-
-    def __init__(self, lookup: Callable = _scipy_blas_threads):
-        self._lookup = lookup
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = 0
-        self._calls = None  # (get, set); () when unavailable
-
-    def __enter__(self):
-        with self._lock:
-            if self._calls is None:
-                try:
-                    self._calls = self._lookup()
-                except LookupError as exc:
-                    self._calls = ()
-                    warnings.warn(f"ridge solves run on scipy's default BLAS threads: {exc}",
-                                  RuntimeWarning, stacklevel=2)
-            if self._calls and self._depth == 0:
-                get, put = self._calls
-                self._saved = get()
-                put(1)
-            self._depth += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._depth -= 1
-            if self._calls and self._depth == 0:
-                self._calls[1](self._saved)
-
-
-_ONE_SCIPY_THREAD = _ScipyBlasPin()
+    as on one thread, and its bits depend on the count. The count belongs
+    to the process. Every roblaw use of scipy's BLAS (a factorization, the
+    solves with it that follow, Lanczos) sets it first, so none restores it."""
+    _scipy_blas_setter()(1)
 
 
 def cholesky(M: np.ndarray, overwrite_a: bool = False):
@@ -306,11 +286,11 @@ def cholesky(M: np.ndarray, overwrite_a: bool = False):
     bits whoever makes it. With `overwrite_a` the factor overwrites a
     C-ordered M: LAPACK reads its F-ordered transpose, equal to M, in place
     of the transposing copy that `cho_factor` would make of the same bytes."""
-    with _ONE_SCIPY_THREAD:
-        if overwrite_a:
-            return scipy.linalg.cho_factor(M.T, lower=True, overwrite_a=True,
-                                           check_finite=False)
-        return scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+    _one_scipy_thread()
+    if overwrite_a:
+        return scipy.linalg.cho_factor(M.T, lower=True, overwrite_a=True,
+                                       check_finite=False)
+    return scipy.linalg.cho_factor(M, lower=True, check_finite=False)
 
 
 def _each_row(f, y: np.ndarray) -> np.ndarray:
@@ -368,9 +348,8 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
         if not np.all(np.isfinite(diag)):
             raise InvalidArgument("K + lambda I overflows")
         try:
-            with _ONE_SCIPY_THREAD:
-                cf = cholesky(M, overwrite_a=True)
-                c = _each_row(lambda b: scipy.linalg.cho_solve(cf, b, check_finite=False), y)
+            cf = cholesky(M, overwrite_a=True)
+            c = _each_row(lambda b: scipy.linalg.cho_solve(cf, b, check_finite=False), y)
         except np.linalg.LinAlgError:  # scipy.linalg raises this same class
             continue
         if on_factor is not None and lam == 0 and not jitter:
@@ -417,9 +396,12 @@ def kernel_path(kernel: DotProductKernel, X: SphereSample, y: np.ndarray) -> Rid
 
 def _ridge_path(Z: np.ndarray, y: np.ndarray, model: Callable) -> RidgePath:
     """Ridge on the rows of Z: dual (Z Z^T, coef Z^T c) when Z has no more
-    rows than columns, else primal (Z^T Z); `model(coef, meta)`."""
+    rows than columns, else primal (Z^T Z); `model(coef, meta)`. Raises
+    InvalidArgument when y's last axis is not Z's rows."""
     if Z.shape[0] <= Z.shape[1]:
         return RidgePath(Z @ Z.T, y, lambda c, meta: model(Z.T @ c, meta))
+    if np.shape(y)[-1:] != Z.shape[:1]:
+        raise InvalidArgument(f"y {np.shape(y)} does not fit the {Z.shape[0]} rows of Z")
     return RidgePath(Z.T @ Z, _each_row(lambda v: Z.T @ v, y), model)
 
 

@@ -11,7 +11,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .activations import ActivationKind, integrate, kappa_tilde, phi_profile
 from .errors import InvalidArgument, ResourceLimit
-from .fit import _ONE_SCIPY_THREAD, cholesky
+from .fit import _one_scipy_thread, cholesky
 from .kernels import FeatureMap, HiddenWeights, features
 from .sphere import sample_sphere
 
@@ -83,10 +83,10 @@ def gram_spectrum(G: np.ndarray, factor=None) -> SpectrumSummary:
             return sym_eigs(G)
     inverse = LinearOperator((n, n), dtype=float,
                              matvec=lambda x: cho_solve(factor, x, check_finite=False))
+    _one_scipy_thread()  # a factor handed in may predate the caller's count
     try:
-        with _ONE_SCIPY_THREAD:
-            lmax = _top_eigenvalue(G)
-            lmin = 1.0 / _top_eigenvalue(inverse)
+        lmax = _top_eigenvalue(G)
+        lmin = 1.0 / _top_eigenvalue(inverse)
     except ArpackError:  # ArpackNoConvergence among them
         return sym_eigs(G)
     cond = lmax / lmin if lmin > 0 else math.inf

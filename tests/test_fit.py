@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from roblaw import (
 import roblaw.fit
 import roblaw.kernels
 import scipy.linalg
-from roblaw.fit import _ScipyBlasPin, feature_path, kernel_path, linear_path, solve_psd
+from roblaw.fit import feature_path, kernel_path, linear_path, solve_psd
 
 from conftest import peak_bytes
 
@@ -55,6 +56,19 @@ def test_solve_psd_rejects_non_finite_lambda(lam):
 def test_solve_psd_rejects_shapes_that_do_not_fit(K, y):
     with pytest.raises(InvalidArgument, match="is not square or y"):
         solve_psd(K, y, 0.1)
+
+
+@pytest.mark.parametrize("n", [40, 2], ids=["primal", "dual"])
+@pytest.mark.parametrize("kind", ["linear", "frozen_rf", "ntk"])
+def test_a_path_rejects_labels_that_do_not_fit_its_inputs(kind, n):
+    # d = 5 and k = 3: 40 inputs take the primal solve of all three feature
+    # widths (5, 3 and 15), and 2 inputs the dual one
+    X = sample_sphere(5, n, 1)
+    build = linear_path if kind == "linear" else partial(
+        feature_path, FeatureMap(kind=kind, weights=HiddenWeights(sample_sphere(5, 3, 2).points)))
+    for y in (np.ones(n - 1), np.ones((2, n + 1))):
+        with pytest.raises(InvalidArgument, match="does not fit"):
+            build(X, y).fit(0.1)
 
 
 def test_solve_psd_takes_nested_lists():
@@ -247,9 +261,9 @@ def test_a_retry_factors_the_shifted_gram_with_its_jitter_bit_for_bit(monkeypatc
     c, meta = solve_psd(K, y, lam)
     jitter = meta["jitter"]
     assert jitter == 1e-12 * float(np.max(np.diag(K)))
-    with roblaw.fit._ONE_SCIPY_THREAD:
-        ref = original(K + lam * np.eye(n) + jitter * np.eye(n), lower=True, check_finite=False)
-        ref_c = scipy.linalg.cho_solve(ref, y, check_finite=False)
+    roblaw.fit._one_scipy_thread()
+    ref = original(K + lam * np.eye(n) + jitter * np.eye(n), lower=True, check_finite=False)
+    ref_c = scipy.linalg.cho_solve(ref, y, check_finite=False)
     assert made[-1][0].tobytes() == ref[0].tobytes()
     assert c.tobytes() == ref_c.tobytes()
 
@@ -306,19 +320,19 @@ def _record_threads(monkeypatch, get, fail=False):
 
 
 @pytest.mark.parametrize("found", [2, 1])
-def test_solve_psd_factors_on_one_scipy_thread_and_restores_count(
-        monkeypatch, scipy_blas_threads, found):
+def test_solve_psd_factors_on_one_scipy_thread(monkeypatch, scipy_blas_threads, found):
     get, put = scipy_blas_threads
     put(found)
     K, y = _spd(150, 1)
     seen = _record_threads(monkeypatch, get)
     c, _ = solve_psd(K, y, 0.0)
     np.testing.assert_allclose(K @ c, y, rtol=1e-10)
-    assert seen == [1] and get() == found
+    assert seen == [1]
+    put(found)
     seen = _record_threads(monkeypatch, get, fail=True)
     with pytest.raises(ValueError, match="planted"):
         solve_psd(K, y, 0.0)
-    assert seen == [1] and get() == found
+    assert seen == [1]
 
 
 def test_scipy_thread_pin_holds_across_threads(monkeypatch, scipy_blas_threads):
@@ -341,19 +355,24 @@ def test_scipy_thread_pin_holds_across_threads(monkeypatch, scipy_blas_threads):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers)
     assert len(seen) == 180 and set(seen) == {1}
-    assert get() == 2
 
 
 def test_solve_psd_without_setter_runs_unpinned_and_warns_once(monkeypatch):
     def no_setter():
         raise LookupError("no setter")
 
-    monkeypatch.setattr(roblaw.fit, "_ONE_SCIPY_THREAD", _ScipyBlasPin(no_setter))
+    # the setter is looked up once per process: clear what an earlier test
+    # cached, and leave no no-op setter behind for a later one
+    roblaw.fit._scipy_blas_setter.cache_clear()
+    monkeypatch.setattr(roblaw.fit, "_scipy_blas_threads", no_setter)
     K, y = _spd(20, 3)
-    with pytest.warns(RuntimeWarning, match="no setter") as caught:
-        for lam in (0.0, 0.5):
-            c, _ = solve_psd(K, y, lam)
-            np.testing.assert_allclose(c, np.linalg.solve(K + lam * np.eye(20), y))
+    try:
+        with pytest.warns(RuntimeWarning, match="no setter") as caught:
+            for lam in (0.0, 0.5):
+                c, _ = solve_psd(K, y, lam)
+                np.testing.assert_allclose(c, np.linalg.solve(K + lam * np.eye(20), y))
+    finally:
+        roblaw.fit._scipy_blas_setter.cache_clear()
     assert len(caught) == 1
 
 

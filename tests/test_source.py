@@ -4,7 +4,8 @@ packages (nor does a fresh interpreter that runs one trial of each regime
 load them), and only the module that defines the model classes dispatches
 on them; every other module calls the models' own methods. The model
 classes share one `predict`. Every public top-level function and class has
-a user besides its unit tests."""
+a user besides its unit tests. No module imports `threading`: a sweep runs
+on the calling thread, and no library state is shared across threads."""
 
 import ast
 import json
@@ -39,8 +40,21 @@ def _imported_modules(node):
     return set()
 
 
+def _within(name, modules):
+    return any(name == m or name.startswith(m + ".") for m in modules)
+
+
 def _banned(name):
-    return any(name == m or name.startswith(m + ".") for m in BANNED_MODULES)
+    return _within(name, BANNED_MODULES)
+
+
+def _source_imports(modules):
+    """'file:line imports name' for each import of one of modules, or of a
+    submodule, in the library source."""
+    return [f"{path.name}:{node.lineno} imports {name}"
+            for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            for name in sorted(_imported_modules(node)) if _within(name, modules)]
 
 
 def _checked_names(call):
@@ -114,11 +128,11 @@ def test_model_classes_share_one_predict():
 
 
 def test_no_import_of_scipy_integrate_or_optimize():
-    found = [f"{path.name}:{node.lineno} imports {name}"
-             for path in SOURCES
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             for name in sorted(_imported_modules(node)) if _banned(name)]
-    assert found == []
+    assert _source_imports(BANNED_MODULES) == []
+
+
+def test_no_module_imports_threading():
+    assert _source_imports(("threading",)) == []
 
 
 def test_banned_import_check_sees_every_spelling():

@@ -323,6 +323,33 @@ def test_wide_gram_falls_back_to_eigvalsh_when_lanczos_does_not_converge(monkeyp
     assert _same_summary(s, sym_eigs(G))
 
 
+@pytest.mark.parametrize("handed_in", [False, True], ids=["own_factor", "handed_in_factor"])
+def test_wide_gram_lanczos_runs_on_one_scipy_thread(monkeypatch, scipy_blas_threads, handed_in):
+    # the caller sets the count to 2 after making the factor it hands in
+    get, put = scipy_blas_threads
+    monkeypatch.setattr(roblaw.spectral, "DENSE_MAX_SIDE", 40)
+    Z = np.random.default_rng(5).standard_normal((60, 80))
+    G = Z @ Z.T
+    factor = roblaw.fit.cholesky(G) if handed_in else None
+    put(2)
+    seen = {"cho_solve": [], "eigsh": []}
+
+    def recorded(name):
+        original = getattr(roblaw.spectral, name)
+
+        def call(*args, **kwargs):
+            seen[name].append(get())
+            return original(*args, **kwargs)
+        return call
+
+    for name in seen:
+        monkeypatch.setattr(roblaw.spectral, name, recorded(name))
+    s = gram_spectrum(G, factor)
+    assert s.eigenvalues.shape == (2,)  # from Lanczos, not a fallback
+    assert len(seen["eigsh"]) == 2 and seen["cho_solve"]
+    assert set(seen["eigsh"] + seen["cho_solve"]) == {1}
+
+
 @pytest.mark.parametrize("n", [1, 30, DENSE_MAX_SIDE])
 def test_narrow_gram_spectrum_is_sym_eigs(n):
     Z = np.random.default_rng(n).standard_normal((n, n + 5))
