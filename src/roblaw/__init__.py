@@ -47,7 +47,6 @@ from .kernels import (
 )
 from .sobolev import (
     SobolevEstimate,
-    coef_norm,
     eta_proxy,
     poincare_lower_bound,
     sobolev_analytic,
@@ -70,6 +69,6 @@ from .spectral import (
     sym_eigs,
 )
 from .sphere import SphereSample, moment_cpq, sample_sphere
-from .sweep import SweepConfig, TrialCell, TrialRecord, preset, run_sweep, run_trial
+from .sweep import SweepConfig, TrialCell, TrialRecord, run_sweep, run_trial
 
 __version__ = "0.1.0"

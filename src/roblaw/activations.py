@@ -278,7 +278,7 @@ def _profile(kind: ActivationKind, which: str, t: np.ndarray, out=None) -> np.nd
     return out
 
 
-def phi_profile(kind: ActivationKind, which: str, t, out=None):
+def phi_profile(kind: ActivationKind, which: str, t):
     """Dimension-free profile of an order-1 homogeneous activation:
     E[s(x.u) s(x.v)] = phi(u.v)/d (value), or the dimension-free
     E[s'(x.u) s'(x.v)] = phi'(u.v) (derivative).
@@ -286,13 +286,11 @@ def phi_profile(kind: ActivationKind, which: str, t, out=None):
     ReLU: value (1/2pi)(t arccos(-t) + sqrt(1-t^2)), derivative
     arccos(-t)/(2pi). Identity: t and 1. Abs: closed forms of the circle
     integral, (2/pi)(t arcsin t + sqrt(1-t^2)) and 2 arcsin(t)/pi.
-    `out`, a float array of t's shape, receives the profile; it may be t
-    itself for the derivative.
     """
     t = clip_unit(t, "|t| must be <= 1")
     if which not in ("value", "derivative"):
         raise InvalidArgument(f"which must be value|derivative, got {which}")
-    out = _profile(kind, which, t, out)
+    out = _profile(kind, which, t)
     return out if out.ndim else float(out)
 
 

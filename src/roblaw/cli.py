@@ -28,16 +28,11 @@ from .sweep import (
     TrialCell,
     blank_record,
     fill_record,
-    preset,
     run_sweep,
 )
 
 def _parse_value(kind, text: str):
     """`text` as a value of the annotated SweepConfig field type `kind`."""
-    if kind is bool:
-        if text.lower() not in ("true", "false"):
-            raise ValueError("expected true/false")
-        return text.lower() == "true"
     if typing.get_origin(kind) is tuple:
         item = typing.get_args(kind)[0]
         return tuple(item(v) for v in text.split(",") if v.strip())
@@ -133,7 +128,7 @@ def cmd_sweep(args):
     if (args.preset is None) == (args.config is None):
         raise InvalidArgument("sweep needs exactly one of --preset and --config")
     if args.preset:
-        cfg = preset(args.preset)
+        cfg = PRESETS[args.preset]
     else:
         try:
             cfg = SweepConfig(**parse_config_file(args.config))

@@ -36,10 +36,6 @@ class Dataset:
     def d(self) -> int:
         return self.X.dim
 
-    @property
-    def bayes_error(self) -> float:
-        return self.zeta**2
-
 
 def gen_dataset(n: int, d: int, zeta: float, seed: int, zero_signal: bool = False) -> Dataset:
     """Draw X ~ tau_d^n, w0 uniform on the sphere (or 0 when zero_signal,

@@ -301,6 +301,14 @@ def _each_row(f, y: np.ndarray) -> np.ndarray:
     return out.reshape(np.shape(y)[:-1] + out.shape[1:])
 
 
+def _numbers(a) -> np.ndarray:
+    """a, an array of numbers or nested lists of them, as a float array."""
+    try:
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:  # a ragged or non-numeric list
+        raise InvalidArgument(f"K and y must be arrays of numbers: {exc}") from exc
+
+
 def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
               on_factor: Callable | None = None, *,
               gram_checked: bool = False) -> tuple[np.ndarray, dict]:
@@ -325,10 +333,7 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
     factor without holding it past the call."""
     if not 0 <= lam < math.inf:
         raise InvalidArgument(f"lambda must be finite and nonnegative, got {lam}")
-    try:
-        K, y = np.asarray(K, dtype=float), np.asarray(y, dtype=float)
-    except (TypeError, ValueError) as exc:  # a ragged or non-numeric list
-        raise InvalidArgument(f"K and y must be arrays of numbers: {exc}") from exc
+    K, y = _numbers(K), _numbers(y)
     if K.ndim != 2 or K.shape[0] != K.shape[1] or y.shape[-1:] != K.shape[:1]:
         raise InvalidArgument(f"K {K.shape} is not square or y {y.shape} does not fit it")
     if (not gram_checked and not np.all(np.isfinite(K))) or not np.all(np.isfinite(y)):
@@ -397,11 +402,12 @@ def kernel_path(kernel: DotProductKernel, X: SphereSample, y: np.ndarray) -> Rid
 def _ridge_path(Z: np.ndarray, y: np.ndarray, model: Callable) -> RidgePath:
     """Ridge on the rows of Z: dual (Z Z^T, coef Z^T c) when Z has no more
     rows than columns, else primal (Z^T Z); `model(coef, meta)`. Raises
-    InvalidArgument when y's last axis is not Z's rows."""
+    InvalidArgument unless y is numbers with Z's rows on its last axis."""
     if Z.shape[0] <= Z.shape[1]:
         return RidgePath(Z @ Z.T, y, lambda c, meta: model(Z.T @ c, meta))
-    if np.shape(y)[-1:] != Z.shape[:1]:
-        raise InvalidArgument(f"y {np.shape(y)} does not fit the {Z.shape[0]} rows of Z")
+    y = _numbers(y)
+    if y.shape[-1:] != Z.shape[:1]:
+        raise InvalidArgument(f"y {y.shape} does not fit the {Z.shape[0]} rows of Z")
     return RidgePath(Z.T @ Z, _each_row(lambda v: Z.T @ v, y), model)
 
 
@@ -448,11 +454,9 @@ def test_mse(model, test: Dataset, design=None) -> float:
     return train_mse(model, test, design)
 
 
-def rkhs_norm(model: KernelModel, K: np.ndarray | None = None) -> float:
-    """sqrt(c^T K c), with K the gram of the model's anchors: the fit's
-    `path.gram` when given, else built from the anchors."""
-    if K is None:
-        K = gram_dot(model.kernel, model.anchors)
+def rkhs_norm(model: KernelModel, K: np.ndarray) -> float:
+    """sqrt(c^T K c), with K the gram of the model's anchors, such as the
+    fit's `path.gram`."""
     q = float(model.c @ K @ model.c)
     return math.sqrt(max(q, 0.0))
 

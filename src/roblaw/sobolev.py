@@ -132,9 +132,3 @@ def eta_proxy(model) -> float:
     W, v, _ = view
     return float(np.sum(np.abs(v) * np.linalg.norm(W.W, axis=1)))
 
-
-def coef_norm(model) -> float:
-    """Euclidean norm of the trained coefficient vector."""
-    if not hasattr(model, "coef"):
-        raise InvalidArgument(f"unknown model type {type(model).__name__}")
-    return float(np.linalg.norm(model.coef))

@@ -39,7 +39,6 @@ from .fit import (
 from .kernels import DotProductKernel, FeatureMap, HiddenWeights
 from .sobolev import (
     MIN_MC_SAMPLES,
-    coef_norm,
     eta_proxy,
     sobolev_analytic,
     sobolev_monte_carlo,
@@ -89,7 +88,6 @@ class SweepConfig:
     mc_samples: int = 500
     base_seed: int = 0
     output_path: str = "sweep.csv"
-    zero_signal: bool = False
 
     def __post_init__(self):
         _check_grid(self.regime, self.n_grid, self.d_grid, self.k_grid,
@@ -122,7 +120,6 @@ class TrialCell:
     dataset_seed: int
     weight_seed: int
     mc_samples: int = SweepConfig.mc_samples
-    zero_signal: bool = False
 
     def __post_init__(self):
         _check_grid(self.regime, (self.n,), (self.d,), (self.k,), (self.lam,), (self.zeta,))
@@ -253,8 +250,7 @@ def _fill_path(recs: list, cells: list) -> None:
     regime = REGIME_TABLE[cell.regime]
     activation = ActivationKind(cell.activation)
     zetas = list(dict.fromkeys(c.zeta for c in cells))
-    data = gen_dataset(cell.n, cell.d, cell.zeta, cell.dataset_seed,
-                       zero_signal=cell.zero_signal)
+    data = gen_dataset(cell.n, cell.d, cell.zeta, cell.dataset_seed)
     fmap = None
     if regime.hidden is not None:
         fmap = FeatureMap(
@@ -310,7 +306,7 @@ def _fill_path(recs: list, cells: list) -> None:
     mc = sobolev_monte_carlo(models, cell.d, cell.mc_samples, splitmix64(cell.weight_seed, 3))
     for rec, model, est in zip(recs, models, mc):
         rec.sobolev_mc, rec.sobolev_mc_stderr = est.value, est.std_error
-        rec.coef_norm = coef_norm(model)
+        rec.coef_norm = float(np.linalg.norm(model.coef))
     for rec, model, exact in zip(recs, models, sobolev_analytic(models)):
         rec.sobolev_analytic, rec.eta = exact, eta_proxy(model)
 
@@ -362,7 +358,7 @@ def iter_cells(config: SweepConfig):
         yield TrialCell(
             regime=config.regime, activation=config.activation, n=n, d=d, k=k, lam=lam,
             zeta=zeta, dataset_seed=ds_seed, weight_seed=splitmix64(ds_seed, i_w),
-            mc_samples=config.mc_samples, zero_signal=config.zero_signal,
+            mc_samples=config.mc_samples,
         )
 
 
@@ -437,10 +433,3 @@ PRESETS = {
     ),
 }
 
-
-def preset(name: str, base_seed: int = 0, output_path: str | None = None) -> SweepConfig:
-    """A copy of PRESETS[name] with the given seed and, if given, output path."""
-    if name not in PRESETS:
-        raise InvalidArgument(f"unknown preset {name}")
-    cfg = replace(PRESETS[name], base_seed=base_seed)
-    return cfg if output_path is None else replace(cfg, output_path=output_path)

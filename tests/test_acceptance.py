@@ -6,6 +6,7 @@ keep the bare Kronecker surrogate about 1/(2 pi k) away at every d.
 """
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -41,7 +42,7 @@ from roblaw import (
     train_mse,
 )
 from roblaw.fit import FeatureModel, feature_path, kernel_path, linear_path
-from roblaw.sweep import CSV_COLUMNS, preset
+from roblaw.sweep import CSV_COLUMNS, PRESETS
 
 
 def report(number: int, label: str, ok: bool):
@@ -213,7 +214,7 @@ def test_criterion_09_ntk_covariance_kronecker_factorization():
 
 def test_criterion_10_robustness_law_scaling(tmp_path):
     out = str(tmp_path / "exp3-mini.csv")
-    run_sweep(preset("exp3-mini", output_path=out), workers=4)
+    run_sweep(dataclasses.replace(PRESETS["exp3-mini"], output_path=out), workers=4)
     res = analyze_law(out, x_expr="sqrt_n")
     (stats,) = res["groups"].values()
     report(10, "seminorm grows like (excess accuracy) * sqrt(n)",
@@ -222,7 +223,7 @@ def test_criterion_10_robustness_law_scaling(tmp_path):
 
 def test_criterion_11_multiple_descent_peak(tmp_path):
     out = str(tmp_path / "exp2-mini.csv")
-    run_sweep(preset("exp2-mini", output_path=out), workers=4)
+    run_sweep(dataclasses.replace(PRESETS["exp2-mini"], output_path=out), workers=4)
     res = analyze_descent(out, threshold_expr="n_eq_k")
     ridgeless = res["per_lambda"]["0"]["peak_ratio"]
     ridged = res["per_lambda"]["0.001"]["peak_ratio"]

@@ -293,11 +293,6 @@ def test_profiles_equal_their_closed_forms_bit_for_bit(kind, unit_inputs):
             got = phi_profile(kind, which, t)
             assert_same_bits(got, _phi_reference(kind, which, t))
             assert not np.shares_memory(got, t)
-        if np.ndim(t):
-            # the derivative may overwrite its input
-            u = np.array(t, copy=True)
-            assert phi_profile(kind, "derivative", u, u) is u
-            assert_same_bits(u, _phi_reference(kind, "derivative", t))
         for d in (2, 50):
             assert_same_bits(kappa_tilde(kind, d, t), _kappa_reference(kind, d, t))
         np.testing.assert_array_equal(np.asarray(t), before)  # not written to

@@ -205,12 +205,10 @@ def test_config_file_parsing(tmp_path):
         "\n"
         "n_grid = 8, 16\n"
         "lambda_grid = 0, 1e-3\n"
-        "zero_signal = true\n"
     )
     fields = parse_config_file(str(cfg))
     assert fields == {
-        "regime": "rf_finite", "n_grid": (8, 16),
-        "lambda_grid": (0.0, 1e-3), "zero_signal": True,
+        "regime": "rf_finite", "n_grid": (8, 16), "lambda_grid": (0.0, 1e-3),
     }
     cfg.write_text("frobnicate = 3\n")
     with pytest.raises(InvalidArgument):
@@ -243,14 +241,11 @@ def test_config_file_round_trip(tmp_path):
         d_grid=(3,), k_grid=(4, 5, 6), lambda_grid=(0.0, 1e-3, 0.25),
         zeta_grid=(0.1, 1.0), datasets_per_cell=2, weight_draws_per_dataset=3,
         mc_samples=1234, base_seed=42, output_path=str(tmp_path / "o.csv"),
-        zero_signal=True,
     )
 
     def text(v):
         if isinstance(v, tuple):
             return ", ".join(map(repr, v))
-        if isinstance(v, bool):
-            return str(v).lower()
         return v.value if isinstance(v, ActivationKind) else str(v)
 
     assert all(getattr(cfg, f.name) != f.default for f in fields(cfg))
@@ -266,6 +261,8 @@ def test_config_file_round_trip(tmp_path):
     (("eigs", "--d", "6", "--k", "4", "--activation", "bogus"), None, "bogus"),
     (("sweep",), "activation = bogus\n", "cfg.txt:2: activation:"),
     (("sweep",), "n_grid = ten\n", "cfg.txt:2: n_grid:"),
+    (("sweep",), "zero_signal = true\n", "cfg.txt:2: unknown key 'zero_signal'"),
+    (("sweep", "--preset", "exp9"), None, "invalid choice: 'exp9'"),
 ])
 def test_bad_activation_or_config_value_exits_2(tmp_path, capsys, argv, config, bad):
     if config is not None:

@@ -15,7 +15,6 @@ from roblaw import (
     ResourceLimit,
     SphereSample,
     c_sigma_sobolev,
-    coef_norm,
     eta_proxy,
     gen_dataset,
     poincare_lower_bound,
@@ -352,12 +351,6 @@ def test_eta_proxy_chain_upper_bound():
         assert eta_proxy(m) <= bound + 1e-12
 
 
-def test_coef_norm_families():
-    assert coef_norm(LinearModel(w=np.array([3.0, 4.0]))) == pytest.approx(5.0)
-    m = _relu_two_layer(6, 3, 20)
-    assert coef_norm(m) == pytest.approx(float(np.linalg.norm(m.v)))
-
-
 def test_only_two_layer_networks_have_a_two_layer_view():
     rf, ntk, kernel, two_layer, linear = [_path_models(6, 31)[i] for i in (0, 3, 6, 9, 10)]
     W, v, activation = rf.two_layer
@@ -370,8 +363,6 @@ def test_only_two_layer_networks_have_a_two_layer_view():
         assert math.isnan(eta_proxy(model))
     assert [math.isnan(x) for x in sobolev_analytic([ntk, kernel, linear])] == [
         True, True, False]
-    with pytest.raises(InvalidArgument, match="unknown model type object"):
-        coef_norm(object())
 
 
 def test_analytic_over_v_norm_band_at_proportional_width():

@@ -4,8 +4,9 @@ packages (nor does a fresh interpreter that runs one trial of each regime
 load them), and only the module that defines the model classes dispatches
 on them; every other module calls the models' own methods. The model
 classes share one `predict`. Every public top-level function and class has
-a user besides its unit tests. No module imports `threading`: a sweep runs
-on the calling thread, and no library state is shared across threads."""
+a user besides its unit tests, and so has every defaulted parameter of a
+public function or method. No module imports `threading`: a sweep runs on
+the calling thread, and no library state is shared across threads."""
 
 import ast
 import json
@@ -15,8 +16,12 @@ from pathlib import Path
 
 import roblaw
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "roblaw").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "roblaw").glob("*.py"))
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+#: the code whose calls give a defaulted parameter a user: the library, the
+#: release criteria and the benchmark
+CALLERS = [*SOURCES, ACCEPTANCE, *sorted((ROOT / "bench").rglob("*.py"))]
 #: scipy packages no roblaw process loads: the library integrates with its
 #: own Gauss-Legendre rule, and scipy.integrate would pull in scipy.optimize
 BANNED_MODULES = ("scipy.integrate", "scipy.optimize")
@@ -84,6 +89,41 @@ def _read_names(tree, skip=None):
     return names
 
 
+def _public_functions(tree):
+    """(node, is_method) of each public top-level function and each public
+    method of a public top-level class; a static method takes no self."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    yield fn, not any(getattr(d, "id", None) == "staticmethod"
+                                      for d in fn.decorator_list)
+
+
+def _defaulted(fn, is_method):
+    """{name: index} of fn's parameters with a default, the index being the
+    parameter's position among a call's arguments, None for keyword-only."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = {p.arg: i - is_method for i, p in enumerate(positional) if i >= first}
+    out.update({p.arg: None for p, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None})
+    return out
+
+
+def _passes(call, name, index):
+    """Whether call passes the parameter `name` at position `index`: by
+    keyword, by position, through `**kwargs`, or through a `*args` that
+    starts at or before it."""
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    return index is not None and any(
+        isinstance(arg, ast.Starred) or i == index for i, arg in enumerate(call.args[:index + 1]))
+
+
 def test_sources_are_found():
     assert {"fit.py", "kernels.py", "sobolev.py", "sweep.py"} <= {p.name for p in SOURCES}
 
@@ -103,6 +143,26 @@ def test_every_public_definition_has_a_user():
                     and not node.name.startswith("_") and node.name not in used_elsewhere
                     and node.name not in _read_names(tree, skip=node)):
                 found.append(f"{module}:{node.name}")
+    assert found == []
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Each defaulted parameter of a public function or method is passed by
+    some call of that name in the library, the release criteria or the
+    benchmark; calls are matched by name alone. `cli.main(argv)` is exempt:
+    its default reads the command line."""
+    calls = {}
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls.setdefault(getattr(func, "id", getattr(func, "attr", None)), []).append(node)
+    found = [f"{path.name}:{fn.name}({name})"
+             for path in SOURCES
+             for fn, is_method in _public_functions(ast.parse(path.read_text(encoding="utf-8")))
+             if (path.name, fn.name) != ("cli.py", "main")
+             for name, index in _defaulted(fn, is_method).items()
+             if not any(_passes(call, name, index) for call in calls.get(fn.name, []))]
     assert found == []
 
 
