@@ -26,7 +26,6 @@ from .fit import (
     FeatureModel,
     KernelModel,
     LinearModel,
-    TwoLayerModel,
     ridgeless_norm_limit,
     rkhs_norm,
     test_mse,

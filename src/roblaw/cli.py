@@ -17,10 +17,7 @@ from .activations import ActivationKind
 from .analyze import THRESHOLD_EXPRS, X_EXPRS, analyze_descent, analyze_law, asymptotics
 from .data import gen_dataset
 from .errors import InvalidArgument, IoError, NumericFailure, RoblawError, SingularKernel
-from .kernels import HiddenWeights
 from .sobolev import MIN_MC_SAMPLES
-from .spectral import c_sigma_cov, sym_eigs
-from .sphere import sample_sphere
 from .sweep import (
     CSV_COLUMNS,
     PRESETS,
@@ -95,19 +92,6 @@ def cmd_gen_data(args):
     print(f"wrote {args.n} x {args.d + 1} values to {args.out}")
 
 
-def cmd_eigs(args):
-    for name, least in (("k", 1), ("d", 2)):
-        if getattr(args, name) < least:
-            raise InvalidArgument(f"eigs needs {name} >= {least}")
-    W = HiddenWeights(sample_sphere(args.d, args.k, args.seed).points)
-    s = sym_eigs(c_sigma_cov(W, ActivationKind(args.activation)))
-    _json_print({
-        "activation": args.activation, "d": args.d, "k": args.k,
-        "lambda_min": s.lambda_min, "lambda_max": s.lambda_max,
-        "cond": s.cond,
-    })
-
-
 def cmd_fit(args):
     # a lone cell takes fewer samples and fails after its fit; a command fails first
     if args.mc_samples < MIN_MC_SAMPLES:
@@ -169,13 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default="data.csv")
     sp.set_defaults(func=cmd_gen_data)
-
-    sp = sub.add_parser("eigs", help="spectrum of the activation covariance matrix")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--activation", default="relu", choices=activations)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_eigs)
 
     sp = sub.add_parser("fit", help="run a single trial and print the record")
     sp.add_argument("--regime", required=True)

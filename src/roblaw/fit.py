@@ -19,16 +19,17 @@ it. A lambda = 0 solve can hand the gram's Cholesky factor to its caller,
 so the spectra of a wide gram need no factorization of their own.
 
 Every model predicts through a design: `predict(x)` is `design(x) @ coef`,
-with `design(x)` the lambda-free matrix of the inputs (x itself, the
-activations, the kernel at the anchors or the features), so the models of
-one ridge path can share one design of a point set. Gradients split the
-same way: `gradient(X, gradient_factor(X))` multiplies the coefficient-free
+with `design(x)` the lambda-free matrix of the inputs (x itself, the kernel
+at the anchors or the features), so the models of one ridge path can share
+one design of a point set. Gradients split the same way:
+`gradient(X, gradient_factor(X))` multiplies the coefficient-free
 (m, k or n) factor, which the models of one `factor_key` share, by a small
 (k or n, d) operand into which the model folds its coefficients, for k
 hidden units or n anchors. Both methods take an `out` array to write into.
 `two_layer` is the (hidden weights, output weights, activation) of a
-two-layer network; a model without one gives its closed-form Sobolev
-seminorm as `seminorm`. `_Model` holds the defaults, None and nan.
+two-layer network, which only a frozen_rf feature model is; a model without
+one gives its closed-form Sobolev seminorm as `seminorm`. `_Model` holds
+the defaults, None and nan.
 """
 
 import ctypes
@@ -43,13 +44,12 @@ import numpy as np
 import scipy
 import scipy.linalg
 
-from .activations import ActivationKind, act_deriv, act_eval
+from .activations import act_deriv
 from .data import Dataset
 from .errors import InvalidArgument, SingularKernel
 from .kernels import (
     DotProductKernel,
     FeatureMap,
-    HiddenWeights,
     empirical_gram,
     features,
     gram_dot,
@@ -112,39 +112,6 @@ class LinearModel(_Model):
 
 
 @dataclass(frozen=True)
-class TwoLayerModel(_Model):
-    W: HiddenWeights
-    v: np.ndarray
-    activation: ActivationKind
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def coef(self) -> np.ndarray:
-        return self.v
-
-    @property
-    def factor_key(self):
-        return self.activation, id(self.W.W)
-
-    @property
-    def two_layer(self):
-        return self.W, self.v, self.activation
-
-    def design(self, x) -> np.ndarray:
-        """sigma(x W^T), formed in place."""
-        T = _points(x, self.W.d) @ self.W.W.T
-        return act_eval(self.activation, T, T)
-
-    def gradient_factor(self, X, out=None) -> np.ndarray:
-        """sigma'(X W^T), formed in place (in `out` when given)."""
-        T = np.matmul(_points(X, self.W.d), self.W.W.T, out=out)
-        return act_deriv(self.activation, T, T)
-
-    def gradient(self, X, factor, out=None) -> np.ndarray:
-        return np.matmul(factor, self.v[:, None] * self.W.W, out=out)
-
-
-@dataclass(frozen=True)
 class KernelModel(_Model):
     kernel: DotProductKernel
     anchors: SphereSample
@@ -183,6 +150,9 @@ class KernelModel(_Model):
 
 @dataclass(frozen=True)
 class FeatureModel(_Model):
+    """The two-layer network sum_j v_j sigma(w_j . x) is the frozen_rf
+    model of a = sqrt(k) v."""
+
     map: FeatureMap
     a: np.ndarray
     meta: dict = field(default_factory=dict)

@@ -20,8 +20,7 @@ MIN_MC_SAMPLES = 100
 @dataclass(frozen=True)
 class SobolevEstimate:
     value: float
-    samples: int = 0
-    std_error: float = 0.0
+    std_error: float
 
 
 def sobolev_analytic(models) -> list[float]:
@@ -104,7 +103,7 @@ def _mc_estimate(sq: np.ndarray) -> SobolevEstimate:
     se_sq = float(np.std(sq, ddof=1) / math.sqrt(m))
     value = math.sqrt(max(mean, 0.0))
     se = se_sq / (2 * value) if value > 0 else se_sq
-    return SobolevEstimate(value=value, samples=m, std_error=se)
+    return SobolevEstimate(value=value, std_error=se)
 
 
 def poincare_lower_bound(model, d: int, m: int, seed: int) -> float:

@@ -28,18 +28,17 @@ _LANCZOS_SEED = 0
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """Eigenvalues sorted descending (all of them, or only the largest and
-    the smallest when they come from Lanczos), with extremes and condition
-    number."""
+    """The extreme eigenvalues and the condition number of a symmetric
+    matrix."""
 
-    eigenvalues: np.ndarray
     lambda_min: float
     lambda_max: float
     cond: float
 
 
 def sym_eigs(A: np.ndarray) -> SpectrumSummary:
-    """Full spectrum of a symmetric matrix (symmetrized as (A + A^T)/2).
+    """`SpectrumSummary` of a symmetric matrix (symmetrized as (A + A^T)/2)
+    from its full spectrum by `eigvalsh`.
     An exactly symmetric A, as every gram is, goes to `eigvalsh` as it is:
     (a + a)/2 == a, so the input bits are the same."""
     A = np.asarray(A, dtype=float)
@@ -52,10 +51,10 @@ def sym_eigs(A: np.ndarray) -> SpectrumSummary:
         if scale > 0 and np.max(np.abs(A - A.T)) > 1e-10 * scale * A.shape[0]:
             raise InvalidArgument("matrix is not symmetric")
         A = (A + A.T) / 2
-    evals = np.linalg.eigvalsh(A)[::-1]
-    lmin, lmax = float(evals[-1]), float(evals[0])
+    evals = np.linalg.eigvalsh(A)
+    lmin, lmax = float(evals[0]), float(evals[-1])
     cond = lmax / lmin if lmin > 0 else math.inf
-    return SpectrumSummary(eigenvalues=evals, lambda_min=lmin, lambda_max=lmax, cond=cond)
+    return SpectrumSummary(lambda_min=lmin, lambda_max=lmax, cond=cond)
 
 
 def gram_spectrum(G: np.ndarray, factor=None) -> SpectrumSummary:
@@ -90,8 +89,7 @@ def gram_spectrum(G: np.ndarray, factor=None) -> SpectrumSummary:
     except ArpackError:  # ArpackNoConvergence among them
         return sym_eigs(G)
     cond = lmax / lmin if lmin > 0 else math.inf
-    return SpectrumSummary(eigenvalues=np.array([lmax, lmin]), lambda_min=lmin,
-                           lambda_max=lmax, cond=cond)
+    return SpectrumSummary(lambda_min=lmin, lambda_max=lmax, cond=cond)
 
 
 def _top_eigenvalue(A) -> float:

@@ -10,7 +10,6 @@ import dataclasses
 import math
 
 import numpy as np
-import pytest
 
 from roblaw import (
     ActivationKind,
@@ -19,7 +18,6 @@ from roblaw import (
     HiddenWeights,
     LinearModel,
     SweepConfig,
-    TwoLayerModel,
     analyze_descent,
     analyze_law,
     c_phi_monte_carlo,
@@ -135,8 +133,8 @@ def test_criterion_04_analytic_vs_monte_carlo_sobolev():
     for i in range(20):
         rng = np.random.default_rng(900 + i)
         W = HiddenWeights(sample_sphere(d, k, 900 + i).points)
-        v = rng.standard_normal(k) / math.sqrt(k)
-        model = TwoLayerModel(W=W, v=v, activation=ActivationKind.RELU)
+        fmap = FeatureMap(kind="frozen_rf", weights=W, activation=ActivationKind.RELU)
+        model = FeatureModel(map=fmap, a=rng.standard_normal(k))
         exact = sobolev_analytic([model])[0]
         mc = sobolev_monte_carlo([model], d, 2 * 10**4, seed=77 + i)[0].value
         if abs(mc - exact) <= 0.05 * exact:
@@ -269,8 +267,8 @@ def _random_models():
         elif family == 1:
             k = 30
             W = HiddenWeights(sample_sphere(d, k, seed).points)
-            v = rng.standard_normal(k) / math.sqrt(k)
-            yield TwoLayerModel(W=W, v=v, activation=ActivationKind.RELU), d
+            fmap = FeatureMap(kind="frozen_rf", weights=W, activation=ActivationKind.RELU)
+            yield FeatureModel(map=fmap, a=rng.standard_normal(k)), d
         elif family == 2:
             data = gen_dataset(15, d, 0.3, seed)
             kernel = DotProductKernel(name="ntk_infinite",

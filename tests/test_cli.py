@@ -52,27 +52,8 @@ def test_gen_data_unwritable_path_exits_3(capsys):
     assert code == 3 and "error" in err
 
 
-def test_eigs_json(capsys):
-    code, out, _ = run_cli(capsys, "eigs", "--d", "12", "--k", "8",
-                           "--activation", "relu", "--seed", "1")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["lambda_min"] > 0
-    assert obj["cond"] == pytest.approx(obj["lambda_max"] / obj["lambda_min"])
-
-
-@pytest.mark.parametrize("sizes, needle", [
-    (("--d", "5", "--k", "0"), "eigs needs k >= 1"),
-    (("--d", "1", "--k", "3"), "eigs needs d >= 2"),
-])
-def test_eigs_names_the_size_it_rejects(capsys, sizes, needle):
-    code, out, err = run_cli(capsys, "eigs", *sizes)
-    assert code == 2 and out == "" and needle in err
-
-
 @pytest.mark.parametrize("argv", [
     ("gen-data", "--n", "5", "--d", "3"),
-    ("eigs", "--d", "5", "--k", "3"),
     ("fit", "--regime", "linear", "--n", "5", "--d", "6"),
 ])
 def test_negative_seed_exits_2(tmp_path, capsys, argv):
@@ -177,7 +158,7 @@ def test_fit_out_of_range_exits_2(capsys, bad):
 
 @pytest.mark.parametrize("argv", [
     ("asymptotics", "--gamma", "2", "--workers", "2"),
-    ("eigs", "--d", "12", "--k", "8", "--out", "x"),
+    ("eigs", "--d", "5", "--k", "3"),
     ("fit", "--regime", "linear", "--n", "10", "--d", "20", "--workers", "2"),
     ("analyze-law", "--csv", "x.csv", "--seed", "1"),
     ("sweep", "--preset", "exp3-mini", "--workers", "2"),
@@ -258,7 +239,6 @@ def test_config_file_round_trip(tmp_path):
 @pytest.mark.parametrize("argv, config, bad", [
     (("fit", "--regime", "linear", "--n", "5", "--d", "6", "--activation", "bogus"),
      None, "bogus"),
-    (("eigs", "--d", "6", "--k", "4", "--activation", "bogus"), None, "bogus"),
     (("sweep",), "activation = bogus\n", "cfg.txt:2: activation:"),
     (("sweep",), "n_grid = ten\n", "cfg.txt:2: n_grid:"),
     (("sweep",), "zero_signal = true\n", "cfg.txt:2: unknown key 'zero_signal'"),
@@ -442,14 +422,10 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.parametrize("argv, key", [
-    (("asymptotics", "--gamma", "1"), "norm_limit"),
-    (("eigs", "--d", "3", "--k", "8", "--activation", "identity"), "cond"),
-])
-def test_non_finite_json_values_are_strings(capsys, argv, key):
-    code, out, _ = run_cli(capsys, *argv)
+def test_non_finite_json_values_are_strings(capsys):
+    code, out, _ = run_cli(capsys, "asymptotics", "--gamma", "1")
     assert code == 0
-    assert _strict_json(out)[key] == "inf"
+    assert _strict_json(out)["norm_limit"] == "inf"
 
 
 @pytest.mark.parametrize("argv", [

@@ -495,7 +495,9 @@ def test_every_model_predicts_through_its_design():
         kernel_path(kernel, data.X, data.y).fit(1e-3),
         feature_path(FeatureMap(kind="frozen_rf", weights=W), data.X, data.y).fit(1e-3),
         feature_path(FeatureMap(kind="ntk", weights=W), data.X, data.y).fit(1e-3),
-        roblaw.fit.TwoLayerModel(W=W, v=np.arange(7.0), activation=ActivationKind.RELU),
+        roblaw.fit.FeatureModel(map=FeatureMap(kind="frozen_rf", weights=W,
+                                               activation=ActivationKind.RELU),
+                                a=np.arange(7.0)),
     ]
     X = sample_sphere(5, 13, 23).points
     for model in models:
@@ -528,15 +530,12 @@ def test_kernel_model_rejects_points_off_the_sphere(name):
     lambda model, x: model.predict(x),
     roblaw.kernels.model_gradient,
 ], ids=["design", "predict", "model_gradient"])
-@pytest.mark.parametrize("model_class", ["LinearModel", "TwoLayerModel", "KernelModel",
-                                         "FeatureModel"])
+@pytest.mark.parametrize("model_class", ["LinearModel", "KernelModel", "FeatureModel"])
 def test_a_point_of_another_dimension_raises_invalid_argument(model_class, entry):
     data = gen_dataset(9, 5, 0.3, 21)
     W = HiddenWeights(sample_sphere(5, 7, 22).points)
     model = {
         "LinearModel": lambda: linear_path(data.X, data.y).fit(1e-3),
-        "TwoLayerModel": lambda: roblaw.fit.TwoLayerModel(
-            W=W, v=np.arange(7.0), activation=ActivationKind.RELU),
         "KernelModel": lambda: kernel_path(
             DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU),
             data.X, data.y).fit(1e-3),

@@ -23,7 +23,7 @@ from roblaw import (
     sample_sphere,
 )
 from roblaw.fit import (
-    KernelModel, LinearModel, TwoLayerModel, feature_path, kernel_path, train_mse,
+    FeatureModel, KernelModel, LinearModel, feature_path, kernel_path, train_mse,
 )
 from roblaw.kernels import PROFILE_BLOCK, kernel_matrix
 
@@ -127,7 +127,9 @@ def test_model_gradient_matches_finite_differences():
     x = sample_sphere(d, 1, 12).points[0]
     W = HiddenWeights(sample_sphere(d, 5, 13).points)
 
-    two_layer = TwoLayerModel(W=W, v=rng.normal(size=5), activation=ActivationKind.RELU)
+    two_layer = FeatureModel(map=FeatureMap(kind="frozen_rf", weights=W,
+                                            activation=ActivationKind.RELU),
+                             a=rng.normal(size=5))
     linear = LinearModel(w=rng.normal(size=d))
     data = gen_dataset(15, d, 0.2, 14)
     kern = kernel_path(DotProductKernel(name="ntk_infinite", activation=ActivationKind.RELU),
@@ -154,7 +156,8 @@ def test_model_gradient_batched_matches_single():
     d = 5
     X = sample_sphere(d, 4, 1).points
     W = HiddenWeights(sample_sphere(d, 3, 2).points)
-    model = TwoLayerModel(W=W, v=np.array([1.0, -2.0, 0.5]), activation=ActivationKind.ABS)
+    fmap = FeatureMap(kind="frozen_rf", weights=W, activation=ActivationKind.ABS)
+    model = FeatureModel(map=fmap, a=np.array([1.0, -2.0, 0.5]))
     G = model_gradient(model, X)
     for i in range(4):
         np.testing.assert_allclose(G[i], model_gradient(model, X[i]), atol=1e-14)

@@ -22,35 +22,37 @@ from roblaw import (
     sobolev_analytic,
     sobolev_monte_carlo,
 )
-from roblaw.fit import FeatureModel, KernelModel, LinearModel, TwoLayerModel
+from roblaw.fit import FeatureModel, KernelModel, LinearModel
 from roblaw.kernels import model_gradient
 
 from conftest import peak_bytes
 
 
+def _network(W, a, activation=ActivationKind.RELU):
+    """The two-layer network of hidden weights W and output weights
+    a / sqrt(k)."""
+    return FeatureModel(map=FeatureMap(kind="frozen_rf", weights=W, activation=activation), a=a)
+
+
 def _relu_two_layer(d, k, seed):
     W = HiddenWeights(sample_sphere(d, k, seed).points)
-    v = np.random.default_rng(seed + 1).normal(size=k)
-    return TwoLayerModel(W=W, v=v, activation=ActivationKind.RELU)
+    return _network(W, np.random.default_rng(seed + 1).normal(size=k))
 
 
 def test_analytic_single_neuron():
     W = HiddenWeights(sample_sphere(10, 1, 0).points)
-    m = TwoLayerModel(W=W, v=np.array([1.0]), activation=ActivationKind.RELU)
+    m = _network(W, np.array([1.0]))
     assert sobolev_analytic([m])[0] == pytest.approx(math.sqrt(0.45), abs=1e-12)
 
 
 def test_analytic_zero_output_weights():
     W = HiddenWeights(sample_sphere(6, 4, 1).points)
-    m = TwoLayerModel(W=W, v=np.zeros(4), activation=ActivationKind.RELU)
+    m = _network(W, np.zeros(4))
     assert sobolev_analytic([m])[0] == 0.0
 
 
 def test_analytic_orthonormal_pair():
-    m = TwoLayerModel(
-        W=HiddenWeights(np.eye(2)), v=np.array([1.0, 1.0]),
-        activation=ActivationKind.RELU,
-    )
+    m = _network(HiddenWeights(np.eye(2)), np.full(2, math.sqrt(2)))  # v = (1, 1)
     # diagonal terms 1/2 - 1/4 each, cross terms -phi(0)/d each
     ref = math.sqrt(2 * 0.25 + 2 * (-1 / (4 * math.pi)))
     assert sobolev_analytic([m])[0] == pytest.approx(ref, abs=1e-12)
@@ -58,7 +60,7 @@ def test_analytic_orthonormal_pair():
 
 def test_analytic_is_nan_for_a_nonhomogeneous_activation(monkeypatch):
     W = HiddenWeights(sample_sphere(5, 2, 2).points)
-    m = TwoLayerModel(W=W, v=np.ones(2), activation=ActivationKind.TANH)
+    m = _network(W, np.ones(2), ActivationKind.TANH)
     monkeypatch.setattr(roblaw.sobolev, "c_sigma_sobolev", None)  # never built
     assert math.isnan(sobolev_analytic([m])[0])
 
@@ -66,21 +68,20 @@ def test_analytic_is_nan_for_a_nonhomogeneous_activation(monkeypatch):
 def test_analytic_scale_equivariance():
     m = _relu_two_layer(12, 7, 3)
     base = sobolev_analytic([m])[0]
-    scaled = TwoLayerModel(W=m.W, v=3.5 * m.v, activation=m.activation)
+    scaled = replace(m, a=3.5 * m.a)
     assert sobolev_analytic([scaled])[0] == pytest.approx(3.5 * base, rel=1e-12)
 
 
 def test_analytic_models_of_one_layer_share_its_matrix_bitwise():
     m = _relu_two_layer(12, 9, 21)
-    models = [replace(m, v=m.v * s) for s in (1.0, -0.3, 2.5)]
-    models.append(FeatureModel(
-        map=FeatureMap(kind="frozen_rf", weights=m.W, activation=ActivationKind.RELU),
-        a=m.v * 3.0))
-    C = c_sigma_sobolev(m.W, ActivationKind.RELU)
+    W = m.map.weights
+    models = [replace(m, a=m.a * s) for s in (1.0, -0.3, 2.5)]
+    models.append(_network(W, m.a * 3.0))  # another map on the same layer
+    C = c_sigma_sobolev(W, ActivationKind.RELU)
     together = sobolev_analytic(models)
     alone = [sobolev_analytic([model])[0] for model in models]
     reference = [math.sqrt(max(float(v @ C @ v), 0.0))
-                 for v in [x.v for x in models[:3]] + [models[3].a / 3.0]]
+                 for _, v, _ in [x.two_layer for x in models]]
     assert together == alone == reference
 
 
@@ -141,7 +142,6 @@ def test_monte_carlo_matches_analytic_two_layer():
     ref = sobolev_analytic([m])[0]
     [est] = sobolev_monte_carlo([m], 30, 20000, 7)
     assert est.value == pytest.approx(ref, rel=0.05)
-    assert est.samples == 20000
 
 
 def test_monte_carlo_stderr_shrinks_with_samples():
@@ -198,7 +198,6 @@ def test_monte_carlo_blocks_match_whole_sample(m):
     estimates = sobolev_monte_carlo(models, d, m, seed)
     for model, est in zip(models, estimates):
         value, se = _whole_sample_estimate(model, d, m, seed)
-        assert est.samples == m
         assert est.value == pytest.approx(value, rel=1e-13)
         assert est.std_error == pytest.approx(se, rel=1e-13)
 
@@ -222,7 +221,7 @@ def test_monte_carlo_point_at_an_anchor_matches_whole_sample():
 
 def test_monte_carlo_blocks_reuse_one_workspace(monkeypatch):
     factor_calls, gradient_outs = {}, []
-    for cls in (FeatureModel, KernelModel, TwoLayerModel):
+    for cls in (FeatureModel, KernelModel):
         def recorded(self, X, out=None, original=cls.gradient_factor):
             factor = original(self, X, out)
             factor_calls.setdefault(self.factor_key, []).append((out, factor))
@@ -333,11 +332,8 @@ def test_poincare_below_seminorm_two_layer():
 
 def test_eta_proxy_direct_sum():
     W = np.array([[1.0, 0.0], [0.6, 0.8]])
-    m = TwoLayerModel(
-        W=HiddenWeights(W), v=np.array([1.0, -2.0]),
-        activation=ActivationKind.RELU,
-    )
-    assert eta_proxy(m) == pytest.approx(3.0)
+    m = _network(HiddenWeights(W), np.array([1.0, -2.0]))
+    assert eta_proxy(m) == pytest.approx(3.0 / math.sqrt(2))
 
 
 def test_eta_proxy_chain_upper_bound():
@@ -345,19 +341,20 @@ def test_eta_proxy_chain_upper_bound():
     for _ in range(200):
         k, d = 6, 9
         W = HiddenWeights(sample_sphere(d, k, int(rng.integers(1 << 30))).points)
-        v = rng.normal(size=k)
-        m = TwoLayerModel(W=W, v=v, activation=ActivationKind.RELU)
+        m = _network(W, rng.normal(size=k))
+        _, v, _ = m.two_layer
         bound = math.sqrt(k) * np.linalg.norm(v) * np.linalg.norm(W.W, axis=1).max()
         assert eta_proxy(m) <= bound + 1e-12
 
 
 def test_only_two_layer_networks_have_a_two_layer_view():
-    rf, ntk, kernel, two_layer, linear = [_path_models(6, 31)[i] for i in (0, 3, 6, 9, 10)]
+    rf, ntk, kernel, linear = [_path_models(6, 31)[i] for i in (0, 3, 6, 10)]
     W, v, activation = rf.two_layer
+    k = rf.map.weights.k
     assert W is rf.map.weights and activation == rf.map.activation
-    assert v.tobytes() == (rf.a / math.sqrt(rf.map.weights.k)).tobytes()
-    assert eta_proxy(rf) == eta_proxy(TwoLayerModel(W=W, v=v, activation=activation))
-    assert two_layer.two_layer == (two_layer.W, two_layer.v, two_layer.activation)
+    assert v.tobytes() == (rf.a / math.sqrt(k)).tobytes()
+    # every hidden row has unit norm
+    assert eta_proxy(rf) == pytest.approx(np.sum(np.abs(rf.a)) / math.sqrt(k), rel=1e-14)
     for model in (ntk, kernel, linear):
         assert model.two_layer is None
         assert math.isnan(eta_proxy(model))
@@ -369,5 +366,5 @@ def test_analytic_over_v_norm_band_at_proportional_width():
     # seminorm and output-weight norm are equivalent at k ~ d
     for seed in range(20):
         m = _relu_two_layer(40, 40, 100 + seed)
-        ratio = sobolev_analytic([m])[0] / np.linalg.norm(m.v)
+        ratio = sobolev_analytic([m])[0] / np.linalg.norm(m.two_layer[1])
         assert 0.2 <= ratio <= 3.0

@@ -5,8 +5,9 @@ load them), and only the module that defines the model classes dispatches
 on them; every other module calls the models' own methods. The model
 classes share one `predict`. Every public top-level function and class has
 a user besides its unit tests, and so has every defaulted parameter of a
-public function or method. No module imports `threading`: a sweep runs on
-the calling thread, and no library state is shared across threads."""
+public function or method and every field of a public dataclass. No module
+imports `threading`: a sweep runs on the calling thread, and no library
+state is shared across threads."""
 
 import ast
 import json
@@ -25,7 +26,7 @@ CALLERS = [*SOURCES, ACCEPTANCE, *sorted((ROOT / "bench").rglob("*.py"))]
 #: scipy packages no roblaw process loads: the library integrates with its
 #: own Gauss-Legendre rule, and scipy.integrate would pull in scipy.optimize
 BANNED_MODULES = ("scipy.integrate", "scipy.optimize")
-MODEL_CLASSES = {"LinearModel", "TwoLayerModel", "KernelModel", "FeatureModel"}
+MODEL_CLASSES = {"LinearModel", "KernelModel", "FeatureModel"}
 
 
 def _functions(path):
@@ -163,6 +164,39 @@ def test_every_defaulted_parameter_is_passed():
              if (path.name, fn.name) != ("cli.py", "main")
              for name, index in _defaulted(fn, is_method).items()
              if not any(_passes(call, name, index) for call in calls.get(fn.name, []))]
+    assert found == []
+
+
+def _dataclass_fields(tree):
+    """(class name, field names, whether the class reads them all itself) of
+    each public top-level dataclass; a class reads them all when one of its
+    comprehensions runs over every `fields(self)`, as a CSV row does."""
+    for node in tree.body:
+        if (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                and any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                        for d in node.decorator_list)):
+            names = [s.target.id for s in node.body
+                     if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+            reads_all = any(
+                isinstance(gen.iter, ast.Call) and getattr(gen.iter.func, "id", None) == "fields"
+                and [getattr(a, "id", None) for a in gen.iter.args] == ["self"] and not gen.ifs
+                for gen in ast.walk(node) if isinstance(gen, ast.comprehension))
+            yield node.name, names, reads_all
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a public dataclass is read as an attribute by the
+    library, the release criteria or the benchmark, or by its own class
+    through `fields(self)`."""
+    read = {node.attr for path in CALLERS
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = [f"{path.name}:{name}.{field}"
+             for path in SOURCES
+             for name, names, reads_all in _dataclass_fields(
+                 ast.parse(path.read_text(encoding="utf-8")))
+             if not reads_all
+             for field in names if field not in read]
     assert found == []
 
 
