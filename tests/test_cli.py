@@ -15,6 +15,9 @@ import roblaw.sweep
 from roblaw import ActivationKind, SweepConfig
 from roblaw.cli import build_parser, main, parse_config_file
 from roblaw.errors import InvalidArgument, SingularKernel
+from roblaw.kernels import HiddenWeights
+from roblaw.spectral import sym_eigs
+from roblaw.sphere import sample_sphere
 from roblaw.sweep import CSV_COLUMNS, splitmix64
 
 
@@ -170,6 +173,19 @@ def test_removed_flags_are_rejected(capsys, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("regime", ["rf_finite", "ntk_finite"])
+def test_fit_record_carries_the_spectrum_of_its_hidden_layer(capsys, regime):
+    code, out, _ = run_cli(capsys, "fit", "--regime", regime, "--n", "10", "--d", "12",
+                           "--k", "8", "--activation", "relu", "--seed", "1")
+    assert code == 0
+    obj = json.loads(out)
+    W = HiddenWeights(sample_sphere(12, 8, int(obj["weight_seed"])).points)
+    s = sym_eigs(roblaw.sweep.REGIME_TABLE[regime].c_matrix(W, ActivationKind.RELU))
+    assert 0 < s.lambda_min < s.lambda_max
+    assert (float(obj["lambda_min_C"]), float(obj["lambda_max_C"])) == (s.lambda_min,
+                                                                        s.lambda_max)
+
+
 def test_fit_seminorm_estimates_agree(capsys):
     code, out, _ = run_cli(capsys, "fit", "--regime", "rf_finite",
                            "--n", "8", "--d", "10", "--k", "16",
@@ -241,6 +257,8 @@ def test_config_file_round_trip(tmp_path):
      None, "bogus"),
     (("sweep",), "activation = bogus\n", "cfg.txt:2: activation:"),
     (("sweep",), "n_grid = ten\n", "cfg.txt:2: n_grid:"),
+    (("sweep",), "mc_samples = 1.5\n", "cfg.txt:2: mc_samples:"),
+    (("sweep",), "n_grid 8\n", "cfg.txt:2: expected key=value"),
     (("sweep",), "zero_signal = true\n", "cfg.txt:2: unknown key 'zero_signal'"),
     (("sweep", "--preset", "exp9"), None, "invalid choice: 'exp9'"),
 ])
@@ -422,10 +440,16 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_non_finite_json_values_are_strings(capsys):
-    code, out, _ = run_cli(capsys, "asymptotics", "--gamma", "1")
+@pytest.mark.parametrize("argv, key", [
+    (("asymptotics", "--gamma", "1"), "norm_limit"),
+    # identity features of width k = 8 > d = 3 give a singular gram
+    (("fit", "--regime", "rf_finite", "--n", "10", "--d", "3", "--k", "8",
+      "--activation", "identity"), "gram_cond"),
+])
+def test_non_finite_json_values_are_strings(capsys, argv, key):
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert _strict_json(out)["norm_limit"] == "inf"
+    assert _strict_json(out)[key] == "inf"
 
 
 @pytest.mark.parametrize("argv", [

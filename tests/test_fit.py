@@ -530,7 +530,8 @@ def test_kernel_model_rejects_points_off_the_sphere(name):
     lambda model, x: model.predict(x),
     roblaw.kernels.model_gradient,
 ], ids=["design", "predict", "model_gradient"])
-@pytest.mark.parametrize("model_class", ["LinearModel", "KernelModel", "FeatureModel"])
+@pytest.mark.parametrize("model_class", ["LinearModel", "KernelModel", "FeatureModel",
+                                         "FeatureModel-ntk"])
 def test_a_point_of_another_dimension_raises_invalid_argument(model_class, entry):
     data = gen_dataset(9, 5, 0.3, 21)
     W = HiddenWeights(sample_sphere(5, 7, 22).points)
@@ -541,8 +542,10 @@ def test_a_point_of_another_dimension_raises_invalid_argument(model_class, entry
             data.X, data.y).fit(1e-3),
         "FeatureModel": lambda: feature_path(
             FeatureMap(kind="frozen_rf", weights=W), data.X, data.y).fit(1e-3),
+        "FeatureModel-ntk": lambda: feature_path(
+            FeatureMap(kind="ntk", weights=W), data.X, data.y).fit(1e-3),
     }[model_class]()
-    assert type(model).__name__ == model_class
+    assert type(model).__name__ == model_class.split("-")[0]
     x = sample_sphere(3, 2, 23).points  # unit points of dimension 3, not 5
     for point in (x[0], x):
         with pytest.raises(InvalidArgument, match="must have dimension 5"):
