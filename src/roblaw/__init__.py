@@ -34,7 +34,6 @@ from .fit import (
 from .kernels import (
     DotProductKernel,
     FeatureMap,
-    HiddenWeights,
     empirical_gram,
     features,
     gram_dot,

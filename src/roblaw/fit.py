@@ -163,29 +163,29 @@ class FeatureModel(_Model):
 
     @property
     def factor_key(self):
-        return self.map.activation, id(self.map.weights.W)
+        return self.map.activation, id(self.map.weights.points)
 
     @property
     def two_layer(self):
         """Random features are the network of output weights a / sqrt(k)."""
         if self.map.kind != "frozen_rf":
             return None
-        k = self.map.weights.k
+        k = self.map.weights.count
         return self.map.weights, self.a / math.sqrt(k), self.map.activation
 
     def design(self, X) -> np.ndarray:
         """The feature rows of an (m, d) batch X."""
-        return features(self.map, _points(X, self.map.weights.d))
+        return features(self.map, _points(X, self.map.weights.dim))
 
     def gradient_factor(self, X, out=None) -> np.ndarray:
         """sigma'(X W^T), formed in place (in `out` when given)."""
-        T = np.matmul(_points(X, self.map.weights.d), self.map.weights.W.T, out=out)
+        T = np.matmul(_points(X, self.map.weights.dim), self.map.weights.points.T, out=out)
         return act_deriv(self.map.activation, T, T)
 
     def gradient(self, X, factor, out=None) -> np.ndarray:
         """The NTK feature Jacobian drops the distributional sigma'' term
         (a.e. correct for piecewise-linear sigma')."""
-        W = self.map.weights.W
+        W = self.map.weights.points
         k = W.shape[0]
         if self.map.kind == "frozen_rf":
             operand = (self.a / math.sqrt(k))[:, None] * W
@@ -386,7 +386,7 @@ def feature_path(fmap: FeatureMap, X: SphereSample, y: np.ndarray) -> RidgePath:
     them in rows). Dual solve when n <= feature dim (NTK feature vectors
     are recovered blockwise, never materialized), else primal normal
     equations."""
-    if X.dim != fmap.weights.d:
+    if X.dim != fmap.weights.dim:
         raise InvalidArgument("sample dimension does not match weights")
 
     def model(a, meta):
@@ -394,7 +394,7 @@ def feature_path(fmap: FeatureMap, X: SphereSample, y: np.ndarray) -> RidgePath:
 
     P = X.points
     if fmap.kind == "ntk" and X.count <= fmap.out_dim:
-        W = fmap.weights.W
+        W = fmap.weights.points
         # sigma'(X W^T) of the training set, for the recovery of a
         S = np.asarray(act_deriv(fmap.activation, P @ W.T))
 

@@ -8,7 +8,6 @@ dimension-free activation profile.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .activations import (
     sqrt_one_minus_square,
 )
 from .errors import InvalidArgument, UnsupportedActivation
-from .sphere import SphereSample, check_unit_rows
+from .sphere import SphereSample
 
 
 def _clip_t(t):
@@ -124,44 +123,12 @@ def gram_dot(kernel: DotProductKernel, X: SphereSample) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HiddenWeights:
-    """Hidden-layer weight matrix, k unit rows in R^d: every closed form of
-    a hidden layer assumes its weights on the unit sphere."""
-
-    W: np.ndarray
-
-    def __post_init__(self):
-        W = np.asarray(self.W, dtype=float)
-        if W.ndim != 2:
-            raise InvalidArgument("W must be a matrix")
-        check_unit_rows(W, "rows must be unit-normalized")
-        object.__setattr__(self, "W", W)
-
-    @property
-    def k(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.W.shape[1]
-
-    @cached_property
-    def cosines(self) -> np.ndarray:
-        """clip(W W^T, -1, 1), read-only and built on first use: the
-        activation covariance, the Sobolev matrix and the NTK C matrix of
-        one weight draw all start from it."""
-        T = np.clip(self.W @ self.W.T, -1.0, 1.0)
-        T.flags.writeable = False
-        return T
-
-
-@dataclass(frozen=True)
 class FeatureMap:
     """Finite-width embedding: frozen random features (output dim k) or
     NTK features sigma'(Wx) (x) x / sqrt(k) (output dim k*d)."""
 
     kind: str  # "frozen_rf" | "ntk"
-    weights: HiddenWeights
+    weights: SphereSample
     activation: ActivationKind = ActivationKind.RELU
 
     def __post_init__(self):
@@ -170,7 +137,7 @@ class FeatureMap:
 
     @property
     def out_dim(self) -> int:
-        k, d = self.weights.k, self.weights.d
+        k, d = self.weights.count, self.weights.dim
         return k if self.kind == "frozen_rf" else k * d
 
 
@@ -178,7 +145,7 @@ def rf_features(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
     """(1/sqrt(k)) sigma(W x); x may be a single point or an (m, d) batch."""
     if fmap.kind != "frozen_rf":
         raise InvalidArgument("rf_features requires a frozen_rf map")
-    W = fmap.weights.W
+    W = fmap.weights.points
     Z = np.asarray(x, dtype=float) @ W.T
     act_eval(fmap.activation, Z, Z)
     Z /= math.sqrt(W.shape[0])
@@ -189,7 +156,7 @@ def ntk_features(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
     """(1/sqrt(k)) sigma'(W x) (x) x, blocks j = sigma'(x.w_j) * x."""
     if fmap.kind != "ntk":
         raise InvalidArgument("ntk_features requires an ntk map")
-    W = fmap.weights.W
+    W = fmap.weights.points
     k, d = W.shape
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -206,16 +173,15 @@ def features(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
 
 
 def empirical_gram(fmap: FeatureMap, X: SphereSample) -> np.ndarray:
-    """G = Z Z^T with Z the feature rows, exactly symmetric. NTK uses the
+    """G = Z Z^T with Z the NTK feature rows, exactly symmetric, by the
     Hadamard identity K_ntk = (X X^T) o ((1/k) S S^T), S = sigma'(X W^T),
     so the k*d-dim features are never materialized."""
-    if X.dim != fmap.weights.d:
+    if fmap.kind != "ntk":
+        raise InvalidArgument("empirical_gram requires an ntk map")
+    if X.dim != fmap.weights.dim:
         raise InvalidArgument("sample dimension does not match weights")
-    if fmap.kind == "frozen_rf":
-        Z = rf_features(fmap, X.points)
-        return Z @ Z.T
-    S = np.asarray(act_deriv(fmap.activation, X.points @ fmap.weights.W.T))
-    return (X.points @ X.points.T) * (S @ S.T) / fmap.weights.k
+    S = np.asarray(act_deriv(fmap.activation, X.points @ fmap.weights.points.T))
+    return (X.points @ X.points.T) * (S @ S.T) / fmap.weights.count
 
 
 def model_gradient(model, x: np.ndarray, factor=None, out=None) -> np.ndarray:

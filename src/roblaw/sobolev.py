@@ -129,5 +129,5 @@ def eta_proxy(model) -> float:
     if view is None:
         return math.nan
     W, v, _ = view
-    return float(np.sum(np.abs(v) * np.linalg.norm(W.W, axis=1)))
+    return float(np.sum(np.abs(v) * np.linalg.norm(W.points, axis=1)))
 

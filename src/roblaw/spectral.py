@@ -12,8 +12,8 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from .activations import ActivationKind, integrate, kappa_tilde, phi_profile
 from .errors import InvalidArgument, ResourceLimit
 from .fit import _one_scipy_thread, cholesky
-from .kernels import FeatureMap, HiddenWeights, features
-from .sphere import sample_sphere
+from .kernels import FeatureMap, features
+from .sphere import SphereSample, sample_sphere
 
 _MAX_COV_ELEMENTS = 2 * 10**8
 
@@ -33,7 +33,10 @@ class SpectrumSummary:
 
     lambda_min: float
     lambda_max: float
-    cond: float
+
+    @property
+    def cond(self) -> float:
+        return self.lambda_max / self.lambda_min if self.lambda_min > 0 else math.inf
 
 
 def sym_eigs(A: np.ndarray) -> SpectrumSummary:
@@ -52,9 +55,7 @@ def sym_eigs(A: np.ndarray) -> SpectrumSummary:
             raise InvalidArgument("matrix is not symmetric")
         A = (A + A.T) / 2
     evals = np.linalg.eigvalsh(A)
-    lmin, lmax = float(evals[0]), float(evals[-1])
-    cond = lmax / lmin if lmin > 0 else math.inf
-    return SpectrumSummary(lambda_min=lmin, lambda_max=lmax, cond=cond)
+    return SpectrumSummary(lambda_min=float(evals[0]), lambda_max=float(evals[-1]))
 
 
 def gram_spectrum(G: np.ndarray, factor=None) -> SpectrumSummary:
@@ -88,8 +89,7 @@ def gram_spectrum(G: np.ndarray, factor=None) -> SpectrumSummary:
         lmin = 1.0 / _top_eigenvalue(inverse)
     except ArpackError:  # ArpackNoConvergence among them
         return sym_eigs(G)
-    cond = lmax / lmin if lmin > 0 else math.inf
-    return SpectrumSummary(lambda_min=lmin, lambda_max=lmax, cond=cond)
+    return SpectrumSummary(lambda_min=lmin, lambda_max=lmax)
 
 
 def _top_eigenvalue(A) -> float:
@@ -110,14 +110,14 @@ def op_distance(A: np.ndarray, B: np.ndarray) -> float:
     return max(abs(s.lambda_min), abs(s.lambda_max))
 
 
-def c_sigma_sobolev(W: HiddenWeights, kind: ActivationKind) -> np.ndarray:
+def c_sigma_sobolev(W: SphereSample, kind: ActivationKind) -> np.ndarray:
     """The Sobolev quadratic-form matrix: entries are the kappa-tilde
     profile evaluated at w_j . w_l (finite-d correction included). Exactly
     symmetric, as W W^T is."""
-    return np.asarray(kappa_tilde(kind, W.d, W.cosines))
+    return np.asarray(kappa_tilde(kind, W.dim, W.cosines))
 
 
-def c_sigma_cov(W: HiddenWeights, kind: ActivationKind) -> np.ndarray:
+def c_sigma_cov(W: SphereSample, kind: ActivationKind) -> np.ndarray:
     """Covariance of sqrt(d) sigma(Wx) for x ~ tau_d, to O(1/d^2):
     entries phi(w_j . w_l) - phi(0), exactly symmetric as W W^T is."""
     return np.asarray(phi_profile(kind, "value", W.cosines)) - phi_profile(kind, "value", 0.0)
@@ -130,7 +130,7 @@ def c_phi_monte_carlo(fmap: FeatureMap, m: int, seed: int) -> np.ndarray:
     j*d + i is coordinate i of block j, sigma'(w_j . x) x_i / sqrt(k)."""
     if m < 10**3:
         raise InvalidArgument("m must be >= 1000")
-    d = fmap.weights.d
+    d = fmap.weights.dim
     if fmap.out_dim * m > _MAX_COV_ELEMENTS:
         raise ResourceLimit(f"feature matrix {m} x {fmap.out_dim} too large")
     X = sample_sphere(d, m, seed)
@@ -151,12 +151,12 @@ class LinearizationCoeffs:
     correction: float = 0.0
 
 
-def linearized_c(W: HiddenWeights, coeffs: LinearizationCoeffs) -> np.ndarray:
-    k = W.k
+def linearized_c(W: SphereSample, coeffs: LinearizationCoeffs) -> np.ndarray:
+    k = W.count
     ones = np.ones((k, k))
     return (
         (coeffs.beta1_const + coeffs.correction) * ones
-        + coeffs.beta2_lin * (W.W @ W.W.T)
+        + coeffs.beta2_lin * (W.points @ W.points.T)
         + coeffs.beta3_diag * np.eye(k)
     )
 

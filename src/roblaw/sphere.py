@@ -6,6 +6,7 @@ generator choice is pinned here so golden files stay stable across runs.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,9 @@ def check_unit_rows(points, message: str) -> None:
 
 @dataclass(frozen=True)
 class SphereSample:
-    """n points on the unit sphere S^{d-1}, one per row."""
+    """n points on the unit sphere S^{d-1}, one per row: the inputs of a
+    dataset, or the k weight rows of a hidden layer, whose every closed form
+    assumes them on the sphere."""
 
     points: np.ndarray
 
@@ -51,6 +54,15 @@ class SphereSample:
     @property
     def count(self) -> int:
         return self.points.shape[0]
+
+    @cached_property
+    def cosines(self) -> np.ndarray:
+        """clip(P P^T, -1, 1), read-only and built on first use: the
+        activation covariance, the Sobolev matrix and the NTK C matrix of
+        one weight draw all start from it."""
+        T = np.clip(self.points @ self.points.T, -1.0, 1.0)
+        T.flags.writeable = False
+        return T
 
 
 def _check_draw(d: int, n: int, seed: int) -> None:

@@ -36,7 +36,7 @@ from .fit import (
     test_mse,
     train_mse,
 )
-from .kernels import DotProductKernel, FeatureMap, HiddenWeights
+from .kernels import DotProductKernel, FeatureMap
 from .sobolev import (
     MIN_MC_SAMPLES,
     eta_proxy,
@@ -101,6 +101,8 @@ class SweepConfig:
             raise InvalidArgument(f"empty grid axis: {', '.join(empty)}")
         if self.mc_samples < MIN_MC_SAMPLES:
             raise InvalidArgument(f"mc_samples must be >= {MIN_MC_SAMPLES}")
+        if self.base_seed < 0:
+            raise InvalidArgument(f"seeds must be >= 0, got {self.base_seed}")
         # a lone cell of this pair comes back as a tagged row; a grid fails first
         if REGIME_TABLE[self.regime].kernel:
             DotProductKernel(name=self.regime, activation=ActivationKind(self.activation))
@@ -201,7 +203,7 @@ REGIME_TABLE = {
         c_matrix=lambda W, kind: c_sigma_cov(W, kind)),
     "ntk_finite": Regime(
         hidden="ntk",
-        c_matrix=lambda W, kind: np.asarray(phi_profile(kind, "derivative", W.cosines)) / W.k),
+        c_matrix=lambda W, kind: np.asarray(phi_profile(kind, "derivative", W.cosines)) / W.count),
     "rf_infinite": Regime(path=_kernel_path, kernel=True),
     "ntk_infinite": Regime(path=_kernel_path, kernel=True),
 }
@@ -255,7 +257,7 @@ def _fill_path(recs: list, cells: list) -> None:
     if regime.hidden is not None:
         fmap = FeatureMap(
             kind=regime.hidden, activation=activation,
-            weights=HiddenWeights(sample_sphere(cell.d, cell.k, cell.weight_seed).points))
+            weights=sample_sphere(cell.d, cell.k, cell.weight_seed))
     draws = {z: replace(data, zeta=z) for z in zetas}
     path = regime.path(cell, data.X, np.stack([draws[z].y for z in zetas]), fmap)
     # inverse Lanczos is slower than `eigvalsh` on a kernel gram's clustered

@@ -15,7 +15,6 @@ from roblaw import (
     ActivationKind,
     DotProductKernel,
     FeatureMap,
-    HiddenWeights,
     LinearModel,
     SweepConfig,
     analyze_descent,
@@ -132,7 +131,7 @@ def test_criterion_04_analytic_vs_monte_carlo_sobolev():
     hits = 0
     for i in range(20):
         rng = np.random.default_rng(900 + i)
-        W = HiddenWeights(sample_sphere(d, k, 900 + i).points)
+        W = sample_sphere(d, k, 900 + i)
         fmap = FeatureMap(kind="frozen_rf", weights=W, activation=ActivationKind.RELU)
         model = FeatureModel(map=fmap, a=rng.standard_normal(k))
         exact = sobolev_analytic([model])[0]
@@ -162,7 +161,7 @@ def test_criterion_06_linearization_improves_with_dimension():
     for d in (50, 100, 200, 400):
         dists = []
         for seed in range(5):
-            W = HiddenWeights(sample_sphere(d, d, 60 + seed).points)
+            W = sample_sphere(d, d, 60 + seed)
             C = c_sigma_cov(W, ActivationKind.RELU)
             L = linearized_c(W, relu_cov_linearization(d))
             dists.append(op_distance(C, L))
@@ -201,13 +200,13 @@ def test_criterion_08_large_ridge_shrinks_the_fit():
 
 def test_criterion_09_ntk_covariance_kronecker_factorization():
     k, d = 2, 3
-    W = HiddenWeights(sample_sphere(d, k, 9).points)
+    W = sample_sphere(d, k, 9)
     fmap = FeatureMap(kind="ntk", weights=W, activation=ActivationKind.RELU)
     C = c_phi_monte_carlo(fmap, 2 * 10**5, seed=9)
     # Kronecker factor phi'(W W^T)/k (x) I_d plus the closed-form wedge and
     # mean corrections; the bare factor alone misses by 0.109 at this draw
     report(9, "NTK covariance Kronecker factorization",
-           op_distance(C, ntk_relu_cov(W.W)) <= 0.05)
+           op_distance(C, ntk_relu_cov(W.points)) <= 0.05)
 
 
 def test_criterion_10_robustness_law_scaling(tmp_path):
@@ -266,7 +265,7 @@ def _random_models():
             yield LinearModel(w=rng.standard_normal(d)), d
         elif family == 1:
             k = 30
-            W = HiddenWeights(sample_sphere(d, k, seed).points)
+            W = sample_sphere(d, k, seed)
             fmap = FeatureMap(kind="frozen_rf", weights=W, activation=ActivationKind.RELU)
             yield FeatureModel(map=fmap, a=rng.standard_normal(k)), d
         elif family == 2:
@@ -276,7 +275,7 @@ def _random_models():
             yield kernel_path(kernel, data.X, data.y).fit(1e-6), d
         else:
             data = gen_dataset(15, d, 0.3, seed)
-            W = HiddenWeights(sample_sphere(d, 25, seed + 1).points)
+            W = sample_sphere(d, 25, seed + 1)
             fmap = FeatureMap(kind="frozen_rf", weights=W,
                               activation=ActivationKind.RELU)
             yield feature_path(fmap, data.X, data.y).fit(1e-6), d

@@ -15,7 +15,6 @@ import roblaw.sweep
 from roblaw import ActivationKind, SweepConfig
 from roblaw.cli import build_parser, main, parse_config_file
 from roblaw.errors import InvalidArgument, SingularKernel
-from roblaw.kernels import HiddenWeights
 from roblaw.spectral import sym_eigs
 from roblaw.sphere import sample_sphere
 from roblaw.sweep import CSV_COLUMNS, splitmix64
@@ -58,10 +57,11 @@ def test_gen_data_unwritable_path_exits_3(capsys):
 @pytest.mark.parametrize("argv", [
     ("gen-data", "--n", "5", "--d", "3"),
     ("fit", "--regime", "linear", "--n", "5", "--d", "6"),
+    ("sweep", "--preset", "exp3-mini"),
 ])
 def test_negative_seed_exits_2(tmp_path, capsys, argv):
     out_path = tmp_path / "data.csv"
-    extra = ("--out", str(out_path)) if argv[0] == "gen-data" else ()
+    extra = ("--out", str(out_path)) if argv[0] != "fit" else ()
     code, out, err = run_cli(capsys, *argv, *extra, "--seed", "-1")
     assert code == 2 and out == "" and err.startswith("error:")
     assert "seeds must be >= 0" in err and "Traceback" not in err
@@ -179,7 +179,7 @@ def test_fit_record_carries_the_spectrum_of_its_hidden_layer(capsys, regime):
                            "--k", "8", "--activation", "relu", "--seed", "1")
     assert code == 0
     obj = json.loads(out)
-    W = HiddenWeights(sample_sphere(12, 8, int(obj["weight_seed"])).points)
+    W = sample_sphere(12, 8, int(obj["weight_seed"]))
     s = sym_eigs(roblaw.sweep.REGIME_TABLE[regime].c_matrix(W, ActivationKind.RELU))
     assert 0 < s.lambda_min < s.lambda_max
     assert (float(obj["lambda_min_C"]), float(obj["lambda_max_C"])) == (s.lambda_min,

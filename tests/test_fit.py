@@ -11,7 +11,6 @@ from roblaw import (
     ActivationKind,
     DotProductKernel,
     FeatureMap,
-    HiddenWeights,
     InvalidArgument,
     SingularKernel,
     gen_dataset,
@@ -65,7 +64,7 @@ def test_a_path_rejects_labels_that_do_not_fit_its_inputs(kind, n):
     # widths (5, 3 and 15), and 2 inputs the dual one
     X = sample_sphere(5, n, 1)
     build = linear_path if kind == "linear" else partial(
-        feature_path, FeatureMap(kind=kind, weights=HiddenWeights(sample_sphere(5, 3, 2).points)))
+        feature_path, FeatureMap(kind=kind, weights=sample_sphere(5, 3, 2)))
     for y in (np.ones(n - 1), np.ones((2, n + 1))):
         with pytest.raises(InvalidArgument, match="does not fit"):
             build(X, y).fit(0.1)
@@ -274,7 +273,7 @@ def test_every_path_builds_an_exactly_symmetric_gram():
     # solve_psd factors the transpose of its copy of the gram, which is the
     # gram itself only when the two agree bit for bit
     d, k = 10, 30
-    W = HiddenWeights(sample_sphere(d, k, 3).points)
+    W = sample_sphere(d, k, 3)
     small, large = gen_dataset(20, d, 0.5, 1), gen_dataset(400, d, 0.5, 2)
     paths = {
         f"kernel {name}": roblaw.fit.kernel_path(
@@ -398,7 +397,7 @@ def test_kernel_fit_ridge_normal_equations():
 def test_feature_fit_dual_primal_agree():
     # with a ridge both solve paths give the same predictor
     d, k, lam = 20, 12, 0.05
-    W = HiddenWeights(sample_sphere(d, k, 3).points)
+    W = sample_sphere(d, k, 3)
     fmap = FeatureMap(kind="frozen_rf", weights=W, activation=ActivationKind.RELU)
     data_small = gen_dataset(8, d, 0.2, 4)   # n < k: dual path
     data_large = gen_dataset(40, d, 0.2, 5)  # n > k: primal path
@@ -412,7 +411,7 @@ def test_feature_fit_dual_primal_agree():
 
 
 def _rf_map(kind):
-    return FeatureMap(kind=kind, weights=HiddenWeights(sample_sphere(20, 12, 3).points))
+    return FeatureMap(kind=kind, weights=sample_sphere(20, 12, 3))
 
 
 @pytest.mark.parametrize("n, path", [
@@ -434,7 +433,7 @@ def test_every_path_rejects_a_nan_label_in_solve_psd(n, path):
 
 def test_dual_rf_fit_builds_features_once(monkeypatch):
     d, k = 20, 12
-    fmap = FeatureMap(kind="frozen_rf", weights=HiddenWeights(sample_sphere(d, k, 3).points))
+    fmap = FeatureMap(kind="frozen_rf", weights=sample_sphere(d, k, 3))
     data = gen_dataset(8, d, 0.2, 4)  # n < k: dual path
     calls = []
     original = roblaw.kernels.rf_features
@@ -453,7 +452,7 @@ def test_dual_rf_fit_builds_features_once(monkeypatch):
 
 def test_ntk_feature_fit_interpolates():
     d, k = 10, 6
-    W = HiddenWeights(sample_sphere(d, k, 6).points)
+    W = sample_sphere(d, k, 6)
     fmap = FeatureMap(kind="ntk", weights=W, activation=ActivationKind.RELU)
     data = gen_dataset(20, d, 0.4, 7)  # n < k*d: dual path
     model = feature_path(fmap, data.X, data.y).fit(0.0)
@@ -488,7 +487,7 @@ def test_train_test_mse_definitions():
 
 def test_every_model_predicts_through_its_design():
     data = gen_dataset(9, 5, 0.3, 21)
-    W = HiddenWeights(sample_sphere(5, 7, 22).points)
+    W = sample_sphere(5, 7, 22)
     kernel = DotProductKernel(name="ntk_infinite", activation=ActivationKind.ABS)
     models = [
         linear_path(data.X, data.y).fit(1e-3),
@@ -534,7 +533,7 @@ def test_kernel_model_rejects_points_off_the_sphere(name):
                                          "FeatureModel-ntk"])
 def test_a_point_of_another_dimension_raises_invalid_argument(model_class, entry):
     data = gen_dataset(9, 5, 0.3, 21)
-    W = HiddenWeights(sample_sphere(5, 7, 22).points)
+    W = sample_sphere(5, 7, 22)
     model = {
         "LinearModel": lambda: linear_path(data.X, data.y).fit(1e-3),
         "KernelModel": lambda: kernel_path(
@@ -565,7 +564,7 @@ def test_rkhs_norm_quadratic_form():
 @pytest.mark.parametrize("n", [8, 40])  # an NTK dual and primal path, k d = 20
 def test_fitted_models_do_not_keep_their_path_gram_alive(n):
     d, k = 5, 4
-    W = HiddenWeights(sample_sphere(d, k, 3).points)
+    W = sample_sphere(d, k, 3)
     data = gen_dataset(n, d, 0.5, 4)
     kernel = DotProductKernel(name="ntk_infinite", activation=ActivationKind.RELU)
     paths = [roblaw.fit.kernel_path(kernel, data.X, data.y),

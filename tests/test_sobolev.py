@@ -10,7 +10,6 @@ from roblaw import (
     ActivationKind,
     DotProductKernel,
     FeatureMap,
-    HiddenWeights,
     InvalidArgument,
     ResourceLimit,
     SphereSample,
@@ -35,31 +34,31 @@ def _network(W, a, activation=ActivationKind.RELU):
 
 
 def _relu_two_layer(d, k, seed):
-    W = HiddenWeights(sample_sphere(d, k, seed).points)
+    W = sample_sphere(d, k, seed)
     return _network(W, np.random.default_rng(seed + 1).normal(size=k))
 
 
 def test_analytic_single_neuron():
-    W = HiddenWeights(sample_sphere(10, 1, 0).points)
+    W = sample_sphere(10, 1, 0)
     m = _network(W, np.array([1.0]))
     assert sobolev_analytic([m])[0] == pytest.approx(math.sqrt(0.45), abs=1e-12)
 
 
 def test_analytic_zero_output_weights():
-    W = HiddenWeights(sample_sphere(6, 4, 1).points)
+    W = sample_sphere(6, 4, 1)
     m = _network(W, np.zeros(4))
     assert sobolev_analytic([m])[0] == 0.0
 
 
 def test_analytic_orthonormal_pair():
-    m = _network(HiddenWeights(np.eye(2)), np.full(2, math.sqrt(2)))  # v = (1, 1)
+    m = _network(SphereSample(np.eye(2)), np.full(2, math.sqrt(2)))  # v = (1, 1)
     # diagonal terms 1/2 - 1/4 each, cross terms -phi(0)/d each
     ref = math.sqrt(2 * 0.25 + 2 * (-1 / (4 * math.pi)))
     assert sobolev_analytic([m])[0] == pytest.approx(ref, abs=1e-12)
 
 
 def test_analytic_is_nan_for_a_nonhomogeneous_activation(monkeypatch):
-    W = HiddenWeights(sample_sphere(5, 2, 2).points)
+    W = sample_sphere(5, 2, 2)
     m = _network(W, np.ones(2), ActivationKind.TANH)
     monkeypatch.setattr(roblaw.sobolev, "c_sigma_sobolev", None)  # never built
     assert math.isnan(sobolev_analytic([m])[0])
@@ -89,14 +88,14 @@ def test_analytic_of_a_mixed_list_equals_each_model_alone(monkeypatch):
     # every model class in one list: a closed form for linear models and
     # order-1 homogeneous two-layer views, nan for the rest
     d = 8
-    erf = FeatureMap(kind="frozen_rf", weights=HiddenWeights(sample_sphere(d, 6, 40).points),
+    erf = FeatureMap(kind="frozen_rf", weights=sample_sphere(d, 6, 40),
                      activation=ActivationKind.ERF)
     models = _path_models(d, 41) + [
         _relu_two_layer(d, 5, 42), FeatureModel(map=erf, a=np.ones(6))]
     original, built = roblaw.sobolev.c_sigma_sobolev, []
 
     def counted(W, kind):
-        built.append(id(W.W))
+        built.append(id(W.points))
         return original(W, kind)
 
     monkeypatch.setattr(roblaw.sobolev, "c_sigma_sobolev", counted)
@@ -167,7 +166,7 @@ def _path_models(d, seed):
     vectors on one RF map, one NTK map and one kernel with its anchors,
     plus a two-layer and a linear model."""
     rng = np.random.default_rng(seed)
-    W = HiddenWeights(sample_sphere(d, 7, seed).points)
+    W = sample_sphere(d, 7, seed)
     rf = FeatureMap(kind="frozen_rf", weights=W, activation=ActivationKind.RELU)
     ntk = FeatureMap(kind="ntk", weights=W, activation=ActivationKind.ABS)
     kernel = DotProductKernel(name="ntk_infinite", activation=ActivationKind.RELU)
@@ -332,7 +331,7 @@ def test_poincare_below_seminorm_two_layer():
 
 def test_eta_proxy_direct_sum():
     W = np.array([[1.0, 0.0], [0.6, 0.8]])
-    m = _network(HiddenWeights(W), np.array([1.0, -2.0]))
+    m = _network(SphereSample(W), np.array([1.0, -2.0]))
     assert eta_proxy(m) == pytest.approx(3.0 / math.sqrt(2))
 
 
@@ -340,17 +339,17 @@ def test_eta_proxy_chain_upper_bound():
     rng = np.random.default_rng(17)
     for _ in range(200):
         k, d = 6, 9
-        W = HiddenWeights(sample_sphere(d, k, int(rng.integers(1 << 30))).points)
+        W = sample_sphere(d, k, int(rng.integers(1 << 30)))
         m = _network(W, rng.normal(size=k))
         _, v, _ = m.two_layer
-        bound = math.sqrt(k) * np.linalg.norm(v) * np.linalg.norm(W.W, axis=1).max()
+        bound = math.sqrt(k) * np.linalg.norm(v) * np.linalg.norm(W.points, axis=1).max()
         assert eta_proxy(m) <= bound + 1e-12
 
 
 def test_only_two_layer_networks_have_a_two_layer_view():
     rf, ntk, kernel, linear = [_path_models(6, 31)[i] for i in (0, 3, 6, 10)]
     W, v, activation = rf.two_layer
-    k = rf.map.weights.k
+    k = rf.map.weights.count
     assert W is rf.map.weights and activation == rf.map.activation
     assert v.tobytes() == (rf.a / math.sqrt(k)).tobytes()
     # every hidden row has unit norm

@@ -7,7 +7,8 @@ classes share one `predict`. Every public top-level function and class has
 a user besides its unit tests, and so has every defaulted parameter of a
 public function or method and every field of a public dataclass. No module
 imports `threading`: a sweep runs on the calling thread, and no library
-state is shared across threads."""
+state is shared across threads. Every name that a `from ... import` binds is
+read by its module."""
 
 import ast
 import json
@@ -204,6 +205,29 @@ def test_no_import_inside_a_function():
     found = [f"{path.name}:{node.lineno} in {name}"
              for path in SOURCES for name, fn in _functions(path)
              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
+def _unread_imports(path):
+    """'file:line name' for each name that a `from ... import` binds in the
+    module at path and that the module never reads as a bare name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if (alias.asname or alias.name) not in read]
+
+
+def test_every_from_import_is_read(tmp_path):
+    """Each name bound by a `from ... import` in the library or its tests is
+    read in its own module. `__init__.py` is exempt, since its imports are
+    the package's exports, and so are `import a.b` statements, which load
+    submodules. A planted module shows that the check sees unread names."""
+    planted = tmp_path / "planted.py"
+    planted.write_text("from math import pi, tau\nfrom os import path as p\nprint(tau)\n")
+    assert _unread_imports(planted) == ["planted.py:1 pi", "planted.py:2 p"]
+    found = [entry for path in [*SOURCES, *sorted(Path(__file__).parent.glob("*.py"))]
+             if path.name != "__init__.py" for entry in _unread_imports(path)]
     assert found == []
 
 

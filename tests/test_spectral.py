@@ -11,7 +11,6 @@ import roblaw.spectral
 from roblaw import (
     ActivationKind,
     FeatureMap,
-    HiddenWeights,
     InvalidArgument,
     LinearizationCoeffs,
     c_phi_monte_carlo,
@@ -26,8 +25,8 @@ from roblaw import (
     mp_edges,
     mp_integral,
     op_distance,
-    phi_profile,
     relu_cov_linearization,
+    SphereSample,
     sample_sphere,
     sym_eigs,
 )
@@ -86,9 +85,9 @@ def test_op_distance_basic():
 
 def test_c_sigma_sobolev_entries():
     d = 8
-    W = HiddenWeights(sample_sphere(d, 4, 1).points)
+    W = sample_sphere(d, 4, 1)
     C = c_sigma_sobolev(W, ActivationKind.RELU)
-    T = W.W @ W.W.T
+    T = W.points @ W.points.T
     for i in range(4):
         for j in range(4):
             assert C[i, j] == pytest.approx(
@@ -100,16 +99,16 @@ def test_c_sigma_cov_matches_feature_covariance():
     # entries phi(w_i . w_j) - phi(0) equal cov(sqrt(d) sigma(Wx)) up to
     # O(1/d) sphere corrections; check against Monte Carlo at moderate d
     d, k = 60, 5
-    W = HiddenWeights(sample_sphere(d, k, 2).points)
+    W = sample_sphere(d, k, 2)
     C = c_sigma_cov(W, ActivationKind.RELU)
     X = sample_sphere(d, 300000, 3).points
-    Z = np.maximum(X @ W.W.T, 0.0) * math.sqrt(d)
+    Z = np.maximum(X @ W.points.T, 0.0) * math.sqrt(d)
     emp = np.cov(Z.T)
     assert np.abs(C - emp).max() < 0.02
 
 
 def test_linearized_c_assembly():
-    W = HiddenWeights(np.eye(3))
+    W = SphereSample(np.eye(3))
     L = linearized_c(W, LinearizationCoeffs(0.1, 0.25, 0.05, correction=0.01))
     ref = 0.11 * np.ones((3, 3)) + 0.25 * np.eye(3) + 0.05 * np.eye(3)
     np.testing.assert_allclose(L, ref, atol=1e-14)
@@ -118,7 +117,7 @@ def test_linearized_c_assembly():
 def test_relu_linearization_improves_with_dimension():
     dists = []
     for d in (40, 160):
-        W = HiddenWeights(sample_sphere(d, d, d).points)
+        W = sample_sphere(d, d, d)
         C = c_sigma_cov(W, ActivationKind.RELU)
         dists.append(op_distance(C, linearized_c(W, relu_cov_linearization(d))))
     assert dists[1] < dists[0]
@@ -126,7 +125,7 @@ def test_relu_linearization_improves_with_dimension():
 
 def test_c_phi_monte_carlo_rf_close_to_analytic():
     d, k = 80, 6
-    W = HiddenWeights(sample_sphere(d, k, 9).points)
+    W = sample_sphere(d, k, 9)
     fmap = FeatureMap(kind="frozen_rf", weights=W, activation=ActivationKind.RELU)
     C = c_phi_monte_carlo(fmap, 200000, 10) * k  # undo 1/sqrt(k) twice
     ref = c_sigma_cov(W, ActivationKind.RELU)
@@ -247,7 +246,7 @@ def test_mp_invalid_arguments():
 
 def _ntk_gram(n, d, k):
     """The gram an ntk_finite path factors: Z^T Z for n > kd, else Z Z^T."""
-    W = HiddenWeights(sample_sphere(d, k, 2).points)
+    W = sample_sphere(d, k, 2)
     data = gen_dataset(n, d, 0.5, 1)
     return feature_path(FeatureMap("ntk", W), data.X, data.y).gram
 
@@ -367,11 +366,11 @@ def test_narrow_gram_spectrum_is_sym_eigs(n):
 
 
 def test_hidden_weights_build_their_cosines_once():
-    W = HiddenWeights(sample_sphere(7, 30, 4).points)
+    W = sample_sphere(7, 30, 4)
     T = W.cosines
     assert T is W.cosines
     assert not T.flags.writeable
-    assert np.array_equal(T, np.clip(W.W @ W.W.T, -1.0, 1.0))
+    assert np.array_equal(T, np.clip(W.points @ W.points.T, -1.0, 1.0))
 
 
 @pytest.mark.parametrize("k", [7, 1000])
@@ -380,7 +379,7 @@ def test_every_c_matrix_is_exactly_symmetric(kind, k):
     # each is an entrywise profile of W W^T, itself exactly symmetric, so
     # sym_eigs takes it as it is
     d = 17
-    W = HiddenWeights(sample_sphere(d, k, k).points)
+    W = sample_sphere(d, k, k)
     mats = {"c_sigma_sobolev": c_sigma_sobolev(W, kind), "c_sigma_cov": c_sigma_cov(W, kind)}
     mats.update((name, regime.c_matrix(W, kind)) for name, regime in REGIME_TABLE.items()
                 if regime.c_matrix is not None)
@@ -392,6 +391,6 @@ def test_every_c_matrix_is_exactly_symmetric(kind, k):
 
 @pytest.mark.parametrize("kind", ["frozen_rf", "ntk"])
 def test_monte_carlo_feature_covariance_is_exactly_symmetric(kind):
-    W = HiddenWeights(sample_sphere(5, 7, 1).points)
+    W = sample_sphere(5, 7, 1)
     C = c_phi_monte_carlo(FeatureMap(kind=kind, weights=W), 1000, 2)
     assert C.tobytes() == C.T.tobytes()

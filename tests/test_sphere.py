@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,8 +18,11 @@ def test_sample_sphere_rows_unit_norm():
     [[1.0, 0.0], [0.6, 0.9]],           # second row has norm 1.08
     [[1.0, 1e-4]],
     [[math.nan, 0.0]],
+    *([[1.0, 0.0], [0.6 * scale, 0.8 * scale]] for scale in (3.0, 0.5, 1 + 1e-8, 0.0)),
 ])
 def test_public_sphere_sample_checks_every_row_norm(points):
+    # a hidden layer is a sphere sample, and no field switches the check off
+    assert [f.name for f in dataclasses.fields(SphereSample)] == ["points"]
     with pytest.raises(InvalidArgument, match="unit norm"):
         SphereSample(np.array(points))
 
