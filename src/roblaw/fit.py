@@ -72,7 +72,8 @@ def _points(x, d: int) -> np.ndarray:
 class _Model:
     """What every model class shares: its prediction at one point or a
     batch, `design(x) @ coef`, and the defaults of a model that is no
-    two-layer network and has no closed-form seminorm."""
+    two-layer network and has no closed-form seminorm. A model equals and
+    hashes as itself only, as its `factor_key` assumes of its sample."""
 
     two_layer = None
     seminorm = math.nan
@@ -81,7 +82,7 @@ class _Model:
         return self.design(x) @ self.coef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearModel(_Model):
     w: np.ndarray
     meta: dict = field(default_factory=dict)
@@ -111,7 +112,7 @@ class LinearModel(_Model):
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelModel(_Model):
     kernel: DotProductKernel
     anchors: SphereSample
@@ -148,7 +149,7 @@ class KernelModel(_Model):
         return np.matmul(factor, self.c[:, None] * self.anchors.points, out=out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureModel(_Model):
     """The two-layer network sum_j v_j sigma(w_j . x) is the frozen_rf
     model of a = sqrt(k) v."""
@@ -286,8 +287,8 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
     for bit, as every path builder makes its gram) by Cholesky, with the
     jitter j*lmax added to the diagonal for j = 0, 1e-12, 1e-10 in turn
     until one factors. Raises `SingularKernel` when no rung factors, or
-    before any attempt when lmax, the largest |diagonal entry| of K, is 0
-    (the one PSD K with a zero diagonal is K = 0). y is one right-hand
+    before any attempt when lam and lmax, the largest |diagonal entry| of K,
+    are both 0 (the one PSD K with a zero diagonal is K = 0). y is one right-hand
     side or a stack of them in rows; c is stacked as y is, and each row
     has the bits of its own solve with the one factor of K + lam*I.
     Returns (c, {"jitter", "fallback"}). K and y, arrays of numbers or
@@ -309,7 +310,7 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
     if (not gram_checked and not np.all(np.isfinite(K))) or not np.all(np.isfinite(y)):
         raise InvalidArgument("non-finite entries in solve")
     lmax = float(np.max(np.abs(np.diag(K))))
-    if lmax <= 0:
+    if lmax <= 0 and lam == 0:
         raise SingularKernel("kernel matrix has a zero diagonal")
     n = K.shape[0]
     M = np.empty((n, n))  # C-ordered, so its diagonal is a strided view

@@ -22,11 +22,11 @@ def check_unit_rows(points, message: str) -> None:
         raise InvalidArgument(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereSample:
     """n points on the unit sphere S^{d-1}, one per row: the inputs of a
     dataset, or the k weight rows of a hidden layer, whose every closed form
-    assumes them on the sphere."""
+    assumes them on the sphere. A sample equals and hashes as itself only."""
 
     points: np.ndarray
 

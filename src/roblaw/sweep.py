@@ -20,7 +20,7 @@ of its cell run alone, byte for byte, failures included.
 import csv
 import math
 from dataclasses import dataclass, fields, replace
-from itertools import product
+from itertools import islice, product
 from typing import Callable
 
 import numpy as np
@@ -228,11 +228,6 @@ def blank_record(cell: TrialCell) -> TrialRecord:
     )
 
 
-def _group_key(cell: TrialCell) -> TrialCell:
-    """Cells with one key differ only in lambda and zeta: one (X, W) group."""
-    return replace(cell, lam=0.0, zeta=0.0)
-
-
 def _fill_path(recs: list, cells: list) -> None:
     """Compute the metrics of an (X, W) group's cells into their records,
     stage by stage, and raise the first failure, leaving in the records the
@@ -326,7 +321,7 @@ def run_trial(cells: list[TrialCell]) -> list[TrialRecord]:
     as a tagged row, never as an exception: a lone cell keeps the metrics
     computed before it, and a larger group is run again one cell at a time,
     so every row is the row of its cell run alone."""
-    if len({_group_key(c) for c in cells}) != 1:
+    if len({replace(c, lam=0.0, zeta=0.0) for c in cells}) != 1:
         raise InvalidArgument("an (X, W) group needs cells that differ only in lambda and zeta")
     recs = [blank_record(c) for c in cells]
     try:
@@ -365,26 +360,26 @@ def iter_cells(config: SweepConfig):
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> str:
-    """Run the full grid, one `run_trial` per (X, W) group in grid order on
-    the calling thread, and write the CSV rows in `iter_cells` order;
-    returns the output path. The output is opened before the first trial,
-    so a bad path costs no compute. `workers` (at least 1) does not change
-    the run: a group's linear algebra already runs in BLAS, where a second
-    thread only competed for the cores; ROADMAP plans worker processes."""
+    """Run the full grid, one `run_trial` per (X, W) group on the calling
+    thread, into the output path, which it returns and opens before the
+    first trial. Rows go out in `iter_cells` order, flushed after each
+    (n, d, k) block, so a run holds one block and a killed run keeps every
+    finished block. `workers` >= 1 does not change the run."""
     if workers < 1:
         raise InvalidArgument(f"workers must be >= 1, got {workers}")
-    cells = list(iter_cells(config))
-    keys = [_group_key(cell) for cell in cells]
-    groups: dict = {}
-    for key, cell in zip(keys, cells):
-        groups.setdefault(key, []).append(cell)
+    # (lambda, zeta) outer, (dataset, weight draw) inner: group g is block[g::groups]
+    groups = config.datasets_per_cell * config.weight_draws_per_dataset
+    size = groups * len(config.lambda_grid) * len(config.zeta_grid)
+    cells = iter_cells(config)
     try:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-            # a group's records come back in the order of its cells
-            records = {key: iter(run_trial(group)) for key, group in groups.items()}
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            writer.writerows(next(records[key]).csv_row() for key in keys)
+            while block := list(islice(cells, size)):
+                records = [run_trial(block[g::groups]) for g in range(groups)]
+                writer.writerows(rec.csv_row() for row in zip(*records) for rec in row)
+                fh.flush()
+                del records  # before the next block runs
     except OSError as exc:
         raise IoError(f"cannot write {config.output_path}: {exc}") from exc
     return config.output_path

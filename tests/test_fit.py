@@ -208,6 +208,15 @@ def test_solve_psd_rejects_a_zero_gram(monkeypatch, K):
     with pytest.raises(SingularKernel, match="zero diagonal"):
         solve_psd(K, np.ones(len(K)), 0.0)
     assert diags == []
+    monkeypatch.undo()
+    y = np.arange(1.0, len(K) + 1)
+    if np.any(K):  # K + 0.5 I has eigenvalues 2.5 and -1.5
+        with pytest.raises(SingularKernel, match="does not factor"):
+            solve_psd(K, y, 0.5)
+    else:  # K + lam I = lam I factors
+        c, meta = solve_psd(K, y, 0.5)
+        np.testing.assert_allclose(c, y / 0.5, rtol=1e-15)
+        assert meta == {"jitter": 0.0, "fallback": False}
 
 
 def test_solve_psd_rejects_an_indefinite_gram():

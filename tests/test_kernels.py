@@ -151,6 +151,26 @@ def test_model_gradient_matches_finite_differences():
         )
 
 
+def test_models_and_feature_maps_compare_and_hash_without_raising():
+    # a model, like its sample, equals itself only; a feature map equals
+    # one built on the same sample object
+    d, W = 4, sample_sphere(4, 3, 1)
+    data = gen_dataset(6, d, 0.2, 2)
+    fmap = FeatureMap(kind="frozen_rf", weights=W)
+    models = [
+        LinearModel(w=np.ones(d)),
+        kernel_path(DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU),
+                    data.X, data.y).fit(1e-3),
+        feature_path(fmap, data.X, data.y).fit(1e-3),
+    ]
+    for model in models:
+        assert (model == model) is True and len({model, model}) == 1
+    assert (models[0] == LinearModel(w=np.ones(d))) is False
+    same = FeatureMap(kind="frozen_rf", weights=W)
+    assert same == fmap and hash(same) == hash(fmap)
+    assert FeatureMap(kind="frozen_rf", weights=sample_sphere(4, 3, 1)) != fmap
+
+
 def test_model_gradient_batched_matches_single():
     d = 5
     X = sample_sphere(d, 4, 1).points

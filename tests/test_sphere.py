@@ -69,6 +69,12 @@ def test_sample_sphere_deterministic():
     assert np.abs(a - c).max() > 1e-3
 
 
+def test_sphere_sample_equals_and_hashes_as_itself_only():
+    a, b = sample_sphere(3, 2, 0), sample_sphere(3, 2, 0)
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_sample_sphere_mean_isotropy():
     X = sample_sphere(5, 200000, 1).points
     # E[x] = 0, E[xx^T] = I/d

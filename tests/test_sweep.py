@@ -35,6 +35,8 @@ from roblaw.sweep import (
     splitmix64,
 )
 
+from conftest import peak_bytes
+
 
 def small_config(tmp_path, **overrides):
     fields = dict(
@@ -146,6 +148,18 @@ def test_run_trial_populates_metrics():
     assert rec.sobolev_mc == pytest.approx(rec.sobolev_analytic, rel=0.25)
     assert rec.eta > 0 and math.isfinite(rec.gram_cond)
     assert math.isnan(rec.rkhs_norm)
+
+
+def test_ridge_on_a_zero_gram_is_a_row_not_a_singular_kernel():
+    # all four inputs fall on the dead side of the one ReLU unit, so the
+    # gram is 0 and K + lambda I = lambda I
+    cell = TrialCell(regime="rf_finite", activation=ActivationKind.RELU,
+                     n=4, d=2, k=1, lam=0.1, zeta=0.5, dataset_seed=54, weight_seed=55)
+    [rec] = run_trial([cell])
+    assert rec.reason == "" and rec.sobolev_mc == 0
+    assert all(math.isfinite(getattr(rec, name)) for name in (
+        "train_mse", "test_mse", "sobolev_mc_stderr", "sobolev_analytic", "coef_norm",
+        "eta", "lambda_min_C", "lambda_max_C"))
 
 
 def test_run_trial_failure_is_tagged_not_raised():
@@ -308,6 +322,51 @@ def test_multi_zeta_sweep_rows_equal_their_cells_run_alone(tmp_path, regime, n_g
     assert len(rows) == len(n_grid) * 3 * 3 * 2 * 2
     assert all(row[-1] == "" for row in rows)
     assert rows == _alone(cfg)
+
+
+@pytest.mark.parametrize("grid", [
+    dict(n_grid=(8, 8, 30), lambda_grid=(0.0, 1e-3, 0.0)),
+    dict(d_grid=(6, 10), k_grid=(8, 16)),
+], ids=["repeated_n_and_lambda", "two_d_and_two_k"])
+def test_each_block_writes_the_rows_of_its_cells_run_alone(tmp_path, grid):
+    # blocks are cut by cell count: a repeated n is two blocks of two seeds
+    cfg = small_config(tmp_path, zeta_grid=(0.0, 0.7), datasets_per_cell=2,
+                       weight_draws_per_dataset=3, **grid)
+    assert _csv_rows(run_sweep(cfg)) == _alone(cfg)
+
+
+def test_a_run_that_dies_in_its_second_block_keeps_the_first(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path, n_grid=(8, 12, 16), zeta_grid=(0.0, 0.7),
+                       weight_draws_per_dataset=2)
+    whole = Path(run_sweep(cfg)).read_text(encoding="utf-8").splitlines(keepends=True)
+    first = "".join(whole[:1 + 2 * 2 * 2])  # the header, then 2 lambdas x 2 zetas x 2 draws
+    original, on_disk = roblaw.sweep.run_trial, []
+
+    def dies_in_block_two(cells):
+        if cells[0].n == 12:
+            on_disk.append(Path(cfg.output_path).read_text(encoding="utf-8"))
+            raise RuntimeError("killed")
+        return original(cells)
+
+    monkeypatch.setattr(roblaw.sweep, "run_trial", dies_in_block_two)
+    with pytest.raises(RuntimeError, match="killed"):
+        run_sweep(cfg)
+    # flushed before the second block started, not only when the file closed
+    assert on_disk == [first]
+    assert Path(cfg.output_path).read_text(encoding="utf-8") == first
+
+
+def test_sweep_holds_one_block_not_the_grid(tmp_path):
+    def peak(blocks):
+        cfg = small_config(tmp_path, regime="linear", n_grid=(8,) * blocks,
+                           zeta_grid=(0.0, 0.5), datasets_per_cell=4,
+                           weight_draws_per_dataset=5)
+        return peak_bytes(lambda: run_sweep(cfg))[1]
+
+    peak(1)  # first-call allocations
+    one, many = peak(1), peak(20)
+    # 20 blocks' cells and records held at once took 5 one-block peaks
+    assert many < 1.15 * one
 
 
 def test_failure_at_one_zeta_stays_in_its_rows(tmp_path, monkeypatch):
