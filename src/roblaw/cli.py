@@ -38,8 +38,8 @@ def _parse_value(kind, text: str):
 
 def parse_config_file(path: str) -> dict:
     """Flat key=value config; the keys and their types are the SweepConfig
-    fields. '#' starts a comment; lists are comma-separated. Unknown keys
-    and malformed values are errors."""
+    fields. '#' starts a comment; lists are comma-separated. Unknown or
+    repeated keys and malformed values are errors."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -57,6 +57,8 @@ def parse_config_file(path: str) -> dict:
         key, val = key.strip(), val.strip()
         if key not in kinds:
             raise InvalidArgument(f"{path}:{lineno}: unknown key {key!r}")
+        if key in out:
+            raise InvalidArgument(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             out[key] = _parse_value(kinds[key], val)
         except ValueError as exc:

@@ -11,12 +11,12 @@ from .errors import InvalidArgument
 from .sphere import SphereSample, sample_sphere
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Inputs X, signal vector w0 and one N(0, 1) noise draw g, labelled at
     noise level zeta: y = X w0 + zeta g. `replace(data, zeta=z)` labels the
     same draw at level z (common random numbers); each level keeps the law
-    of a draw of its own."""
+    of a draw of its own. It equals and hashes as itself only."""
 
     X: SphereSample
     w0: np.ndarray

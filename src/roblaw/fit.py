@@ -21,11 +21,11 @@ so the spectra of a wide gram need no factorization of their own.
 Every model predicts through a design: `predict(x)` is `design(x) @ coef`,
 with `design(x)` the lambda-free matrix of the inputs (x itself, the kernel
 at the anchors or the features), so the models of one ridge path can share
-one design of a point set. Gradients split the same way:
-`gradient(X, gradient_factor(X))` multiplies the coefficient-free
-(m, k or n) factor, which the models of one `factor_key` share, by a small
-(k or n, d) operand into which the model folds its coefficients, for k
-hidden units or n anchors. Both methods take an `out` array to write into.
+one design of a point set. Gradients split the same way: `gradient(X,
+factor)` is `factor @ gradient_operand`, the coefficient-free (m, k, n or 1)
+`gradient_factor(X)`, which the models of one `factor_key` share, times a
+small (k, n or 1, d) operand into which the model folds its coefficients,
+for k hidden units, n anchors or a linear model's one weight vector.
 `two_layer` is the (hidden weights, output weights, activation) of a
 two-layer network, which only a frozen_rf feature model is; a model without
 one gives its closed-form Sobolev seminorm as `seminorm`. `_Model` holds
@@ -70,16 +70,20 @@ def _points(x, d: int) -> np.ndarray:
 
 
 class _Model:
-    """What every model class shares: its prediction at one point or a
-    batch, `design(x) @ coef`, and the defaults of a model that is no
-    two-layer network and has no closed-form seminorm. A model equals and
-    hashes as itself only, as its `factor_key` assumes of its sample."""
+    """What every model class shares: `predict(x)`, `design(x) @ coef`,
+    `gradient(X, factor)`, `factor @ gradient_operand` (into `out` when
+    given), and the defaults of a model that is no two-layer network and has
+    no closed-form seminorm. A model equals and hashes as itself only, as
+    its `factor_key` assumes of its sample."""
 
     two_layer = None
     seminorm = math.nan
 
     def predict(self, x):
         return self.design(x) @ self.coef
+
+    def gradient(self, X, factor, out=None) -> np.ndarray:
+        return np.matmul(factor, self.gradient_operand, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,18 +102,16 @@ class LinearModel(_Model):
         """||w|| sqrt(1 - 1/d) for f(x) = w . x on the sphere."""
         return float(np.linalg.norm(self.w)) * math.sqrt(1.0 - 1.0 / self.w.shape[0])
 
+    @property
+    def gradient_operand(self) -> np.ndarray:
+        return self.w[None, :]
+
     def design(self, x) -> np.ndarray:
         return _points(x, self.w.shape[0])
 
-    def gradient_factor(self, X, out=None):
-        _points(X, self.w.shape[0])
-        return None
-
-    def gradient(self, X, factor, out=None) -> np.ndarray:
-        if out is None:
-            out = np.empty(X.shape)
-        out[...] = self.w
-        return out
+    def gradient_factor(self, X) -> np.ndarray:
+        """Ones, (m, 1): the gradient of w . x is w at every point."""
+        return np.ones(_points(X, self.w.shape[0]).shape[:-1] + (1,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +129,10 @@ class KernelModel(_Model):
     def factor_key(self):
         return self.kernel, id(self.anchors.points)
 
+    @property
+    def gradient_operand(self) -> np.ndarray:
+        return self.c[:, None] * self.anchors.points
+
     def design(self, X) -> np.ndarray:
         """K(X, anchors) for a point or an (m, d) batch X of unit points
         (InvalidArgument otherwise). At the anchors it is the fit's gram
@@ -135,18 +141,15 @@ class KernelModel(_Model):
         check_unit_rows(X, "kernel model points must have unit norm")
         return kernel_matrix(self.kernel, X, self.anchors.points)
 
-    def gradient_factor(self, X, out=None) -> np.ndarray:
+    def gradient_factor(self, X) -> np.ndarray:
         """phi'(X A^T) at the anchors A for unit points X, (m, n), with t
         clamped to |t| <= 1 - 1e-9, where the NTK phi' of relu and abs is
-        finite; formed in place (in `out` when given)."""
+        finite; formed in place."""
         X = _points(X, self.anchors.dim)
         check_unit_rows(X, "kernel model points must have unit norm")
-        T = np.matmul(X, self.anchors.points.T, out=out)
+        T = X @ self.anchors.points.T
         np.clip(T, -(1 - 1e-9), 1 - 1e-9, out=T)
         return np.asarray(kernel_profile_deriv(self.kernel, T, T))
-
-    def gradient(self, X, factor, out=None) -> np.ndarray:
-        return np.matmul(factor, self.c[:, None] * self.anchors.points, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,25 +177,25 @@ class FeatureModel(_Model):
         k = self.map.weights.count
         return self.map.weights, self.a / math.sqrt(k), self.map.activation
 
+    @property
+    def gradient_operand(self) -> np.ndarray:
+        """(a / sqrt(k)) W for random features, a in k blocks of d over
+        sqrt(k) for NTK features, whose Jacobian drops the distributional
+        sigma'' term (a.e. correct for piecewise-linear sigma')."""
+        W = self.map.weights.points
+        k = W.shape[0]
+        if self.map.kind == "frozen_rf":
+            return (self.a / math.sqrt(k))[:, None] * W
+        return self.a.reshape(k, -1) / math.sqrt(k)
+
     def design(self, X) -> np.ndarray:
         """The feature rows of an (m, d) batch X."""
         return features(self.map, _points(X, self.map.weights.dim))
 
-    def gradient_factor(self, X, out=None) -> np.ndarray:
-        """sigma'(X W^T), formed in place (in `out` when given)."""
-        T = np.matmul(_points(X, self.map.weights.dim), self.map.weights.points.T, out=out)
+    def gradient_factor(self, X) -> np.ndarray:
+        """sigma'(X W^T), formed in place."""
+        T = _points(X, self.map.weights.dim) @ self.map.weights.points.T
         return act_deriv(self.map.activation, T, T)
-
-    def gradient(self, X, factor, out=None) -> np.ndarray:
-        """The NTK feature Jacobian drops the distributional sigma'' term
-        (a.e. correct for piecewise-linear sigma')."""
-        W = self.map.weights.points
-        k = W.shape[0]
-        if self.map.kind == "frozen_rf":
-            operand = (self.a / math.sqrt(k))[:, None] * W
-        else:
-            operand = self.a.reshape(k, -1) / math.sqrt(k)  # (k, d) blocks
-        return np.matmul(factor, operand, out=out)
 
 
 def _scipy_blas_threads() -> tuple:
@@ -334,7 +337,7 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
     raise SingularKernel(f"K + lambda I does not factor, last jitter tried {jitter:.3g}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RidgePath:
     """The part of a ridge fit that does not depend on lambda: the PSD
     matrix every solve factors, the right-hand side (one, or the label

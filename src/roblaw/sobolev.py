@@ -58,42 +58,32 @@ def sobolev_monte_carlo(models, d: int, m: int, seed: int) -> list[SobolevEstima
     of models that shares a hidden layer, or a kernel and anchor set, as the
     models of one (X, W) group do; a model's gradient is then one product of
     that factor with a small operand into which the model folds its
-    coefficients. Memory: the drawn block, the workspace below and an (L, m)
-    array of squared norms for L models, plus, for one model at a time, a
-    (k or n) x d operand for k hidden units or n anchors and a block-sized
-    radial part, and for an ntk_infinite factor one block x n term; the
-    m * d limit bounds the draw's work."""
+    coefficients, written into one gradient buffer that every model of every
+    block reuses. Memory: the drawn block, the block's factors (block x k
+    or n for k hidden units or n anchors, one per `factor_key`), the
+    gradient buffer and an (L, m) array of squared norms for L models, plus,
+    for one model at a time, its (k or n) x d operand and the block x d
+    radial part of its gradients, and for an ntk_infinite factor one
+    block x n term; the m * d limit bounds the draw's work."""
     if m < MIN_MC_SAMPLES:
         raise InvalidArgument(f"m must be >= {MIN_MC_SAMPLES}")
     if m * d > _MAX_COV_ELEMENTS:
         raise ResourceLimit(f"sphere sample {m} x {d} too large")
     sq = np.empty((len(models), m))
-    # The workspace, rewritten by every block: one factor per factor_key
-    # (rows x k or n), the first block's, whose leading rows every later
-    # block writes its own into; the gradient G (rows x d) and the radial
-    # components r. The radial part r x is the one block-sized array made
-    # per model; freed at once, it reuses one heap chunk. A buffer held for
-    # it through the estimate raised the heap's peak on kernel paths, so
-    # the heap shrank after each estimate and faulted its pages back in.
-    rows = min(m, BLOCK_ROWS)
-    workspace = {}
-    G, r = np.empty((rows, d)), np.empty(rows)
+    # a fresh gradient per model, not one reused G, slowed rf_finite paths
+    G = np.empty((min(m, BLOCK_ROWS), d))
     for start, Xb in zip(range(0, m, BLOCK_ROWS), sphere_blocks(d, m, seed)):
-        b = len(Xb)
-        Gb, rb = G[:b], r[:b]
+        Gb = G[:len(Xb)]
         factors = {}
         for row, model in zip(sq, models):
             key = model.factor_key
             if key not in factors:
-                held = workspace.get(key)
-                factors[key] = model.gradient_factor(Xb, None if held is None else held[:b])
-                workspace.setdefault(key, factors[key])
+                factors[key] = model.gradient_factor(Xb)
             model_gradient(model, Xb, factors[key], Gb)
             # |G - (G.x) x|^2 per row: the projection keeps the accuracy of a
             # nearly radial gradient, where |G|^2 - (G.x)^2 would cancel
-            np.einsum("ij,ij->i", Gb, Xb, out=rb)
-            Gb -= rb[:, None] * Xb
-            np.einsum("ij,ij->i", Gb, Gb, out=row[start:start + b])
+            Gb -= np.einsum("ij,ij->i", Gb, Xb)[:, None] * Xb
+            np.einsum("ij,ij->i", Gb, Gb, out=row[start:start + len(Xb)])
     return [_mc_estimate(row) for row in sq]
 
 

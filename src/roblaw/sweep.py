@@ -65,6 +65,8 @@ def _check_grid(regime: str, ns, ds, ks, lambdas, zetas) -> None:
     sizes = {"n": (ns, 1), "d": (ds, 2)}
     if REGIME_TABLE[regime].hidden is not None:
         sizes["k"] = (ks, 1)
+    elif any(ks):
+        raise InvalidArgument(f"{regime} has no hidden layer, so k must be 0")
     for name, (values, least) in sizes.items():
         if not all(v >= least for v in values):
             raise InvalidArgument(f"{regime} needs {name} >= {least}")

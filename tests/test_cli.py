@@ -260,6 +260,9 @@ def test_config_file_round_trip(tmp_path):
     (("sweep",), "mc_samples = 1.5\n", "cfg.txt:2: mc_samples:"),
     (("sweep",), "n_grid 8\n", "cfg.txt:2: expected key=value"),
     (("sweep",), "zero_signal = true\n", "cfg.txt:2: unknown key 'zero_signal'"),
+    (("sweep",), "n_grid = 6\nd_grid = 3\nn_grid = 9\n", "cfg.txt:4: duplicate key 'n_grid'"),
+    (("fit", "--regime", "rf_infinite", "--n", "20", "--d", "5", "--k", "7"),
+     None, "rf_infinite has no hidden layer, so k must be 0"),
     (("sweep", "--preset", "exp9"), None, "invalid choice: 'exp9'"),
 ])
 def test_bad_activation_or_config_value_exits_2(tmp_path, capsys, argv, config, bad):
@@ -277,11 +280,14 @@ def test_bad_activation_or_config_value_exits_2(tmp_path, capsys, argv, config, 
 
 
 def _sweep_config_file(tmp_path, extra=""):
+    """A one-cell linear config, each `key = value` line of extra setting
+    its key in place of the base's: a config file sets a key once."""
+    keys = {"regime": "linear", "activation": "relu", "n_grid": "6", "d_grid": "8",
+            "k_grid": "0", "lambda_grid": "0", "zeta_grid": "0.5", "mc_samples": "200"}
+    keys.update((key.strip(), value.strip())
+                for key, _, value in (line.partition("=") for line in extra.splitlines()))
     path = tmp_path / "cfg.txt"
-    path.write_text(
-        "regime = linear\nactivation = relu\nn_grid = 6\nd_grid = 8\n"
-        "k_grid = 0\nlambda_grid = 0\nzeta_grid = 0.5\nmc_samples = 200\n" + extra
-    )
+    path.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
     return str(path)
 
 

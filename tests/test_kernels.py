@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from roblaw import (
     sample_sphere,
 )
 from roblaw.fit import (
-    FeatureModel, KernelModel, LinearModel, feature_path, kernel_path, train_mse,
+    FeatureModel, KernelModel, LinearModel, feature_path, kernel_path, linear_path, train_mse,
 )
 from roblaw.kernels import PROFILE_BLOCK, kernel_matrix
 
@@ -151,21 +152,36 @@ def test_model_gradient_matches_finite_differences():
         )
 
 
+def test_linear_model_gradient_is_w_in_every_row_bitwise():
+    d = 6
+    w = np.random.default_rng(3).normal(size=d) * np.array([1, 1e-310, 1e300, 1, 1, 1])
+    model = LinearModel(w=w)
+    X = sample_sphere(d, 1500, 4).points
+    assert_same_bits(model_gradient(model, X[0]), w)
+    assert_same_bits(model_gradient(model, X), np.tile(w, (len(X), 1)))
+    # a zero weight's gradient is a zero, whatever its sign
+    w[0] = -0.0
+    assert np.array_equal(model_gradient(model, X), np.tile(w, (len(X), 1)))
+
+
 def test_models_and_feature_maps_compare_and_hash_without_raising():
-    # a model, like its sample, equals itself only; a feature map equals
-    # one built on the same sample object
+    # a model, like its sample, its dataset and its ridge path, equals
+    # itself only; a feature map equals one built on the same sample object
     d, W = 4, sample_sphere(4, 3, 1)
     data = gen_dataset(6, d, 0.2, 2)
     fmap = FeatureMap(kind="frozen_rf", weights=W)
-    models = [
-        LinearModel(w=np.ones(d)),
+    paths = [
+        linear_path(data.X, data.y),
         kernel_path(DotProductKernel(name="rf_infinite", activation=ActivationKind.RELU),
-                    data.X, data.y).fit(1e-3),
-        feature_path(fmap, data.X, data.y).fit(1e-3),
+                    data.X, data.y),
+        feature_path(fmap, data.X, data.y),
     ]
-    for model in models:
-        assert (model == model) is True and len({model, model}) == 1
+    models = [LinearModel(w=np.ones(d)), *(path.fit(1e-3) for path in paths[1:])]
+    for obj in [*models, *paths, data]:
+        assert (obj == obj) is True and len({obj, obj}) == 1
     assert (models[0] == LinearModel(w=np.ones(d))) is False
+    assert (data == replace(data, w0=data.w0.copy())) is False
+    assert (paths[0] == linear_path(data.X, data.y)) is False
     same = FeatureMap(kind="frozen_rf", weights=W)
     assert same == fmap and hash(same) == hash(fmap)
     assert FeatureMap(kind="frozen_rf", weights=sample_sphere(4, 3, 1)) != fmap

@@ -218,13 +218,12 @@ def test_monte_carlo_point_at_an_anchor_matches_whole_sample():
     assert est.std_error == pytest.approx(se, rel=1e-13)
 
 
-def test_monte_carlo_blocks_reuse_one_workspace(monkeypatch):
-    factor_calls, gradient_outs = {}, []
-    for cls in (FeatureModel, KernelModel):
-        def recorded(self, X, out=None, original=cls.gradient_factor):
-            factor = original(self, X, out)
-            factor_calls.setdefault(self.factor_key, []).append((out, factor))
-            return factor
+def test_monte_carlo_blocks_make_one_factor_per_key(monkeypatch):
+    factor_calls, gradient_outs = [], []
+    for cls in (FeatureModel, KernelModel, LinearModel):
+        def recorded(self, X, original=cls.gradient_factor):
+            factor_calls.append((self.factor_key, len(X)))
+            return original(self, X)
 
         monkeypatch.setattr(cls, "gradient_factor", recorded)
     original_gradient = roblaw.sobolev.model_gradient
@@ -238,24 +237,13 @@ def test_monte_carlo_blocks_reuse_one_workspace(monkeypatch):
     models = _path_models(d, 30)
     sobolev_monte_carlo(models, d, m, 3)
 
-    def address(a):
-        return a.__array_interface__["data"][0]
-
     rows = [1024, 1024, 1024, 5]
-    assert len(factor_calls) == 4  # rf, ntk, kernel and two-layer
-    for key, calls in factor_calls.items():
-        # the first block's factor is the key's workspace: every later
-        # block writes its own into the workspace's leading rows
-        (first_out, workspace), *later = calls
-        assert first_out is None
-        assert [len(factor) for _, factor in calls] == rows
-        assert all(address(out) == address(factor) == address(workspace)
-                   for out, factor in later)
+    keys = list(dict.fromkeys(model.factor_key for model in models))
+    assert len(keys) == 5  # rf, ntk, kernel, two-layer and linear
+    assert factor_calls == [(key, r) for r in rows for key in keys]
     assert [len(out) for out in gradient_outs] == [r for r in rows for _ in models]
     assert {out.shape[1] for out in gradient_outs} == {d}
-    assert len({address(out) for out in gradient_outs}) == 1
-    factor_addresses = {address(calls[0][1]) for calls in factor_calls.values()}
-    assert address(gradient_outs[0]) not in factor_addresses
+    assert len({out.__array_interface__["data"][0] for out in gradient_outs}) == 1
 
 
 @pytest.mark.parametrize("name, family", [

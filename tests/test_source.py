@@ -3,12 +3,13 @@ sit at module level, no module imports scipy's integrate or optimize
 packages (nor does a fresh interpreter that runs one trial of each regime
 load them), and only the module that defines the model classes dispatches
 on them; every other module calls the models' own methods. The model
-classes share one `predict`. Every public top-level function and class has
-a user besides its unit tests, and so has every defaulted parameter of a
-public function or method and every field of a public dataclass. No module
-imports `threading`: a sweep runs on the calling thread, and no library
-state is shared across threads. Every name that a `from ... import` binds is
-read by its module."""
+classes share one `predict` and one `gradient`, and a dataclass that holds
+an array compares and hashes by identity. Every public top-level function
+and class has a user besides its unit tests, and so has every defaulted
+parameter of a public function or method and every field of a public
+dataclass. No module imports `threading`: a sweep runs on the calling
+thread, and no library state is shared across threads. Every name that a
+`from ... import` binds is read by its module."""
 
 import ast
 import json
@@ -240,9 +241,38 @@ def test_no_type_dispatch_on_models_outside_fit():
     assert found == []
 
 
-def test_model_classes_share_one_predict():
-    assert [name for path in SOURCES for name, _ in _functions(path)].count("predict") == 1
-    assert len({getattr(roblaw.fit, name).predict for name in MODEL_CLASSES}) == 1
+def test_model_classes_share_one_predict_and_one_gradient():
+    names = [name for path in SOURCES for name, _ in _functions(path)]
+    for method in ("predict", "gradient"):
+        assert names.count(method) == 1
+        assert len({getattr(getattr(roblaw.fit, name), method) for name in MODEL_CLASSES}) == 1
+    assert [fn.lineno for path in SOURCES for name, fn in _functions(path)
+            if name == "gradient_factor" and "out" in {a.arg for a in fn.args.args}] == []
+
+
+def _array_dataclasses_compared_by_value(tree):
+    """The name of each dataclass in tree with a field annotated with a
+    numpy array that is not declared `eq=False`: its generated `==` would
+    compare arrays, which raises, and its `hash` would hash them, which
+    raises too."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d for d in node.decorator_list
+                      if getattr(getattr(d, "func", d), "id", None) == "dataclass"]
+        holds_array = any(isinstance(n, ast.Attribute) and n.attr == "ndarray"
+                          for s in node.body if isinstance(s, ast.AnnAssign)
+                          for n in ast.walk(s.annotation))
+        if decorators and holds_array and not any(
+                k.arg == "eq" and getattr(k.value, "value", True) is False
+                for d in decorators for k in getattr(d, "keywords", [])):
+            yield node.name
+
+
+def test_dataclasses_holding_arrays_compare_by_identity():
+    assert [f"{path.name}:{name}" for path in SOURCES
+            for name in _array_dataclasses_compared_by_value(
+                ast.parse(path.read_text(encoding="utf-8")))] == []
 
 
 def test_no_import_of_scipy_integrate_or_optimize():
@@ -269,11 +299,12 @@ _FRESH_PROCESS = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import roblaw, roblaw.cli, roblaw.sweep
-from roblaw.sweep import REGIMES, TrialCell, run_trial
-reasons = {regime: run_trial([TrialCell(regime=regime, activation="relu", n=8, d=6, k=10,
+from roblaw.sweep import REGIME_TABLE, TrialCell, run_trial
+reasons = {regime: run_trial([TrialCell(regime=regime, activation="relu", n=8, d=6,
+                                        k=10 if REGIME_TABLE[regime].hidden else 0,
                                         lam=1e-3, zeta=0.1, dataset_seed=1, weight_seed=2,
                                         mc_samples=200)])[0].reason
-           for regime in REGIMES}
+           for regime in REGIME_TABLE}
 loaded = sorted(m for m in sys.modules if m.startswith(tuple(sys.argv[2:])))
 print(json.dumps({"loaded": loaded, "reasons": reasons}))
 """

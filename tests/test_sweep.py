@@ -49,6 +49,18 @@ def small_config(tmp_path, **overrides):
     return SweepConfig(**fields)
 
 
+def _width(regime, k):
+    """k for a regime with a hidden layer, else 0."""
+    return k if roblaw.sweep.REGIME_TABLE[regime].hidden else 0
+
+
+@pytest.mark.parametrize("regime", ["linear", "rf_infinite", "ntk_infinite"])
+def test_a_regime_without_a_hidden_layer_takes_k_0_only(tmp_path, regime):
+    small_config(tmp_path, regime=regime, k_grid=(0,))
+    with pytest.raises(InvalidArgument, match="no hidden layer, so k must be 0"):
+        small_config(tmp_path, regime=regime, k_grid=(0, 5))
+
+
 def test_splitmix_deterministic_and_distinct():
     a = splitmix64(1, 0)
     assert a == splitmix64(1, 0)
@@ -358,7 +370,7 @@ def test_a_run_that_dies_in_its_second_block_keeps_the_first(tmp_path, monkeypat
 
 def test_sweep_holds_one_block_not_the_grid(tmp_path):
     def peak(blocks):
-        cfg = small_config(tmp_path, regime="linear", n_grid=(8,) * blocks,
+        cfg = small_config(tmp_path, regime="linear", n_grid=(8,) * blocks, k_grid=(0,),
                            zeta_grid=(0.0, 0.5), datasets_per_cell=4,
                            weight_draws_per_dataset=5)
         return peak_bytes(lambda: run_sweep(cfg))[1]
@@ -616,7 +628,7 @@ _NAN_COLUMNS = {
 def test_each_regime_and_activation_fills_its_columns(regime, activation):
     homogeneous = activation in ("relu", "abs")
     cells = [TrialCell(regime=regime, activation=ActivationKind(activation),
-                       n=8, d=5, k=6, lam=lam, zeta=0.3, dataset_seed=13,
+                       n=8, d=5, k=_width(regime, 6), lam=lam, zeta=0.3, dataset_seed=13,
                        weight_seed=14, mc_samples=100) for lam in (0.0, 1e-3)]
     for rec in run_trial(cells):
         nan = {name for name in _METRICS if math.isnan(getattr(rec, name))}
@@ -640,7 +652,7 @@ def test_gram_side_is_the_side_of_the_gram_the_path_solves(monkeypatch, regime, 
         return original(K, *args, **kwargs)
 
     monkeypatch.setattr(roblaw.fit, "solve_psd", recorded)
-    cell = TrialCell(regime=regime, activation=ActivationKind.RELU, n=n, d=4, k=3,
+    cell = TrialCell(regime=regime, activation=ActivationKind.RELU, n=n, d=4, k=_width(regime, 3),
                      lam=0.0, zeta=0.3, dataset_seed=15, weight_seed=16, mc_samples=100)
     [rec] = run_trial([cell])
     assert rec.reason == ""
