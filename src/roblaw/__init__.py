@@ -40,8 +40,6 @@ from .kernels import (
     kernel_profile,
     kernel_profile_deriv,
     model_gradient,
-    ntk_features,
-    rf_features,
 )
 from .sobolev import (
     SobolevEstimate,

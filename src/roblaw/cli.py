@@ -17,7 +17,7 @@ from .activations import ActivationKind
 from .analyze import THRESHOLD_EXPRS, X_EXPRS, analyze_descent, analyze_law, asymptotics
 from .data import gen_dataset
 from .errors import InvalidArgument, IoError, NumericFailure, RoblawError, SingularKernel
-from .sobolev import MIN_MC_SAMPLES
+from .sobolev import MIN_MC_SAMPLES, check_mc_sample
 from .sweep import (
     CSV_COLUMNS,
     PRESETS,
@@ -98,6 +98,7 @@ def cmd_fit(args):
     # a lone cell takes fewer samples and fails after its fit; a command fails first
     if args.mc_samples < MIN_MC_SAMPLES:
         raise InvalidArgument(f"--mc-samples must be >= {MIN_MC_SAMPLES}")
+    check_mc_sample(args.mc_samples, args.d)
     cell = TrialCell(
         regime=args.regime, activation=ActivationKind(args.activation),
         n=args.n, d=args.d, k=args.k, lam=args.lam,

@@ -18,11 +18,12 @@ the RKHS norm read `path.gram`, and a fitted model holds no reference to
 it. A lambda = 0 solve can hand the gram's Cholesky factor to its caller,
 so the spectra of a wide gram need no factorization of their own.
 
-Every model predicts through a design: `predict(x)` is `design(x) @ coef`,
-with `design(x)` the lambda-free matrix of the inputs (x itself, the kernel
-at the anchors or the features), so the models of one ridge path can share
-one design of a point set. Gradients split the same way: `gradient(X,
-factor)` is `factor @ gradient_operand`, the coefficient-free (m, k, n or 1)
+Every model reads an (m, d) batch X of points in rows and predicts
+through a design: `predict(X)` is `design(X) @ coef`, with `design(X)` the
+lambda-free matrix of the inputs (X itself, the kernel at the anchors or
+the features), so the models of one ridge path can share one design of a
+point set. Gradients split the same way: `gradient(X, factor)` is
+`factor @ gradient_operand`, the coefficient-free (m, k, n or 1)
 `gradient_factor(X)`, which the models of one `factor_key` share, times a
 small (k, n or 1, d) operand into which the model folds its coefficients,
 for k hidden units, n anchors or a linear model's one weight vector.
@@ -50,6 +51,7 @@ from .errors import InvalidArgument, SingularKernel
 from .kernels import (
     DotProductKernel,
     FeatureMap,
+    _points,
     empirical_gram,
     features,
     gram_dot,
@@ -59,30 +61,23 @@ from .kernels import (
 from .sphere import SphereSample, check_unit_rows
 
 
-def _points(x, d: int) -> np.ndarray:
-    """x, a point or a batch of points in rows, as a float array; every
-    design and gradient factor reads its points through here. Raises
-    InvalidArgument unless the points have the model's dimension d."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (d,):
-        raise InvalidArgument(f"model points must have dimension {d}, got shape {x.shape}")
-    return x
-
-
 class _Model:
-    """What every model class shares: `predict(x)`, `design(x) @ coef`,
-    `gradient(X, factor)`, `factor @ gradient_operand` (into `out` when
-    given), and the defaults of a model that is no two-layer network and has
-    no closed-form seminorm. A model equals and hashes as itself only, as
+    """What every model class shares: `predict(X)`, `design(X) @ coef`,
+    `gradient(X)`, `factor @ gradient_operand` (into `out` when given) with
+    the `gradient_factor(X)` made here unless passed as `factor`, and the
+    defaults of a model that is no two-layer network and has no closed-form
+    seminorm. A model equals and hashes as itself only, as
     its `factor_key` assumes of its sample."""
 
     two_layer = None
     seminorm = math.nan
 
-    def predict(self, x):
-        return self.design(x) @ self.coef
+    def predict(self, X):
+        return self.design(X) @ self.coef
 
-    def gradient(self, X, factor, out=None) -> np.ndarray:
+    def gradient(self, X, factor=None, out=None) -> np.ndarray:
+        if factor is None:
+            factor = self.gradient_factor(X)
         return np.matmul(factor, self.gradient_operand, out=out)
 
 
@@ -106,12 +101,12 @@ class LinearModel(_Model):
     def gradient_operand(self) -> np.ndarray:
         return self.w[None, :]
 
-    def design(self, x) -> np.ndarray:
-        return _points(x, self.w.shape[0])
+    def design(self, X) -> np.ndarray:
+        return _points(X, self.w.shape[0])
 
     def gradient_factor(self, X) -> np.ndarray:
         """Ones, (m, 1): the gradient of w . x is w at every point."""
-        return np.ones(_points(X, self.w.shape[0]).shape[:-1] + (1,))
+        return np.ones((len(_points(X, self.w.shape[0])), 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +129,7 @@ class KernelModel(_Model):
         return self.c[:, None] * self.anchors.points
 
     def design(self, X) -> np.ndarray:
-        """K(X, anchors) for a point or an (m, d) batch X of unit points
+        """K(X, anchors) for an (m, d) batch X of unit points
         (InvalidArgument otherwise). At the anchors it is the fit's gram
         bit for bit: `gram_dot` builds it with the same `kernel_matrix`."""
         X = _points(X, self.anchors.dim)
@@ -190,7 +185,7 @@ class FeatureModel(_Model):
 
     def design(self, X) -> np.ndarray:
         """The feature rows of an (m, d) batch X."""
-        return features(self.map, _points(X, self.map.weights.dim))
+        return features(self.map, X)
 
     def gradient_factor(self, X) -> np.ndarray:
         """sigma'(X W^T), formed in place."""
@@ -295,12 +290,13 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
     side or a stack of them in rows; c is stacked as y is, and each row
     has the bits of its own solve with the one factor of K + lam*I.
     Returns (c, {"jitter", "fallback"}). K and y, arrays of numbers or
-    nested lists of them, are checked here, K square and y of its side, both
-    finite and lam finite and nonnegative, so scipy does not check them
-    again; a caller that has checked K finite, as a `RidgePath` does once for
-    all its lambdas, passes `gram_checked`. Each attempt copies K into one
-    buffer, adds lam and then the jitter to its diagonal and factors it in
-    place: a solve holds one array besides K.
+    nested lists of them, are checked here, K square and at least 1 x 1 and
+    y at least one vector of its side, both finite and lam finite and
+    nonnegative, so scipy does not check them again; a caller that has
+    checked K finite, as a `RidgePath` does once for all its lambdas, passes
+    `gram_checked`. Each attempt copies K into one buffer, adds lam and
+    then the jitter to its diagonal and factors it in place: a solve holds
+    one array besides K.
 
     When lam is 0 and K itself factors, `on_factor(factor)` is called with
     its `cholesky` factor before the solve returns: a caller can reuse the
@@ -308,8 +304,10 @@ def solve_psd(K: np.ndarray, y: np.ndarray, lam: float,
     if not 0 <= lam < math.inf:
         raise InvalidArgument(f"lambda must be finite and nonnegative, got {lam}")
     K, y = _numbers(K), _numbers(y)
-    if K.ndim != 2 or K.shape[0] != K.shape[1] or y.shape[-1:] != K.shape[:1]:
-        raise InvalidArgument(f"K {K.shape} is not square or y {y.shape} does not fit it")
+    if (K.ndim != 2 or K.shape[0] != K.shape[1] or y.shape[-1:] != K.shape[:1]
+            or not K.size or not y.size):
+        raise InvalidArgument(f"K {K.shape} is not square or y {y.shape} does not fit it,"
+                              " or one is empty")
     if (not gram_checked and not np.all(np.isfinite(K))) or not np.all(np.isfinite(y)):
         raise InvalidArgument("non-finite entries in solve")
     lmax = float(np.max(np.abs(np.diag(K))))
@@ -380,8 +378,8 @@ def _ridge_path(Z: np.ndarray, y: np.ndarray, model: Callable) -> RidgePath:
     if Z.shape[0] <= Z.shape[1]:
         return RidgePath(Z @ Z.T, y, lambda c, meta: model(Z.T @ c, meta))
     y = _numbers(y)
-    if y.shape[-1:] != Z.shape[:1]:
-        raise InvalidArgument(f"y {y.shape} does not fit the {Z.shape[0]} rows of Z")
+    if y.shape[-1:] != Z.shape[:1] or not y.size:
+        raise InvalidArgument(f"y {y.shape} is empty or does not fit the {Z.shape[0]} rows of Z")
     return RidgePath(Z.T @ Z, _each_row(lambda v: Z.T @ v, y), model)
 
 

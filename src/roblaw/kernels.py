@@ -1,5 +1,6 @@
 """The infinite-width RF and NTK kernels, finite RF/NTK feature maps, gram
-matrices, and the gradient of a fitted model at a point or a batch.
+matrices, and the gradient of a fitted model, each of an (m, d) batch of
+points in rows.
 
 Normalization convention: the infinite-width RF/NTK kernels use the
 unnormalized arc-cosine-style profiles (1/pi scale), i.e. twice the
@@ -26,6 +27,16 @@ from .sphere import SphereSample
 
 def _clip_t(t):
     return clip_unit(t, "dot products must lie in [-1, 1]")
+
+
+def _points(x, d: int) -> np.ndarray:
+    """x, an (m, d) batch of points in rows, as a float array; every map,
+    design and gradient factor reads its points through here. Raises
+    InvalidArgument for any other shape."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != d:
+        raise InvalidArgument(f"points must be an (m, {d}) batch, got shape {x.shape}")
+    return x
 
 
 KERNEL_NAMES = ("rf_infinite", "ntk_infinite")
@@ -98,20 +109,19 @@ def kernel_profile_deriv(kernel: DotProductKernel, t, out=None):
 PROFILE_BLOCK = 32768
 
 
-def kernel_matrix(kernel: DotProductKernel, x, anchors: np.ndarray) -> np.ndarray:
-    """K[i, j] = phi(x_i . a_j) for a point or an (m, d) batch x and the
-    (n, d) anchors, built in the array of the dot products T = x A^T: T is
+def kernel_matrix(kernel: DotProductKernel, X, anchors: np.ndarray) -> np.ndarray:
+    """K[i, j] = phi(x_i . a_j) for an (m, d) batch X and the (n, d)
+    anchors, built in the array of the dot products T = X A^T: T is
     clipped to [-1, 1] in place and overwritten with `kernel_profile` a
     block of rows at a time. A row block of the C-ordered T is contiguous,
     so numpy runs the loops of one whole-matrix profile and the bits equal
-    `kernel_profile(kernel, clip(x A^T))`."""
-    T = np.asarray(x, dtype=float) @ anchors.T
+    `kernel_profile(kernel, clip(X A^T))`."""
+    T = _points(X, anchors.shape[1]) @ anchors.T
     np.clip(T, -1.0, 1.0, out=T)
-    rows = np.atleast_2d(T)
-    step = max(1, PROFILE_BLOCK // max(1, rows.shape[1]))
-    scratch = np.empty((min(step, len(rows)), rows.shape[1]))
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step]
+    step = max(1, PROFILE_BLOCK // max(1, T.shape[1]))
+    scratch = np.empty((min(step, len(T)), T.shape[1]))
+    for start in range(0, len(T), step):
+        block = T[start:start + step]
         block[...] = kernel_profile(kernel, block, scratch[:len(block)])
     return T
 
@@ -141,35 +151,22 @@ class FeatureMap:
         return k if self.kind == "frozen_rf" else k * d
 
 
-def rf_features(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
-    """(1/sqrt(k)) sigma(W x); x may be a single point or an (m, d) batch."""
-    if fmap.kind != "frozen_rf":
-        raise InvalidArgument("rf_features requires a frozen_rf map")
-    W = fmap.weights.points
-    Z = np.asarray(x, dtype=float) @ W.T
-    act_eval(fmap.activation, Z, Z)
-    Z /= math.sqrt(W.shape[0])
-    return Z
-
-
-def ntk_features(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
-    """(1/sqrt(k)) sigma'(W x) (x) x, blocks j = sigma'(x.w_j) * x."""
-    if fmap.kind != "ntk":
-        raise InvalidArgument("ntk_features requires an ntk map")
+def features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
+    """The feature rows of an (m, d) batch X: sigma(X W^T) / sqrt(k) for a
+    frozen_rf map, formed in the product's array, and
+    sigma'(X W^T) (x) x / sqrt(k) for an ntk map, whose row i holds in
+    block j the vector sigma'(x_i . w_j) x_i."""
     W = fmap.weights.points
     k, d = W.shape
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    S = np.asarray(act_deriv(fmap.activation, X @ W.T))  # (m, k)
-    Z = (S[:, :, None] * X[:, None, :]).reshape(X.shape[0], k * d)
+    X = _points(X, d)
+    T = X @ W.T
+    if fmap.kind == "frozen_rf":
+        Z = act_eval(fmap.activation, T, T)
+    else:
+        S = act_deriv(fmap.activation, T, T)
+        Z = (S[:, :, None] * X[:, None, :]).reshape(len(X), k * d)
     Z /= math.sqrt(k)
-    return Z[0] if single else Z
-
-
-def features(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
-    """The feature rows of x."""
-    return rf_features(fmap, x) if fmap.kind == "frozen_rf" else ntk_features(fmap, x)
+    return Z
 
 
 def empirical_gram(fmap: FeatureMap, X: SphereSample) -> np.ndarray:
@@ -184,13 +181,9 @@ def empirical_gram(fmap: FeatureMap, X: SphereSample) -> np.ndarray:
     return (X.points @ X.points.T) * (S @ S.T) / fmap.weights.count
 
 
-def model_gradient(model, x: np.ndarray, factor=None, out=None) -> np.ndarray:
-    """Euclidean gradient of a fitted model at x (single point or batch):
-    `model.gradient` of the batch and its `gradient_factor`, which the
-    caller passes as `factor` when it has it already. `out`, an (m, d)
-    float array, receives the gradients of a batch."""
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    if factor is None:
-        factor = model.gradient_factor(X)
-    G = model.gradient(X, factor, out)
-    return G[0] if np.ndim(x) == 1 else G
+def model_gradient(model, X: np.ndarray, factor=None, out=None) -> np.ndarray:
+    """Euclidean gradients of a fitted model at an (m, d) batch X, in rows:
+    `model.gradient`, which makes the `gradient_factor` of X unless the
+    caller passes it as `factor`. `out`, an (m, d) float array, receives
+    them."""
+    return model.gradient(X, factor, out)

@@ -17,6 +17,13 @@ from .spectral import _MAX_COV_ELEMENTS, c_sigma_sobolev
 MIN_MC_SAMPLES = 100
 
 
+def check_mc_sample(m: int, d: int) -> None:
+    """Raises ResourceLimit when an m x d sphere sample is over the work
+    limit of the Monte-Carlo estimators here."""
+    if m * d > _MAX_COV_ELEMENTS:
+        raise ResourceLimit(f"sphere sample {m} x {d} too large")
+
+
 @dataclass(frozen=True)
 class SobolevEstimate:
     value: float
@@ -67,8 +74,7 @@ def sobolev_monte_carlo(models, d: int, m: int, seed: int) -> list[SobolevEstima
     block x n term; the m * d limit bounds the draw's work."""
     if m < MIN_MC_SAMPLES:
         raise InvalidArgument(f"m must be >= {MIN_MC_SAMPLES}")
-    if m * d > _MAX_COV_ELEMENTS:
-        raise ResourceLimit(f"sphere sample {m} x {d} too large")
+    check_mc_sample(m, d)
     sq = np.empty((len(models), m))
     # a fresh gradient per model, not one reused G, slowed rf_finite paths
     G = np.empty((min(m, BLOCK_ROWS), d))
@@ -104,8 +110,7 @@ def poincare_lower_bound(model, d: int, m: int, seed: int) -> float:
     draw's work."""
     if m < 10**3:
         raise InvalidArgument("m must be >= 1000")
-    if m * d > _MAX_COV_ELEMENTS:
-        raise ResourceLimit(f"sphere sample {m} x {d} too large")
+    check_mc_sample(m, d)
     fvals = np.empty(m)
     for start, Xb in zip(range(0, m, BLOCK_ROWS), sphere_blocks(d, m, seed)):
         fvals[start:start + len(Xb)] = model.predict(Xb)

@@ -46,8 +46,8 @@ def sym_eigs(A: np.ndarray) -> SpectrumSummary:
     bit, as every gram and C matrix is) from its full spectrum by
     `eigvalsh`; InvalidArgument for any other A."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidArgument("A must be square")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise InvalidArgument(f"A must be square and at least 1 x 1, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InvalidArgument("non-finite entries")
     if not np.array_equal(A, A.T):

@@ -39,6 +39,7 @@ from .fit import (
 from .kernels import DotProductKernel, FeatureMap
 from .sobolev import (
     MIN_MC_SAMPLES,
+    check_mc_sample,
     eta_proxy,
     sobolev_analytic,
     sobolev_monte_carlo,
@@ -103,6 +104,8 @@ class SweepConfig:
             raise InvalidArgument(f"empty grid axis: {', '.join(empty)}")
         if self.mc_samples < MIN_MC_SAMPLES:
             raise InvalidArgument(f"mc_samples must be >= {MIN_MC_SAMPLES}")
+        # else every group fails, then fails again one cell at a time
+        check_mc_sample(self.mc_samples, max(self.d_grid))
         if self.base_seed < 0:
             raise InvalidArgument(f"seeds must be >= 0, got {self.base_seed}")
         # a lone cell of this pair comes back as a tagged row; a grid fails first

@@ -143,6 +143,25 @@ def test_oversized_monte_carlo_sample_exits_2_before_it_is_drawn(capsys, monkeyp
     assert code == 2 and out == "" and "too large" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "fit"])
+def test_monte_carlo_sample_over_the_work_limit_exits_2_before_any_dataset(
+        tmp_path, capsys, monkeypatch, command):
+    # a 5000000 x 50 sample is over the limit, so every group would draw its
+    # dataset, fail, and draw it again for each cell
+    calls = []
+    monkeypatch.setattr(roblaw.sweep, "gen_dataset", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "over.csv"
+    argv = {
+        "sweep": ("sweep", "--out", str(out), "--config", _sweep_config_file(
+            tmp_path, "n_grid = 10\nd_grid = 50\nlambda_grid = 0, 1e-3\nmc_samples = 5000000")),
+        "fit": ("fit", "--regime", "linear", "--n", "10", "--d", "50",
+                "--mc-samples", "5000000"),
+    }[command]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2 and stdout == "" and "sphere sample 5000000 x 50 too large" in err
+    assert calls == [] and not out.exists()
+
+
 def test_invalid_regime_exits_2(capsys):
     code, _, err = run_cli(capsys, "fit", "--regime", "bogus", "--n", "5",
                            "--d", "6")

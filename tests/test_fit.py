@@ -51,7 +51,9 @@ def test_solve_psd_rejects_non_finite_lambda(lam):
     (np.eye(4), np.ones(3)),
     (np.ones((3, 4)), np.ones(3)),
     (np.eye(3), np.ones((3, 4))),
-], ids=["short_y", "oblong_K", "long_rows_of_y"])
+    (np.zeros((0, 0)), np.zeros(0)),
+    (np.eye(2), np.zeros((0, 2))),
+], ids=["short_y", "oblong_K", "long_rows_of_y", "empty_K", "no_label_vector"])
 def test_solve_psd_rejects_shapes_that_do_not_fit(K, y):
     with pytest.raises(InvalidArgument, match="is not square or y"):
         solve_psd(K, y, 0.1)
@@ -65,7 +67,7 @@ def test_a_path_rejects_labels_that_do_not_fit_its_inputs(kind, n):
     X = sample_sphere(5, n, 1)
     build = linear_path if kind == "linear" else partial(
         feature_path, FeatureMap(kind=kind, weights=sample_sphere(5, 3, 2)))
-    for y in (np.ones(n - 1), np.ones((2, n + 1))):
+    for y in (np.ones(n - 1), np.ones((2, n + 1)), np.ones((0, n))):
         with pytest.raises(InvalidArgument, match="does not fit"):
             build(X, y).fit(0.1)
     with pytest.raises(InvalidArgument, match="arrays of numbers"):
@@ -445,13 +447,13 @@ def test_dual_rf_fit_builds_features_once(monkeypatch):
     fmap = FeatureMap(kind="frozen_rf", weights=sample_sphere(d, k, 3))
     data = gen_dataset(8, d, 0.2, 4)  # n < k: dual path
     calls = []
-    original = roblaw.kernels.rf_features
+    original = roblaw.fit.features
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(roblaw.kernels, "rf_features", counted)
+    monkeypatch.setattr(roblaw.fit, "features", counted)
     path = roblaw.fit.feature_path(fmap, data.X, data.y)
     model = path.fit(0.0)
     assert len(calls) == 1
@@ -513,10 +515,10 @@ def test_every_model_predicts_through_its_design():
         assert design.shape[0] == 13
         assert model.predict(X).tobytes() == (design @ model.coef).tobytes()
         assert train_mse(model, data, model.design(data.X.points)) == train_mse(model, data)
-        # one point: the same product, a numpy scalar from every class
-        one = model.predict(X[0])
-        assert type(one) is np.float64
-        assert one.tobytes() == (model.design(X[0]) @ model.coef).tobytes()
+        # one point, a batch of one row: the same product, one value
+        one = model.predict(X[:1])
+        assert one.shape == (1,)
+        assert one.tobytes() == (model.design(X[:1]) @ model.coef).tobytes()
 
 
 @pytest.mark.parametrize("name", ["rf_infinite", "ntk_infinite"])
@@ -524,8 +526,8 @@ def test_kernel_model_rejects_points_off_the_sphere(name):
     data = gen_dataset(20, 5, 0.1, 1)
     kernel = DotProductKernel(name=name, activation=ActivationKind.RELU)
     model = roblaw.fit.kernel_path(kernel, data.X, data.y).fit(1e-3)
-    x = data.X.points[0]
-    assert np.isfinite(model.predict(x))
+    x = data.X.points[:1]
+    assert np.all(np.isfinite(model.predict(x)))
     for point in (2 * x, np.vstack([x, 2 * x])):
         for f in (model.design, model.predict,
                   lambda p: roblaw.kernels.model_gradient(model, p)):
@@ -533,14 +535,25 @@ def test_kernel_model_rejects_points_off_the_sphere(name):
                 f(point)
 
 
-@pytest.mark.parametrize("entry", [
-    lambda model, x: model.design(x),
-    lambda model, x: model.predict(x),
-    roblaw.kernels.model_gradient,
-], ids=["design", "predict", "model_gradient"])
-@pytest.mark.parametrize("model_class", ["LinearModel", "KernelModel", "FeatureModel",
-                                         "FeatureModel-ntk"])
-def test_a_point_of_another_dimension_raises_invalid_argument(model_class, entry):
+_POINT_ENTRIES = {
+    "design": lambda model, x: model.design(x),
+    "predict": lambda model, x: model.predict(x),
+    "gradient_factor": lambda model, x: model.gradient_factor(x),
+    "model_gradient": roblaw.kernels.model_gradient,
+    "features": lambda model, x: roblaw.kernels.features(model.map, x),
+    "kernel_matrix": lambda model, x: roblaw.kernels.kernel_matrix(
+        model.kernel, x, model.anchors.points),
+}
+
+
+@pytest.mark.parametrize("model_class, entry", [
+    *((cls, entry) for cls in ("LinearModel", "KernelModel", "FeatureModel", "FeatureModel-ntk")
+      for entry in ("design", "predict", "gradient_factor", "model_gradient")),
+    ("FeatureModel", "features"), ("FeatureModel-ntk", "features"),
+    ("KernelModel", "kernel_matrix"),
+])
+def test_a_single_point_or_a_batch_of_another_dimension_raises_invalid_argument(model_class,
+                                                                                 entry):
     data = gen_dataset(9, 5, 0.3, 21)
     W = sample_sphere(5, 7, 22)
     model = {
@@ -555,9 +568,10 @@ def test_a_point_of_another_dimension_raises_invalid_argument(model_class, entry
     }[model_class]()
     assert type(model).__name__ == model_class.split("-")[0]
     x = sample_sphere(3, 2, 23).points  # unit points of dimension 3, not 5
-    for point in (x[0], x):
-        with pytest.raises(InvalidArgument, match="must have dimension 5"):
-            entry(model, point)
+    # every map, design and gradient takes an (m, 5) batch only
+    for point in (data.X.points[0], x[0], x):
+        with pytest.raises(InvalidArgument, match=r"must be an \(m, 5\) batch"):
+            _POINT_ENTRIES[entry](model, point)
 
 
 def test_rkhs_norm_quadratic_form():

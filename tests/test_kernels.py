@@ -17,8 +17,6 @@ from roblaw import (
     kernel_profile,
     kernel_profile_deriv,
     model_gradient,
-    ntk_features,
-    rf_features,
     sample_sphere,
 )
 from roblaw.fit import (
@@ -83,23 +81,24 @@ def test_gram_symmetric_psd():
 def test_rf_features_scaling():
     W = sample_sphere(6, 11, 1)
     fmap = FeatureMap(kind="frozen_rf", weights=W, activation=ActivationKind.RELU)
-    x = sample_sphere(6, 1, 2).points[0]
-    z = rf_features(fmap, x)
-    assert z.shape == (11,)
+    X = sample_sphere(6, 4, 2).points
+    Z = features(fmap, X)
+    assert Z.shape == (4, 11)
     np.testing.assert_allclose(
-        z, np.maximum(W.points @ x, 0.0) / math.sqrt(11), atol=1e-14
+        Z, np.maximum(X @ W.points.T, 0.0) / math.sqrt(11), atol=1e-14
     )
 
 
 def test_ntk_features_block_structure():
     W = sample_sphere(4, 3, 1)
     fmap = FeatureMap(kind="ntk", weights=W, activation=ActivationKind.RELU)
-    x = sample_sphere(4, 1, 2).points[0]
-    z = ntk_features(fmap, x)
-    assert z.shape == (12,)
-    s = (W.points @ x > 0).astype(float)
-    ref = np.concatenate([s[j] * x for j in range(3)]) / math.sqrt(3)
-    np.testing.assert_allclose(z, ref, atol=1e-14)
+    X = sample_sphere(4, 5, 2).points
+    Z = features(fmap, X)
+    assert Z.shape == (5, 12)
+    for z, x in zip(Z, X):
+        s = (W.points @ x > 0).astype(float)
+        ref = np.concatenate([s[j] * x for j in range(3)]) / math.sqrt(3)
+        np.testing.assert_allclose(z, ref, atol=1e-14)
 
 
 def test_empirical_gram_matches_materialized_features():
@@ -124,7 +123,7 @@ def _numeric_gradient(predict, x, h=1e-6):
 def test_model_gradient_matches_finite_differences():
     d = 6
     rng = np.random.default_rng(11)
-    x = sample_sphere(d, 1, 12).points[0]
+    x = sample_sphere(d, 1, 12).points
     W = sample_sphere(d, 5, 13)
 
     two_layer = FeatureModel(map=FeatureMap(kind="frozen_rf", weights=W,
@@ -146,9 +145,9 @@ def test_model_gradient_matches_finite_differences():
     kern_extension = lambda p: kernel_matrix(kern.kernel, p, kern.anchors.points) @ kern.c
     for model in (two_layer, linear, kern, rf, ntk):
         f = kern_extension if model is kern else model.predict
-        num = _numeric_gradient(lambda p: float(np.atleast_1d(f(p))[0]), x.copy())
+        num = _numeric_gradient(lambda p: float(f(p[None, :])[0]), x[0].copy())
         np.testing.assert_allclose(
-            model_gradient(model, x), num, rtol=1e-4, atol=1e-6
+            model_gradient(model, x)[0], num, rtol=1e-4, atol=1e-6
         )
 
 
@@ -157,7 +156,7 @@ def test_linear_model_gradient_is_w_in_every_row_bitwise():
     w = np.random.default_rng(3).normal(size=d) * np.array([1, 1e-310, 1e300, 1, 1, 1])
     model = LinearModel(w=w)
     X = sample_sphere(d, 1500, 4).points
-    assert_same_bits(model_gradient(model, X[0]), w)
+    assert_same_bits(model_gradient(model, X[:1]), w[None, :])
     assert_same_bits(model_gradient(model, X), np.tile(w, (len(X), 1)))
     # a zero weight's gradient is a zero, whatever its sign
     w[0] = -0.0
@@ -195,7 +194,7 @@ def test_model_gradient_batched_matches_single():
     model = FeatureModel(map=fmap, a=np.array([1.0, -2.0, 0.5]))
     G = model_gradient(model, X)
     for i in range(4):
-        np.testing.assert_allclose(G[i], model_gradient(model, X[i]), atol=1e-14)
+        np.testing.assert_allclose(G[i:i + 1], model_gradient(model, X[i:i + 1]), atol=1e-14)
 
 
 def _kernel_reference(kernel, t, deriv=False):
@@ -268,7 +267,7 @@ def test_kernel_gram_is_the_train_design_bit_for_bit(name, n):
 def test_ntk_features_peak_memory_is_about_its_output():
     fmap = FeatureMap("ntk", sample_sphere(50, 40, 1))
     X = sample_sphere(50, 500, 2).points
-    Z, peak = peak_bytes(lambda: ntk_features(fmap, X))
+    Z, peak = peak_bytes(lambda: features(fmap, X))
     assert Z.shape == (500, 2000)
     assert peak < 1.25 * Z.nbytes  # one m x kd array, not two
 
@@ -291,15 +290,15 @@ def test_kernel_matrix_is_the_profile_of_the_clipped_product_bit_for_bit(kernel,
         X, A = _builder_inputs(rows, cols)
         want = kernel_profile(kernel, np.clip(X @ A.T, -1.0, 1.0))
         assert_same_bits(kernel_matrix(kernel, X, A), want)
-    # a single point, as `predict` at one x passes it
-    want = kernel_profile(kernel, np.clip(X[0] @ A.T, -1.0, 1.0))
-    assert_same_bits(kernel_matrix(kernel, X[0], A), want)
+    # one point, as a batch of one row
+    want = kernel_profile(kernel, np.clip(X[:1] @ A.T, -1.0, 1.0))
+    assert_same_bits(kernel_matrix(kernel, X[:1], A), want)
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS[:2], ids=lambda k: k.name)
 def test_kernel_matrix_of_no_points_or_no_anchors_is_empty(kernel):
     X, A = _builder_inputs(4, 3)
-    for x, anchors, shape in ((X, A[:0], (4, 0)), (X[:0], A, (0, 3)), (X[0], A[:0], (0,))):
+    for x, anchors, shape in ((X, A[:0], (4, 0)), (X[:0], A, (0, 3))):
         assert kernel_matrix(kernel, x, anchors).shape == shape
 
 
@@ -325,7 +324,7 @@ def test_kernel_design_holds_one_array_of_its_size(name):
 def test_rf_features_peak_memory_is_its_output():
     fmap = FeatureMap("frozen_rf", sample_sphere(300, 1000, 6))
     x = sample_sphere(300, 1000, 7).points
-    Z, peak = peak_bytes(lambda: rf_features(fmap, x))
+    Z, peak = peak_bytes(lambda: features(fmap, x))
     assert Z.shape == (1000, 1000)
     assert peak < 1.1 * Z.nbytes  # sigma and the scale in the product's array
 

@@ -72,6 +72,8 @@ def test_sym_eigs_rejects_a_matrix_not_exactly_symmetric(skew):
 def test_sym_eigs_rejects_bad_input():
     with pytest.raises(InvalidArgument):
         sym_eigs(np.ones((2, 3)))
+    with pytest.raises(InvalidArgument, match="at least 1 x 1"):
+        sym_eigs(np.zeros((0, 0)))
     with pytest.raises(InvalidArgument):
         sym_eigs(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(InvalidArgument):
